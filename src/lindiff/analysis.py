@@ -110,8 +110,8 @@ def power_law_fit(lambdas, taus, gz: GrayZone, v0s, targets) -> dict[str, PowerL
 
     Modes with v0/target inside the gray zone, or without a crossing
     (tau* None/nan), are dropped.  Branches are split by the sign of
-    target - v0; a branch with fewer than two survivors raises
-    InsufficientDataError naming it.
+    target - v0; a branch whose survivors hold fewer than two distinct
+    eigenvalues raises InsufficientDataError naming it.
     """
     lambdas = np.asarray(lambdas, float)
     taus = np.array([np.nan if t is None else float(t) for t in taus])
@@ -129,8 +129,11 @@ def power_law_fit(lambdas, taus, gz: GrayZone, v0s, targets) -> dict[str, PowerL
         n = int(mask.sum())
         if n == 0:
             continue
-        if n < 2:
-            raise InsufficientDataError(f"branch {branch!r} has {n} usable mode(s), need >= 2")
+        distinct = np.unique(lambdas[mask]).size
+        if distinct < 2:
+            raise InsufficientDataError(
+                f"branch {branch!r} has {distinct} distinct eigenvalue(s) among {n} usable mode(s), need >= 2"
+            )
         fits[branch] = _ols_loglog(lambdas[mask], taus[mask], branch)
     return fits
 

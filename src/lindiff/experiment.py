@@ -9,25 +9,20 @@ left to downstream tooling.
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .analysis import EmergenceCriterion, GrayZone, emergence_time, power_law_fit
-from .dynamics import (
-    DynamicsConfig,
-    LossVariant,
-    OneLayer,
-    TwoLayerSymmetric,
-    one_layer_psi,
-    two_layer_psi,
-)
+from .dynamics import one_layer_psi, two_layer_psi
 from .gaussian import (
     CovarianceModel,
+    DataMoments,
     SpectrumSpec,
     empirical_moments,
     make_covariance,
@@ -59,31 +54,45 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def _get(cfg: dict, key: str, default, cast):
-    if key not in cfg:
-        return default
-    try:
-        if cast is bool:
-            v = cfg[key].lower()
-            if v not in ("true", "false", "1", "0", "yes", "no"):
-                raise ValueError(v)
-            return v in ("true", "1", "yes")
-        return cast(cfg[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: cannot parse {cfg[key]!r}") from exc
+def _float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
 
 
-def _floats(raw: str) -> list[float]:
-    return [float(tok) for tok in raw.split(",") if tok.strip()]
+def _floats(raw: str) -> tuple:
+    return tuple(_float(tok) for tok in raw.split(",") if tok.strip())
+
+
+def _bool(raw: str) -> bool:
+    value = raw.lower()
+    if value not in ("true", "false", "1", "0", "yes", "no"):
+        raise ValueError("expected true or false")
+    return value in ("true", "1", "yes")
+
+
+def _choice(*options: str):
+    def parse(raw: str) -> str:
+        if raw not in options:
+            raise ValueError(f"expected one of {', '.join(options)}")
+        return raw
+
+    return parse
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated sweep configuration (see README for the key reference)."""
+    """Validated sweep configuration; ``_KEYS`` maps each config key to a field."""
 
     model_kind: str = "log-spaced"
     dim: int = 16
-    model_params: dict = field(default_factory=lambda: {"lo": 1e-3, "hi": 10.0})
+    # spectrum parameters: lo/hi (log-spaced), mu/sd (log-normal), values (explicit)
+    lo: float = 1e-3
+    hi: float = 10.0
+    mu: float = 0.0
+    sd: float = 1.0
+    values: tuple | None = None
     normalize: bool = False
     data_path: str | None = None
     arch: str = "one-layer"
@@ -103,6 +112,26 @@ class ExperimentConfig:
     fmt: str = "csv"
     validate_with_oracle: bool = False
 
+    def __post_init__(self) -> None:
+        if self.model_kind == "explicit" and self.values is None:
+            raise ConfigError("model.values: required for explicit spectra")
+        if self.model_kind == "data" and not self.data_path:
+            raise ConfigError("model.data: required when model.kind = data")
+        if not 0 < self.gray_lower < 1:
+            raise ConfigError("analysis.gray_zone.lower: must lie in (0, 1)")
+        if self.gray_upper <= 1:
+            raise ConfigError("analysis.gray_zone.upper: must exceed 1")
+        if self.arch == "two-layer" and self.q_init <= 0:
+            raise ConfigError("arch.q_init: two-layer requires Q > 0")
+        if self.eta <= 0:
+            raise ConfigError("dynamics.eta: must be positive")
+        if not 0 < self.tau_min < self.tau_max:
+            raise ConfigError("dynamics.tau_min: need 0 < tau_min < tau_max")
+        if self.tau_override is not None and (not self.tau_override or min(self.tau_override) < 0):
+            raise ConfigError("dynamics.tau: need one or more nonnegative values")
+        if not self.report_sigmas or min(self.report_sigmas) <= 0:
+            raise ConfigError("report.sigmas: need one or more positive values")
+
     def taus(self) -> np.ndarray:
         if self.tau_override is not None:
             return np.asarray(self.tau_override, dtype=float)
@@ -110,93 +139,68 @@ class ExperimentConfig:
 
     @staticmethod
     def from_flat(cfg: dict[str, str]) -> "ExperimentConfig":
-        kind = _get(cfg, "model.kind", "log-spaced", str)
-        if kind not in ("log-spaced", "log-normal", "explicit", "data"):
-            raise ConfigError(f"model.kind: unknown kind {kind!r}")
-        params: dict = {}
-        data_path = None
-        if kind == "log-spaced":
-            params = {"lo": _get(cfg, "model.lo", 1e-3, float), "hi": _get(cfg, "model.hi", 10.0, float)}
-        elif kind == "log-normal":
-            params = {"mu": _get(cfg, "model.mu", 0.0, float), "sd": _get(cfg, "model.sd", 1.0, float)}
-        elif kind == "explicit":
-            if "model.values" not in cfg:
-                raise ConfigError("model.values: required for explicit spectra")
-            params = {"values": _floats(cfg["model.values"])}
-        else:
-            data_path = _get(cfg, "model.data", None, str)
-            if not data_path:
-                raise ConfigError("model.data: required when model.kind = data")
-
-        arch = _get(cfg, "arch.kind", "one-layer", str)
-        if arch not in ("one-layer", "two-layer"):
-            raise ConfigError(f"arch.kind: unknown architecture {arch!r}")
-        crit = _get(cfg, "analysis.criterion", "geometric", str)
-        if crit not in ("geometric", "harmonic"):
-            raise ConfigError(f"analysis.criterion: unknown criterion {crit!r}")
-        lower = _get(cfg, "analysis.gray_zone.lower", 0.5, float)
-        upper = _get(cfg, "analysis.gray_zone.upper", 2.0, float)
-        if not 0 < lower < 1:
-            raise ConfigError("analysis.gray_zone.lower: must lie in (0, 1)")
-        if upper <= 1:
-            raise ConfigError("analysis.gray_zone.upper: must exceed 1")
-        fmt = _get(cfg, "run.format", "csv", str)
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"run.format: unknown format {fmt!r}")
+        fields: dict = {}
+        schedule: dict = {}
+        for key, raw in cfg.items():
+            if key not in _KEYS:
+                raise ConfigError(f"{key}: unknown key")
+            name, parse = _KEYS[key]
+            try:
+                (schedule if key.startswith("schedule.") else fields)[name] = parse(raw)
+            except ValueError as exc:
+                raise ConfigError(f"{key}: cannot parse {raw!r} ({exc})") from exc
         try:
-            schedule = NoiseSchedule(
-                sigma_min=_get(cfg, "schedule.sigma_min", 0.002, float),
-                sigma_max=_get(cfg, "schedule.sigma_max", 80.0, float),
-                rho=_get(cfg, "schedule.rho", 7.0, float),
-                num_steps=_get(cfg, "schedule.steps", 80, int),
-            )
+            fields["schedule"] = NoiseSchedule(**schedule)
         except ValueError as exc:
             raise ConfigError(f"schedule: {exc}") from exc
-        q_init = _get(cfg, "arch.q_init", 0.1, float)
-        if arch == "two-layer" and q_init <= 0:
-            raise ConfigError("arch.q_init: two-layer requires Q > 0")
-        eta = _get(cfg, "dynamics.eta", 1.0, float)
-        if eta <= 0:
-            raise ConfigError("dynamics.eta: must be positive")
-        tau_min = _get(cfg, "dynamics.tau_min", 1e-4, float)
-        tau_max = _get(cfg, "dynamics.tau_max", 1e6, float)
-        if not 0 < tau_min < tau_max:
-            raise ConfigError("dynamics.tau_min: need 0 < tau_min < tau_max")
-        tau_override = None
-        if "dynamics.tau" in cfg:
-            tau_override = tuple(_floats(cfg["dynamics.tau"]))
-            if any(t < 0 for t in tau_override):
-                raise ConfigError("dynamics.tau: values must be nonnegative")
-        return ExperimentConfig(
-            model_kind=kind,
-            dim=_get(cfg, "model.dim", 16, int),
-            model_params=params,
-            normalize=_get(cfg, "model.normalize", False, bool),
-            data_path=data_path,
-            arch=arch,
-            q_init=q_init,
-            eta=eta,
-            tau_min=tau_min,
-            tau_max=tau_max,
-            tau_points=_get(cfg, "dynamics.tau_points", 241, int),
-            tau_override=tau_override,
-            report_sigmas=tuple(_floats(cfg.get("report.sigmas", "0.1,1,10"))),
-            schedule=schedule,
-            criterion=crit,
-            gray_lower=lower,
-            gray_upper=upper,
-            seed=_get(cfg, "run.seed", 0, int),
-            out_dir=_get(cfg, "run.out", "out", str),
-            fmt=fmt,
-            validate_with_oracle=_get(cfg, "run.validate_with_oracle", False, bool),
-        )
+        return ExperimentConfig(**fields)
+
+
+# Every config key, declared once: dotted key -> (field, parser).  A
+# ``schedule.*`` key sets a NoiseSchedule field, every other key an
+# ExperimentConfig field; defaults are the dataclass defaults.
+_KEYS = {
+    "model.kind": ("model_kind", _choice("log-spaced", "log-normal", "explicit", "data")),
+    "model.dim": ("dim", int),
+    "model.lo": ("lo", _float),
+    "model.hi": ("hi", _float),
+    "model.mu": ("mu", _float),
+    "model.sd": ("sd", _float),
+    "model.values": ("values", _floats),
+    "model.normalize": ("normalize", _bool),
+    "model.data": ("data_path", str),
+    "arch.kind": ("arch", _choice("one-layer", "two-layer")),
+    "arch.q_init": ("q_init", _float),
+    "dynamics.eta": ("eta", _float),
+    "dynamics.tau_min": ("tau_min", _float),
+    "dynamics.tau_max": ("tau_max", _float),
+    "dynamics.tau_points": ("tau_points", int),
+    "dynamics.tau": ("tau_override", _floats),
+    "report.sigmas": ("report_sigmas", _floats),
+    "schedule.sigma_min": ("sigma_min", _float),
+    "schedule.sigma_max": ("sigma_max", _float),
+    "schedule.rho": ("rho", _float),
+    "schedule.steps": ("num_steps", int),
+    "analysis.criterion": ("criterion", _choice("geometric", "harmonic")),
+    "analysis.gray_zone.lower": ("gray_lower", _float),
+    "analysis.gray_zone.upper": ("gray_upper", _float),
+    "run.seed": ("seed", int),
+    "run.out": ("out_dir", str),
+    "run.format": ("fmt", _choice("csv", "json")),
+    "run.validate_with_oracle": ("validate_with_oracle", _bool),
+}
 
 
 def _build_model(cfg: ExperimentConfig) -> CovarianceModel:
     if cfg.model_kind == "data":
         samples = read_samples(cfg.data_path)
         return empirical_moments(samples).eigenmodel()
-    spec = SpectrumSpec(cfg.model_kind, cfg.model_params, cfg.normalize)
+    params = {
+        "log-spaced": {"lo": cfg.lo, "hi": cfg.hi},
+        "log-normal": {"mu": cfg.mu, "sd": cfg.sd},
+        "explicit": {"values": cfg.values},
+    }
+    spec = SpectrumSpec(cfg.model_kind, params[cfg.model_kind], cfg.normalize)
     return make_covariance(spec, cfg.dim, cfg.seed)
 
 
@@ -211,38 +215,29 @@ def _psi(cfg: ExperimentConfig, lam, sigma, tau):
     return fn(lam, sigma, cfg.q_init, cfg.eta, tau)
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+def oracle_deviation(
+    model: CovarianceModel, arch: str, sigmas, q: float, eta: float, taus, solve: OdeSolveConfig = OdeSolveConfig()
+) -> float:
+    """Max relative gap between closed-form mode weights and raw gradient flow.
 
-
-def oracle_deviation(cfg: ExperimentConfig, model: CovarianceModel, n_tau: int = 8) -> float:
-    """Max relative gap between closed-form weights and raw gradient flow."""
-    taus = np.geomspace(max(cfg.tau_min, 1e-3), min(cfg.tau_max, 10.0), n_tau)
-    moments = _zero_mean_moments(model)
+    The flow starts from Q times the identity in the model's eigenbasis
+    (one-layer W0, or two-layer P0 with W0 = P0 P0^T) on zero-mean data.
+    """
+    moments = DataMoments(np.zeros(model.dim), model.covariance())
     worst = 0.0
-    for sigma in cfg.report_sigmas:
-        if cfg.arch == "one-layer":
-            w0 = (model.basis * cfg.q_init) @ model.basis.T
-            _, ws, _ = gradient_flow_full(
-                moments, sigma, cfg.eta, w0, np.zeros(model.dim), taus
-            )
+    for sigma in sigmas:
+        if arch == "one-layer":
+            w0, parametrization, psi = (model.basis * q) @ model.basis.T, "one-layer", one_layer_psi
         else:
-            p0 = model.basis * np.sqrt(cfg.q_init)
-            _, ws, _ = gradient_flow_full(
-                moments, sigma, cfg.eta, p0, np.zeros(model.dim), taus,
-                parametrization="two-layer-symmetric",
-            )
+            w0, parametrization, psi = model.basis * np.sqrt(q), "two-layer-symmetric", two_layer_psi
+        _, ws, _ = gradient_flow_full(
+            moments, sigma, eta, w0, np.zeros(model.dim), taus, parametrization=parametrization, solve=solve
+        )
         numeric = np.einsum("ik,tij,jk->tk", model.basis, ws, model.basis)
-        closed = _psi(cfg, model.spectrum[None, :], sigma, taus[:, None])
+        closed = psi(model.spectrum[None, :], sigma, q, eta, taus[:, None])
         scale = np.maximum(np.abs(closed), 1e-12)
         worst = max(worst, float(np.max(np.abs(numeric - closed) / scale)))
     return worst
-
-
-def _zero_mean_moments(model: CovarianceModel):
-    from .gaussian import DataMoments
-
-    return DataMoments(np.zeros(model.dim), model.covariance())
 
 
 ALL_STAGES = frozenset({"trajectories", "emergence", "kl"})
@@ -307,7 +302,11 @@ def run_experiment(cfg: ExperimentConfig, stages: frozenset = frozenset({"trajec
         written.append(_emit_kl(cfg, out, model, taus, lam_gen))
 
     manifest = {
-        "config": _echo(cfg),
+        "config": {
+            key: getattr(cfg.schedule if key.startswith("schedule.") else cfg, name)
+            for key, (name, _) in _KEYS.items()
+            if key != "run.out"  # so that reruns into other directories echo the same config
+        },
         "seed": cfg.seed,
         "versions": {
             "lindiff": __version__,
@@ -317,7 +316,8 @@ def run_experiment(cfg: ExperimentConfig, stages: frozenset = frozenset({"trajec
         "outputs": sorted(written + ["manifest.json"]),
     }
     if cfg.validate_with_oracle:
-        dev = oracle_deviation(cfg, model)
+        oracle_taus = np.geomspace(max(cfg.tau_min, 1e-3), min(cfg.tau_max, 10.0), 8)
+        dev = oracle_deviation(model, cfg.arch, cfg.report_sigmas, cfg.q_init, cfg.eta, oracle_taus)
         manifest["oracle"] = {
             "max_rel_deviation": dev,
             "tolerance": ORACLE_TOLERANCE,
@@ -326,35 +326,6 @@ def run_experiment(cfg: ExperimentConfig, stages: frozenset = frozenset({"trajec
     manifest["wall_clock_s"] = time.perf_counter() - t_start
     _write_json(out / "manifest.json", manifest)
     return manifest
-
-
-def _echo(cfg: ExperimentConfig) -> dict:
-    d = {
-        "model.kind": cfg.model_kind,
-        "model.dim": cfg.dim,
-        "model.normalize": cfg.normalize,
-        "arch.kind": cfg.arch,
-        "arch.q_init": cfg.q_init,
-        "dynamics.eta": cfg.eta,
-        "dynamics.tau_min": cfg.tau_min,
-        "dynamics.tau_max": cfg.tau_max,
-        "dynamics.tau_points": cfg.tau_points,
-        "report.sigmas": list(cfg.report_sigmas),
-        "schedule.sigma_min": cfg.schedule.sigma_min,
-        "schedule.sigma_max": cfg.schedule.sigma_max,
-        "schedule.rho": cfg.schedule.rho,
-        "schedule.steps": cfg.schedule.num_steps,
-        "analysis.criterion": cfg.criterion,
-        "analysis.gray_zone.lower": cfg.gray_lower,
-        "analysis.gray_zone.upper": cfg.gray_upper,
-        "run.seed": cfg.seed,
-        "run.format": cfg.fmt,
-        "run.validate_with_oracle": cfg.validate_with_oracle,
-    }
-    d.update({f"model.{k}": v for k, v in cfg.model_params.items()})
-    if cfg.data_path:
-        d["model.data"] = cfg.data_path
-    return d
 
 
 def _emit_trajectories(cfg, out: Path, model, taus, lam_gen) -> str:
@@ -371,12 +342,9 @@ def _emit_trajectories(cfg, out: Path, model, taus, lam_gen) -> str:
 
 
 def _emit_emergence(cfg, out: Path, model, tau_stars, branches, excluded) -> str:
-    rows = []
-    for k in range(model.dim):
-        ts = "" if tau_stars[k] is None else _fmt(tau_stars[k])
-        rows.append((k, _fmt(model.spectrum[k]), ts, branches[k], int(excluded[k])))
+    rows = [(k, model.spectrum[k], tau_stars[k], branches[k], int(excluded[k])) for k in range(model.dim)]
     header = ["mode_index", "lambda_target", "tau_star", "branch", "excluded_flag"]
-    return _emit_table(cfg, out, "emergence", header, rows, preformatted=True)
+    return _emit_table(cfg, out, "emergence", header, rows)
 
 
 def _emit_kl(cfg, out: Path, model, taus, lam_gen) -> str:
@@ -392,20 +360,21 @@ def _emit_kl(cfg, out: Path, model, taus, lam_gen) -> str:
     return _emit_table(cfg, out, "kl", header, rows)
 
 
-def _cell(value, preformatted: bool) -> str:
-    if isinstance(value, str):
-        return value
-    if preformatted or isinstance(value, (int, np.integer)):
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (str, int, np.integer)):
         return str(value)
-    return _fmt(value)
+    return f"{float(value):.17g}"
 
 
-def _emit_table(cfg, out: Path, name: str, header, rows, preformatted=False) -> str:
+def _emit_table(cfg, out: Path, name: str, header, rows) -> str:
+    """Write rows as CSV (None -> empty cell) or JSON (None -> null)."""
     if cfg.fmt == "csv":
         path = out / f"{name}.csv"
         lines = [",".join(header)]
         for row in rows:
-            lines.append(",".join(_cell(c, preformatted) for c in row))
+            lines.append(",".join(map(_cell, row)))
         path.write_text("\n".join(lines) + "\n")
         return path.name
     path = out / f"{name}.json"

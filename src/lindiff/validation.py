@@ -7,6 +7,7 @@ brute-force route and reports the worst deviation against its tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -21,10 +22,10 @@ from .dynamics import (
     LossVariant,
     mean_coupled_trajectory,
     one_layer_psi,
-    two_layer_psi,
     DynamicsConfig,
     OneLayer,
 )
+from .experiment import oracle_deviation
 from .gaussian import DataMoments, SpectrumSpec, make_covariance
 from .oracle import OdeSolveConfig, gradient_flow_full, loss_gradients, variant_moments
 
@@ -48,41 +49,10 @@ def _test_model(dim=8, lo=1e-3, hi=10.0, seed=7):
     return make_covariance(SpectrumSpec("log-spaced", {"lo": lo, "hi": hi}), dim, seed)
 
 
-def _zero_moments(model):
-    return DataMoments(np.zeros(model.dim), model.covariance())
-
-
-def suite_one_layer() -> SuiteResult:
-    model = _test_model()
-    moments = _zero_moments(model)
-    taus = np.geomspace(1e-3, 10.0, 12)
-    q = 0.1
-    worst = 0.0
-    for sigma in (0.1, 1.0, 10.0):
-        w0 = (model.basis * q) @ model.basis.T
-        _, ws, _ = gradient_flow_full(moments, sigma, 1.0, w0, np.zeros(model.dim), taus, solve=_RK45)
-        numeric = np.einsum("ik,tij,jk->tk", model.basis, ws, model.basis)
-        closed = one_layer_psi(model.spectrum[None, :], sigma, q, 1.0, taus[:, None])
-        worst = max(worst, float(np.max(np.abs(numeric - closed) / np.maximum(np.abs(closed), 1e-12))))
-    return SuiteResult("one-layer", worst, 1e-6)
-
-
-def suite_two_layer() -> SuiteResult:
-    model = _test_model()
-    moments = _zero_moments(model)
-    taus = np.geomspace(1e-3, 10.0, 12)
-    q = 0.1
-    worst = 0.0
-    for sigma in (0.1, 1.0, 10.0):
-        p0 = model.basis * np.sqrt(q)
-        _, ws, _ = gradient_flow_full(
-            moments, sigma, 1.0, p0, np.zeros(model.dim), taus,
-            parametrization="two-layer-symmetric", solve=_RK45,
-        )
-        numeric = np.einsum("ik,tij,jk->tk", model.basis, ws, model.basis)
-        closed = two_layer_psi(model.spectrum[None, :], sigma, q, 1.0, taus[:, None])
-        worst = max(worst, float(np.max(np.abs(numeric - closed) / np.maximum(np.abs(closed), 1e-12))))
-    return SuiteResult("two-layer", worst, 1e-6)
+def _flow_suite(arch: str) -> SuiteResult:
+    """Closed-form one- or two-layer mode weights against RK45 gradient flow."""
+    dev = oracle_deviation(_test_model(), arch, (0.1, 1.0, 10.0), 0.1, 1.0, np.geomspace(1e-3, 10.0, 12), _RK45)
+    return SuiteResult(arch, dev, 1e-6)
 
 
 def suite_mean_cov() -> SuiteResult:
@@ -143,7 +113,7 @@ def suite_variants() -> SuiteResult:
     from .dynamics import convergence_rate, optimal_mode_weight
 
     model = _test_model(dim=5, lo=0.05, hi=3.0, seed=9)
-    moments = _zero_moments(model)
+    moments = DataMoments(np.zeros(model.dim), model.covariance())
     variants = [
         (LossVariant.edm(), 0.8),
         (LossVariant("XPred", alpha=lambda t: 1.0 / (1.0 + t), sigma_t=lambda t: t), 0.6),
@@ -167,8 +137,8 @@ def suite_variants() -> SuiteResult:
 
 
 SUITES = {
-    "one-layer": suite_one_layer,
-    "two-layer": suite_two_layer,
+    "one-layer": partial(_flow_suite, "one-layer"),
+    "two-layer": partial(_flow_suite, "two-layer"),
     "mean-cov": suite_mean_cov,
     "conv": suite_conv,
     "variants": suite_variants,

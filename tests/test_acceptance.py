@@ -2,8 +2,8 @@
 
 Each test prints one `criterion N: PASS/FAIL` line (run with `pytest -s`
 to see them).  Criterion 5's harmonic branch is a strict expected
-failure; the measured exponent and the analysis live in the decisions
-ledger outside the package.
+failure; the measured exponent and the analysis live in DECISIONS.md
+at the repository root.
 """
 
 import json
@@ -174,7 +174,7 @@ def test_criterion_04_generated_distribution_law(spectrum16):
 
 def _pipeline_alpha(criterion: str):
     cfg = ExperimentConfig(
-        model_kind="log-spaced", dim=32, model_params={"lo": 1e-3, "hi": 10.0},
+        model_kind="log-spaced", dim=32, lo=1e-3, hi=10.0,
         arch="one-layer", q_init=0.1, criterion=criterion,
         tau_min=1e-5, tau_max=1e6, tau_points=331, out_dir=f"/tmp/lindiff-accept-{criterion}",
     )
@@ -196,7 +196,7 @@ def test_criterion_05_inverse_variance_law_geometric():
     strict=True,
     reason="unattainable as stated: the true closed-form harmonic-criterion "
     "exponent for this pipeline is ~1.188 (verified by bisection on the "
-    "analytic variance law); see the decisions ledger",
+    "analytic variance law); see DECISIONS.md",
 )
 def test_criterion_05_inverse_variance_law_harmonic():
     fit = _pipeline_alpha("harmonic")

@@ -36,6 +36,16 @@ class TestConfigParsing:
             ExperimentConfig.from_flat({"dynamics.eta": "-1"})
         with pytest.raises(ConfigError, match="model.values"):
             ExperimentConfig.from_flat({"model.kind": "explicit"})
+        for key, value in [
+            ("model.dimm", "64"),
+            ("arch.q_init", "nan"),
+            ("dynamics.eta", "nan"),
+            ("dynamics.tau_max", "inf"),
+            ("report.sigmas", "abc"),
+            ("report.sigmas", "-1"),
+        ]:
+            with pytest.raises(ConfigError, match=key):
+                ExperimentConfig.from_flat({key: value})
 
 
 class TestRunExperiment:
@@ -101,6 +111,34 @@ class TestRunExperiment:
         manifest = run_experiment(cfg)
         assert manifest["config"]["model.data"] == str(path)
 
+    def test_manifest_echoes_every_key_but_the_output_directory(self, tmp_path):
+        flat = {
+            "model.kind": "explicit", "model.dim": "3", "model.lo": "0.01", "model.hi": "5",
+            "model.mu": "0.5", "model.sd": "2", "model.values": "1,2,3", "model.normalize": "yes",
+            "model.data": "unused.csv", "arch.kind": "two-layer", "arch.q_init": "0.2",
+            "dynamics.eta": "2", "dynamics.tau_min": "0.01", "dynamics.tau_max": "10",
+            "dynamics.tau_points": "5", "dynamics.tau": "1,2", "report.sigmas": "0.5",
+            "schedule.sigma_min": "0.01", "schedule.sigma_max": "50", "schedule.rho": "5",
+            "schedule.steps": "40", "analysis.criterion": "harmonic",
+            "analysis.gray_zone.lower": "0.4", "analysis.gray_zone.upper": "3",
+            "run.seed": "4", "run.out": str(tmp_path), "run.format": "json",
+            "run.validate_with_oracle": "false",
+        }
+        run_experiment(ExperimentConfig.from_flat(flat), stages=frozenset({"kl"}))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert set(manifest["config"]) == set(flat) - {"run.out"}
+        assert manifest["config"]["dynamics.tau"] == [1.0, 2.0]
+        assert manifest["config"]["schedule.steps"] == 40
+
+    def test_emergence_json_cells_are_numbers_or_null(self, tmp_path):
+        cfg = ExperimentConfig(dim=6, out_dir=str(tmp_path), tau_min=1e-4, tau_max=1e-1, tau_points=11, fmt="json")
+        run_experiment(cfg)
+        rows = json.loads((tmp_path / "emergence.json").read_text())
+        for column in ("lambda_target", "tau_star"):
+            assert all(isinstance(row[column], float) or row[column] is None for row in rows), column
+        assert any(row["tau_star"] is None for row in rows)
+        assert any(isinstance(row["tau_star"], float) for row in rows)
+
 
 class TestCliEntry:
     def test_emergence_subcommand(self, tmp_path):
@@ -136,6 +174,19 @@ class TestCliEntry:
         rc = main(["emergence", "--out", str(tmp_path), "--set", "analysis.gray_zone.lower=1.5"])
         assert rc == 1
         assert "analysis.gray_zone.lower" in capsys.readouterr().err
+
+    def test_equal_eigenvalues_fail_the_fit_without_lapack_noise(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "lindiff.cli", "emergence", "--out", str(tmp_path),
+             "--set", "model.kind=explicit", "--set", "model.values=1,1,1", "--set", "model.dim=3",
+             "--set", "dynamics.tau_points=31"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert "DLASCL" not in proc.stdout
+        fit = json.loads((tmp_path / "fit.json").read_text())
+        assert fit["error"] == "branch 'increasing' has 1 distinct eigenvalue(s) among 3 usable mode(s), need >= 2"
 
     def test_unknown_subcommand_usage_exit_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -172,7 +172,7 @@ class TestAnalyticVsNumericInvariant:
         strict=True,
         reason="unattainable as stated: second-order stepping on the 80-step "
         "rho=7 schedule floors at ~2e-3 for the two-layer/converged/full-width "
-        "cases (one-layer alone fits under 1e-3); see decisions ledger",
+        "cases (one-layer alone fits under 1e-3); see DECISIONS.md",
     )
     def test_all_cases_within_1e3_at_80_steps(self):
         assert self._worst(NoiseSchedule(0.002, 80.0, 7.0, 81)) <= 1e-3
