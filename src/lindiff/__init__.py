@@ -24,19 +24,15 @@ from .convolution import (
     circulant_matrix,
     dft_mode_variance,
     filter_to_gammas,
-    full_width_gamma_trajectory,
     patch_covariance,
     patch_filter_trajectory,
 )
 from .dynamics import (
-    DeepLinear,
     DiscreteGD,
     DynamicsConfig,
     LossVariant,
-    ModeTrajectory,
     OneLayer,
     Residual,
-    TwoLayerSymmetric,
     convergence_rate,
     deep_linear_mode,
     discrete_gd_trajectory,
@@ -44,12 +40,9 @@ from .dynamics import (
     mean_coupled_trajectory,
     one_layer_bias,
     one_layer_psi,
-    one_layer_trajectory,
     optimal_mode_weight,
-    residual_reparam_trajectory,
     two_layer_overlap_simulation,
     two_layer_psi,
-    two_layer_trajectory,
 )
 from .flow_matching import (
     FlowConfig,
@@ -70,7 +63,6 @@ from .gaussian import (
 )
 from .metrics import ModeKL, denoiser_error, kl_shared_basis, score_error, training_loss
 from .oracle import (
-    OdeSolveConfig,
     dense_dft_diag,
     discrete_gd_full,
     gradient_flow_full,
@@ -89,4 +81,4 @@ from .sampler import (
     phi_two_layer,
     sample_generated,
 )
-from .special import ToleranceConfig, erf, expint_ei
+from .special import erf, expint_ei

@@ -3,9 +3,12 @@
 A circular filter defines a circulant weight matrix W_ij = w_((j-i) mod N),
 diagonal in the DFT basis, so full-width training decouples per Fourier
 mode exactly like the fully-connected case decouples per eigenmode, with
-every rate multiplied by N (weight sharing).  Local filters instead do
-ridge regression in patch space: the K x K shift-averaged patch
-covariance governs the dynamics.
+every rate multiplied by N (weight sharing).  Its Fourier multiplier is
+therefore the one-layer solution,
+``dynamics.one_layer_psi(S_kk, sigma, gamma0, N * eta, tau)`` with S_kk
+from ``dft_mode_variance``.  Local filters instead do ridge regression in
+patch space: the K x K shift-averaged patch covariance governs the
+dynamics.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ __all__ = [
     "FourierModeSet",
     "PatchCovariance",
     "dft_mode_variance",
-    "full_width_gamma_trajectory",
     "patch_covariance",
     "patch_filter_trajectory",
     "filter_to_gammas",
@@ -128,23 +130,6 @@ def dft_mode_variance(sigma_mat: np.ndarray) -> np.ndarray:
     if np.max(np.abs(diag.imag)) > 1e-10 * max(1.0, np.max(np.abs(diag.real))):
         raise ValueError("imaginary residue exceeds tolerance; input not symmetric?")
     return np.clip(diag.real, 0.0, None)
-
-
-def full_width_gamma_trajectory(mode_var, gamma0, sigma, eta, n, tau):
-    """Fourier multiplier of the full-width filter under gradient flow.
-
-    gamma(tau) = gamma* + (gamma0 - gamma*) exp(-2 N eta (sigma^2 + S_kk) tau)
-    with gamma* = S_kk / (sigma^2 + S_kk); broadcasts over its arguments.
-    """
-    mode_var, gamma0, sigma, tau = np.broadcast_arrays(
-        np.asarray(mode_var, float),
-        np.asarray(gamma0, float),
-        np.asarray(sigma, float),
-        np.asarray(tau, float),
-    )
-    gamma_star = mode_var / (sigma**2 + mode_var)
-    rate = 2.0 * n * eta * (sigma**2 + mode_var)
-    return gamma_star + (gamma0 - gamma_star) * np.exp(-rate * tau)
 
 
 def patch_covariance(sigma_mat: np.ndarray, r: int) -> PatchCovariance:

@@ -7,16 +7,23 @@ the clean-target loss is
 
     psi_k(tau) = w*_k + (Q_k - w*_k) exp(-2 eta tau (sigma^2 + lambda_k))
 
-for one layer, a logistic sigmoid with sigma-independent rate
-8 eta lambda_k for the symmetric two-layer product, a matrix-exponential
-in an extended (d+1)-dimensional space when the data mean couples weight
-and bias, and a geometric iteration for discrete-time gradient descent.
-The depth-L reduced ODE has no closed form and is integrated numerically.
+for one layer (``one_layer_psi``) and a logistic sigmoid with
+sigma-independent rate 8 eta lambda_k for the symmetric two-layer product
+(``two_layer_psi``).  Both broadcast over (mode, sigma, tau) grids.
+
+Reparameterized architectures are calls of ``one_layer_psi``, not copies:
+a residual skip W = c_skip I + c_out W' is one layer with
+Q -> c_skip + c_out Q and eta -> c_out^2 eta (``Residual.one_layer``), and
+a full-width circulant convolution is one layer with lambda -> S_kk and
+eta -> N eta.  A matrix exponential in an extended (d+1)-dimensional space
+covers a data mean that couples weight and bias, and a geometric iteration
+covers discrete-time gradient descent.  The depth-L reduced ODE has no
+closed form and is integrated numerically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,12 +34,9 @@ from .integrate import rk4_path
 __all__ = [
     "LossVariant",
     "OneLayer",
-    "TwoLayerSymmetric",
-    "DeepLinear",
     "Residual",
     "DiscreteGD",
     "DynamicsConfig",
-    "ModeTrajectory",
     "MeanCovCoupling",
     "MeanCovSolution",
     "DiscreteGDResult",
@@ -41,13 +45,10 @@ __all__ = [
     "convergence_rate",
     "one_layer_psi",
     "two_layer_psi",
-    "one_layer_trajectory",
     "one_layer_bias",
     "mean_cov_coupling",
     "mean_coupled_trajectory",
-    "two_layer_trajectory",
     "deep_linear_mode",
-    "residual_reparam_trajectory",
     "discrete_gd_trajectory",
     "two_layer_overlap_simulation",
 ]
@@ -126,46 +127,35 @@ def convergence_rate(variant: LossVariant, lam: float, s: float) -> float:
 
 @dataclass(frozen=True)
 class OneLayer:
-    tag: str = field(default="one-layer", init=False)
-
-
-@dataclass(frozen=True)
-class TwoLayerSymmetric:
-    tag: str = field(default="two-layer-symmetric", init=False)
-
-
-@dataclass(frozen=True)
-class DeepLinear:
-    depth: int
-    tag: str = field(default="deep-linear", init=False)
-
-    def __post_init__(self) -> None:
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
+    pass
 
 
 @dataclass(frozen=True)
 class Residual:
+    """Skip connection W = c_skip I + c_out W' around a trained layer W'."""
+
     c_skip: float
     c_out: float
-    tag: str = field(default="residual", init=False)
 
     def __post_init__(self) -> None:
         if self.c_out == 0:
             raise ValueError("c_out must be nonzero")
 
+    def one_layer(self, q, eta):
+        """One-layer (Q, eta) with the same per-mode trajectory of W.
+
+        one_layer_psi(lam, sigma, *res.one_layer(q, eta), tau) = u_k^T W u_k.
+        """
+        return self.c_skip + self.c_out * np.asarray(q, float), eta * self.c_out**2
+
 
 @dataclass(frozen=True)
 class DiscreteGD:
     step: float
-    tag: str = field(default="discrete-gd", init=False)
 
     def __post_init__(self) -> None:
         if self.step <= 0:
             raise ValueError("step must be positive")
-
-
-Architecture = OneLayer | TwoLayerSymmetric | DeepLinear | Residual | DiscreteGD
 
 
 @dataclass(frozen=True)
@@ -176,8 +166,7 @@ class DynamicsConfig:
     tau_grid: np.ndarray
     init_q: np.ndarray  # aligned initialization u_k^T W(0) u_k, one per mode
     sigma: float | np.ndarray
-    architecture: Architecture = OneLayer()
-    variant: LossVariant = LossVariant.edm()
+    architecture: OneLayer | DiscreteGD = OneLayer()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tau_grid", np.atleast_1d(np.asarray(self.tau_grid, float)))
@@ -191,23 +180,6 @@ class DynamicsConfig:
             raise ValueError("tau grid must be nonnegative")
         if np.any(self.sigma <= 0):
             raise ValueError("sigma must be positive")
-        if isinstance(self.architecture, TwoLayerSymmetric) and np.any(self.init_q < 0):
-            raise ValueError("two-layer Q_k = |q_k|^2 must be nonnegative")
-
-
-@dataclass(frozen=True)
-class ModeTrajectory:
-    """Per-mode weight values over a (sigma, tau) grid."""
-
-    mode: int
-    taus: np.ndarray
-    sigmas: np.ndarray
-    values: np.ndarray  # (n_sigma, n_tau)
-    target: np.ndarray  # (n_sigma,)
-
-    def __post_init__(self) -> None:
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("trajectory values must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -224,31 +196,11 @@ def one_layer_psi(lam, sigma, q, eta, tau):
     return w_star + (q - w_star) * np.exp(-2.0 * eta * tau * (sigma**2 + lam))
 
 
-def one_layer_trajectory(cfg: DynamicsConfig, model: CovarianceModel) -> list[ModeTrajectory]:
-    """Exponential per-mode convergence of the single affine layer."""
-    if not isinstance(cfg.architecture, OneLayer):
-        raise ValueError("config architecture must be OneLayer")
-    return _mode_trajectories(cfg, model, one_layer_psi)
-
-
 def one_layer_bias(b0: np.ndarray, eta: float, tau) -> np.ndarray:
     """Bias decays as b0 exp(-2 eta tau), independent of sigma and lambda."""
     b0 = np.asarray(b0, float)
     tau = np.asarray(tau, float)
     return b0[..., None] * np.exp(-2.0 * eta * tau) if tau.ndim else b0 * np.exp(-2.0 * eta * tau)
-
-
-def _mode_trajectories(cfg, model, psi_fn) -> list[ModeTrajectory]:
-    lam = model.spectrum
-    q = np.broadcast_to(cfg.init_q, lam.shape)
-    out = []
-    for k in range(model.dim):
-        vals = psi_fn(
-            lam[k], cfg.sigma[:, None], q[k], cfg.eta, cfg.tau_grid[None, :]
-        )
-        target = lam[k] / (lam[k] + cfg.sigma**2)
-        out.append(ModeTrajectory(k, cfg.tau_grid, cfg.sigma, vals, target))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +311,6 @@ def two_layer_psi(lam, sigma, q, eta, tau):
     return np.where(lam == 0.0, q, out)
 
 
-def two_layer_trajectory(cfg: DynamicsConfig, model: CovarianceModel) -> list[ModeTrajectory]:
-    if not isinstance(cfg.architecture, TwoLayerSymmetric):
-        raise ValueError("config architecture must be TwoLayerSymmetric")
-    return _mode_trajectories(cfg, model, two_layer_psi)
-
-
 # ---------------------------------------------------------------------------
 # Depth-L reduced ODE
 # ---------------------------------------------------------------------------
@@ -400,31 +346,6 @@ def deep_linear_mode(depth, lam, sigma, c0, eta, tau_grid):
     if depth > 2 and c0 > 0 and np.any(vals < 1e-13 * c0):
         raise RuntimeError("trajectory stalled at the c = 0 saddle")
     return vals
-
-
-# ---------------------------------------------------------------------------
-# Residual reparameterization
-# ---------------------------------------------------------------------------
-
-
-def residual_reparam_trajectory(cfg: DynamicsConfig, model: CovarianceModel) -> list[ModeTrajectory]:
-    """Skip connection W = c_skip I + c_out W' rescales the learning rate.
-
-    Identical to the one-layer solution with eta -> c_out^2 eta and the
-    effective initialization Q_eff = c_skip + c_out Q'.
-    """
-    arch = cfg.architecture
-    if not isinstance(arch, Residual):
-        raise ValueError("config architecture must be Residual")
-    lam = model.spectrum
-    q_eff = arch.c_skip + arch.c_out * np.broadcast_to(cfg.init_q, lam.shape)
-    eta_eff = cfg.eta * arch.c_out**2
-    out = []
-    for k in range(model.dim):
-        vals = one_layer_psi(lam[k], cfg.sigma[:, None], q_eff[k], eta_eff, cfg.tau_grid[None, :])
-        target = lam[k] / (lam[k] + cfg.sigma**2)
-        out.append(ModeTrajectory(k, cfg.tau_grid, cfg.sigma, vals, target))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .gaussian import (
     make_covariance,
     read_samples,
 )
-from .oracle import OdeSolveConfig, gradient_flow_full
+from .oracle import gradient_flow_full
 from .sampler import NoiseSchedule, PhiFactor, generated_variance
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config_text", "run_experiment", "oracle_deviation"]
@@ -117,6 +117,19 @@ class ExperimentConfig:
             raise ConfigError("model.values: required for explicit spectra")
         if self.model_kind == "data" and not self.data_path:
             raise ConfigError("model.data: required when model.kind = data")
+        # spectrum parameters are checked for the chosen model.kind only
+        if self.model_kind != "data" and self.dim < 1:
+            raise ConfigError("model.dim: must be >= 1")
+        if self.model_kind == "log-spaced":
+            for key, bound in (("model.lo", self.lo), ("model.hi", self.hi)):
+                if bound <= 0:
+                    raise ConfigError(f"{key}: log-spaced bounds must be positive")
+        if self.model_kind == "log-normal" and self.sd <= 0:
+            raise ConfigError("model.sd: log-normal sd must be positive")
+        if self.model_kind == "explicit" and len(self.values) != self.dim:
+            raise ConfigError(f"model.values: need model.dim = {self.dim} values, got {len(self.values)}")
+        if self.model_kind == "explicit" and min(self.values) <= 0:
+            raise ConfigError("model.values: explicit spectrum must be strictly positive")
         if not 0 < self.gray_lower < 1:
             raise ConfigError("analysis.gray_zone.lower: must lie in (0, 1)")
         if self.gray_upper <= 1:
@@ -129,6 +142,8 @@ class ExperimentConfig:
             raise ConfigError("dynamics.tau_min: need 0 < tau_min < tau_max")
         if self.tau_override is not None and (not self.tau_override or min(self.tau_override) < 0):
             raise ConfigError("dynamics.tau: need one or more nonnegative values")
+        if self.tau_override is None and self.tau_points < 1:
+            raise ConfigError("dynamics.tau_points: must be >= 1")
         if not self.report_sigmas or min(self.report_sigmas) <= 0:
             raise ConfigError("report.sigmas: need one or more positive values")
 
@@ -216,12 +231,13 @@ def _psi(cfg: ExperimentConfig, lam, sigma, tau):
 
 
 def oracle_deviation(
-    model: CovarianceModel, arch: str, sigmas, q: float, eta: float, taus, solve: OdeSolveConfig = OdeSolveConfig()
+    model: CovarianceModel, arch: str, sigmas, q: float, eta: float, taus, adaptive: bool = False
 ) -> float:
     """Max relative gap between closed-form mode weights and raw gradient flow.
 
     The flow starts from Q times the identity in the model's eigenbasis
-    (one-layer W0, or two-layer P0 with W0 = P0 P0^T) on zero-mean data.
+    (one-layer W0, or two-layer P0 with W0 = P0 P0^T) on zero-mean data;
+    ``adaptive`` selects gradient_flow_full's RK45 route over fixed-step RK4.
     """
     moments = DataMoments(np.zeros(model.dim), model.covariance())
     worst = 0.0
@@ -231,7 +247,7 @@ def oracle_deviation(
         else:
             w0, parametrization, psi = model.basis * np.sqrt(q), "two-layer-symmetric", two_layer_psi
         _, ws, _ = gradient_flow_full(
-            moments, sigma, eta, w0, np.zeros(model.dim), taus, parametrization=parametrization, solve=solve
+            moments, sigma, eta, w0, np.zeros(model.dim), taus, parametrization=parametrization, adaptive=adaptive
         )
         numeric = np.einsum("ik,tij,jk->tk", model.basis, ws, model.basis)
         closed = psi(model.spectrum[None, :], sigma, q, eta, taus[:, None])
@@ -250,11 +266,14 @@ def run_experiment(cfg: ExperimentConfig, stages: frozenset = frozenset({"trajec
     (first-passage table + power-law fit), 'kl' (per-mode KL over tau).
     """
     t_start = time.perf_counter()
+    taus = cfg.taus()
+    if "emergence" in stages and len(taus) < 2:
+        key = "dynamics.tau" if cfg.tau_override is not None else "dynamics.tau_points"
+        raise ConfigError(f"{key}: emergence extraction needs >= 2 tau points")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     model = _build_model(cfg)
     lam = model.spectrum
-    taus = cfg.taus()
     s0, s_t = cfg.schedule.sigma_min, cfg.schedule.sigma_max
 
     lam_gen = np.array([[_lambda_gen(cfg, l, t) for t in taus] for l in lam])
@@ -266,8 +285,6 @@ def run_experiment(cfg: ExperimentConfig, stages: frozenset = frozenset({"trajec
     if "trajectories" in stages:
         written.append(_emit_trajectories(cfg, out, model, taus, lam_gen))
     if "emergence" in stages:
-        if len(taus) < 2:
-            raise ConfigError("dynamics.tau: emergence extraction needs >= 2 tau points")
         crit = EmergenceCriterion(cfg.criterion)
         gz = GrayZone(cfg.gray_lower, cfg.gray_upper)
         tau_stars, branches, excluded = [], [], []

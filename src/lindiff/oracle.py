@@ -8,8 +8,6 @@ full matrices.  Slowness is fine; independence is the point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dynamics import LossVariant
@@ -17,7 +15,6 @@ from .gaussian import DataMoments
 from .integrate import rk4_path, rk45_path
 
 __all__ = [
-    "OdeSolveConfig",
     "variant_moments",
     "loss_value",
     "loss_gradients",
@@ -29,19 +26,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OdeSolveConfig:
-    method: str = "rk4-fixed"  # or "rk45-adaptive"
-    substeps: int = 64
-    rtol: float = 1e-10
-    atol: float = 1e-13
-    max_steps: int = 2_000_000
-
-    def __post_init__(self) -> None:
-        if self.method not in ("rk4-fixed", "rk45-adaptive"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.substeps < 1 or self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("positive step/tolerance required")
+# Tolerances of the adaptive Cash-Karp route.
+_RTOL = 1e-11
+_ATOL = 1e-14
 
 
 def variant_moments(variant: LossVariant, moments: DataMoments, s: float):
@@ -111,13 +98,15 @@ def gradient_flow_full(
     variant: LossVariant = LossVariant.edm(),
     parametrization: str = "one-layer",
     half_width: int | None = None,
-    solve: OdeSolveConfig = OdeSolveConfig(),
+    adaptive: bool = False,
 ):
     """Integrate exact full-batch gradient flow on raw parameter matrices.
 
     parametrization: 'one-layer' (state W, b), 'two-layer-symmetric'
     (state P with W = P P^T, plus b), 'circulant' (state = N filter taps),
-    or 'patch' (taps restricted to |offset| <= half_width).
+    or 'patch' (taps restricted to |offset| <= half_width).  The flow is
+    integrated by fixed-step RK4, or by adaptive Cash-Karp RK45 at
+    ``_RTOL`` / ``_ATOL`` when ``adaptive`` is set.
     Returns (tau_grid, Ws, bs) with Ws[i] the dense weight matrix.
     """
     tau_grid = np.asarray(tau_grid, float)
@@ -134,7 +123,7 @@ def gradient_flow_full(
             return -eta * np.vstack([gw, gb[None, :]])
 
         y0 = np.vstack([np.asarray(w0, float), np.asarray(b0, float)[None, :]])
-        path = _solve(rhs, y0, tau_grid, rate, solve)
+        path = _solve(rhs, y0, tau_grid, rate, adaptive)
         return tau_grid, path[:, :-1, :], path[:, -1, :]
 
     if parametrization == "two-layer-symmetric":
@@ -149,7 +138,7 @@ def gradient_flow_full(
             return -eta * np.vstack([gp, gb[None, :]])
 
         y0 = np.vstack([p0, np.asarray(b0, float)[None, :]])
-        path = _solve(rhs, y0, tau_grid, rate, solve)
+        path = _solve(rhs, y0, tau_grid, rate, adaptive)
         ws = np.einsum("tij,tkj->tik", path[:, :-1, :], path[:, :-1, :])
         return tau_grid, ws, path[:, -1, :]
 
@@ -168,19 +157,19 @@ def gradient_flow_full(
             return -eta * _sum_over_offsets(gw, offsets, d)
 
         taps0 = np.asarray(w0, float)
-        path = _solve(rhs, taps0, tau_grid, rate, solve)
+        path = _solve(rhs, taps0, tau_grid, rate, adaptive)
         ws = np.stack([_circulant_from_taps(t, offsets, d) for t in path])
         return tau_grid, ws, np.zeros((len(tau_grid), d))
 
     raise ValueError(f"unknown parametrization {parametrization!r}")
 
 
-def _solve(rhs, y0, tau_grid, rate, solve: OdeSolveConfig):
+def _solve(rhs, y0, tau_grid, rate, adaptive: bool):
     grid = tau_grid if tau_grid[0] == 0 else np.concatenate([[0.0], tau_grid])
-    if solve.method == "rk45-adaptive":
-        path = rk45_path(rhs, y0, grid, rtol=solve.rtol, atol=solve.atol, max_steps=solve.max_steps)
+    if adaptive:
+        path = rk45_path(rhs, y0, grid, rtol=_RTOL, atol=_ATOL)
     else:
-        path = rk4_path(rhs, y0, grid, max_rate=rate, substeps=solve.substeps)
+        path = rk4_path(rhs, y0, grid, max_rate=rate)
     return path if tau_grid[0] == 0 else path[1:]
 
 

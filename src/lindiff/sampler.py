@@ -8,11 +8,12 @@ sigma is the ratio of the integrating factor
 
 evaluated at the two endpoints.  The generated variance starting from
 N(0, sigma_T^2 I) is then lambda_gen = sigma_T^2 Phi(sigma_0)^2/Phi(sigma_T)^2.
-Phi is closed-form for the one-layer trajectory (exponential integrals),
-the two-layer trajectory (elementary powers), the converged denoiser, and
-the full-width convolution (one-layer after lambda -> S_kk, eta -> N eta).
-A Heun integrator on the EDM rho-schedule provides the independent
-numeric route.
+Phi is closed-form for the one-layer trajectory (exponential integrals,
+``phi_one_layer``), the two-layer trajectory (elementary powers,
+``phi_two_layer``) and the converged denoiser.  Reparameterized
+architectures reuse the one-layer factor: the full-width convolution is
+``PhiFactor("one-layer", lam=S_kk, eta=N * eta)``.  A Heun integrator on
+the EDM rho-schedule provides the independent numeric route.
 
 Phi is defined up to a sigma-independent normalization (only ratios are
 observable); the tau = 0 branch of the one-layer factor uses the
@@ -104,10 +105,8 @@ class GeneratedDistribution:
 class PhiFactor:
     """Which closed-form integrating factor to use, and its parameters.
 
-    case: 'one-layer' | 'two-layer' | 'converged' | 'full-width-conv'
-    | 'numeric'.  For 'full-width-conv', ``lam`` is the Fourier-mode
-    variance and ``n_speedup`` the signal length; for 'numeric',
-    ``weight_fn`` maps sigma to the per-mode weight.
+    case: 'one-layer' | 'two-layer' | 'converged' | 'numeric'.  For
+    'numeric', ``weight_fn`` maps sigma to the per-mode weight.
     """
 
     case: str
@@ -115,10 +114,9 @@ class PhiFactor:
     q: float = 0.0
     eta: float = 1.0
     tau: float = 0.0
-    n_speedup: int = 1
     weight_fn: object = None
 
-    _CASES = ("one-layer", "two-layer", "converged", "full-width-conv", "numeric")
+    _CASES = ("one-layer", "two-layer", "converged", "numeric")
 
     def __post_init__(self) -> None:
         if self.case not in self._CASES:
@@ -169,21 +167,18 @@ def phi_value(phi: PhiFactor, sigma: float) -> float:
         return phi_two_layer(sigma, phi.tau, phi.lam, phi.q, phi.eta)
     if phi.case == "converged":
         return math.sqrt(phi.lam + sigma**2)
-    if phi.case == "full-width-conv":
-        return phi_one_layer(sigma, phi.tau, phi.lam, phi.q, phi.eta * phi.n_speedup)
     raise ValueError("numeric PhiFactor has no closed-form value")
 
 
 def generated_variance(phi: PhiFactor, schedule: NoiseSchedule) -> float:
     """Generated mode variance sigma_T^2 Phi^2(sigma_min) / Phi^2(sigma_max).
 
-    The Ei-based cases dispatch to their closed asymptotic forms at the
-    extremes of training time (see module docstring thresholds).
+    The Ei-based one-layer case dispatches to its closed asymptotic forms
+    at the extremes of training time (see module docstring thresholds).
     """
     s0, s_t = schedule.sigma_min, schedule.sigma_max
-    if phi.case in ("one-layer", "full-width-conv"):
-        eta = phi.eta * (phi.n_speedup if phi.case == "full-width-conv" else 1)
-        lam, q, tau = phi.lam, phi.q, phi.tau
+    if phi.case == "one-layer":
+        lam, q, eta, tau = phi.lam, phi.q, phi.eta, phi.tau
         if 2.0 * eta * tau * s_t**2 < _EARLY_THRESHOLD:
             return s_t**2 * (s0 / s_t) ** (2.0 * (1.0 - q))
         if 2.0 * eta * tau * s0**2 > _LATE_THRESHOLD:

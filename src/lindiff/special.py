@@ -21,29 +21,16 @@ Ei is evaluated by the standard three-regime split:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-__all__ = ["ToleranceConfig", "expint_ei", "erf", "EULER_GAMMA"]
+__all__ = ["expint_ei", "erf", "EULER_GAMMA"]
 
 EULER_GAMMA = 0.57721566490153286060651209008240243
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Termination control for the series / continued-fraction loops."""
-
-    abs_tol: float = 1e-17
-    rel_tol: float = 1e-16
-    max_terms: int = 500
-
-    def __post_init__(self) -> None:
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-
-
-_DEFAULT_TOL = ToleranceConfig()
+# Termination control for the series / continued-fraction loops.
+_ABS_TOL = 1e-17
+_REL_TOL = 1e-16
+_MAX_TERMS = 500
 
 # Negative-axis series/continued-fraction crossover.
 _CF_CROSSOVER = 6.0
@@ -51,22 +38,22 @@ _CF_CROSSOVER = 6.0
 _ASYMPTOTIC_CROSSOVER = 40.0
 
 
-def _ei_series(x: float, tol: ToleranceConfig) -> float:
+def _ei_series(x: float) -> float:
     """Power series around 0; valid for any x != 0, used for |x| moderate."""
     terms = []
     p = 1.0
     run = 0.0
-    for n in range(1, tol.max_terms + 1):
+    for n in range(1, _MAX_TERMS + 1):
         p *= x / n
         t = p / n
         terms.append(t)
         run += t
-        if n > abs(x) and abs(t) <= tol.abs_tol + tol.rel_tol * abs(run):
+        if n > abs(x) and abs(t) <= _ABS_TOL + _REL_TOL * abs(run):
             break
     return EULER_GAMMA + math.log(abs(x)) + math.fsum(terms)
 
 
-def _e1_continued_fraction(x: float, tol: ToleranceConfig) -> float:
+def _e1_continued_fraction(x: float) -> float:
     """E1(x) for x > 0 via the modified Lentz continued fraction.
 
     E1(x) = e^-x / (x + 1 - 1^2/(x + 3 - 2^2/(x + 5 - ...)))
@@ -76,35 +63,35 @@ def _e1_continued_fraction(x: float, tol: ToleranceConfig) -> float:
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, tol.max_terms + 1):
+    for i in range(1, _MAX_TERMS + 1):
         a = -float(i * i)
         b += 2.0
         d = 1.0 / (a * d + b)
         c = b + a / c
         delta = c * d
         h *= delta
-        if abs(delta - 1.0) < tol.rel_tol:
+        if abs(delta - 1.0) < _REL_TOL:
             break
     return math.exp(-x) * h
 
 
-def _ei_asymptotic(x: float, tol: ToleranceConfig) -> float:
+def _ei_asymptotic(x: float) -> float:
     """Asymptotic series e^x/x * (1 + 1!/x + 2!/x^2 + ...), x large."""
     s = 1.0
     t = 1.0
-    for n in range(1, tol.max_terms + 1):
+    for n in range(1, _MAX_TERMS + 1):
         t_next = t * n / x
         if t_next >= t:
             break  # past the smallest term of the divergent series
         t = t_next
         s += t
-        if t <= tol.rel_tol * s:
+        if t <= _REL_TOL * s:
             break
     # e^x alone overflows before e^x/x * s does only marginally; split safely.
     return math.exp(x - math.log(x)) * s
 
 
-def expint_ei(x: float, tol: ToleranceConfig = _DEFAULT_TOL) -> float:
+def expint_ei(x: float) -> float:
     """Exponential integral Ei(x) for real x != 0.
 
     Raises ValueError at x = 0 (logarithmic singularity).  Ei(x) -> 0-
@@ -119,13 +106,13 @@ def expint_ei(x: float, tol: ToleranceConfig = _DEFAULT_TOL) -> float:
         if x < -745.0:
             return -0.0  # |Ei(x)| < e^x underflows
         if x < -_CF_CROSSOVER:
-            return -_e1_continued_fraction(-x, tol)
-        return _ei_series(x, tol)
+            return -_e1_continued_fraction(-x)
+        return _ei_series(x)
     if x <= _ASYMPTOTIC_CROSSOVER:
-        return _ei_series(x, tol)
+        return _ei_series(x)
     if x > 716.0:
         return math.inf  # e^x/x overflows double precision
-    return _ei_asymptotic(x, tol)
+    return _ei_asymptotic(x)
 
 
 def erf(x: float) -> float:

@@ -11,27 +11,13 @@ from functools import partial
 
 import numpy as np
 
-from .convolution import (
-    circulant_matrix,
-    dft_mode_variance,
-    full_width_gamma_trajectory,
-    patch_covariance,
-    patch_filter_trajectory,
-)
-from .dynamics import (
-    LossVariant,
-    mean_coupled_trajectory,
-    one_layer_psi,
-    DynamicsConfig,
-    OneLayer,
-)
+from .convolution import circulant_matrix, patch_covariance, patch_filter_trajectory
+from .dynamics import DynamicsConfig, LossVariant, OneLayer, mean_coupled_trajectory
 from .experiment import oracle_deviation
 from .gaussian import DataMoments, SpectrumSpec, make_covariance
-from .oracle import OdeSolveConfig, gradient_flow_full, loss_gradients, variant_moments
+from .oracle import gradient_flow_full, loss_gradients, variant_moments
 
 __all__ = ["SuiteResult", "SUITES", "run_suite", "run_all"]
-
-_RK45 = OdeSolveConfig(method="rk45-adaptive", rtol=1e-11, atol=1e-14)
 
 
 @dataclass(frozen=True)
@@ -51,7 +37,7 @@ def _test_model(dim=8, lo=1e-3, hi=10.0, seed=7):
 
 def _flow_suite(arch: str) -> SuiteResult:
     """Closed-form one- or two-layer mode weights against RK45 gradient flow."""
-    dev = oracle_deviation(_test_model(), arch, (0.1, 1.0, 10.0), 0.1, 1.0, np.geomspace(1e-3, 10.0, 12), _RK45)
+    dev = oracle_deviation(_test_model(), arch, (0.1, 1.0, 10.0), 0.1, 1.0, np.geomspace(1e-3, 10.0, 12), adaptive=True)
     return SuiteResult(arch, dev, 1e-6)
 
 
@@ -66,7 +52,7 @@ def suite_mean_cov() -> SuiteResult:
         cfg = DynamicsConfig(1.0, taus, np.full(6, 0.2), sigma, OneLayer())
         sol = mean_coupled_trajectory(moments, cfg)
         w0 = (sol.basis * 0.2) @ sol.basis.T
-        _, ws, bs = gradient_flow_full(moments, sigma, 1.0, w0, np.zeros(6), taus, solve=_RK45)
+        _, ws, bs = gradient_flow_full(moments, sigma, 1.0, w0, np.zeros(6), taus, adaptive=True)
         for i in range(len(taus)):
             scale = max(1.0, float(np.max(np.abs(ws[i]))))
             worst = max(worst, float(np.max(np.abs(ws[i] - sol.weight_matrix(i)))) / scale)
@@ -78,25 +64,19 @@ def suite_conv() -> SuiteResult:
     n, r, seed = 16, 2, 5
     model = _test_model(dim=n, lo=0.05, hi=4.0, seed=seed)
     sigma_mat = model.covariance()
-    mode_vars = dft_mode_variance(sigma_mat)
     taus = np.geomspace(1e-3, 2.0, 8)
     sigma, eta = 0.7, 1.0
-    worst = 0.0
-    # full-width trajectory == one-layer with lambda -> S_kk, eta -> N eta
-    gamma = full_width_gamma_trajectory(mode_vars[None, :], 0.1, sigma, eta, n, taus[:, None])
-    psi = one_layer_psi(mode_vars[None, :], sigma, 0.1, n * eta, taus[:, None])
-    worst = max(worst, float(np.max(np.abs(gamma - psi))))
-    # patch fixed point against the direct linear solve and the RK4 flow
+    # patch fixed point against the direct linear solve and the RK45 flow
     pc = patch_covariance(sigma_mat, r)
     path, w_star = patch_filter_trajectory(pc, sigma, eta, n, np.zeros(2 * r + 1), taus)
     a = sigma**2 * np.eye(2 * r + 1) + pc.matrix
     e0 = np.zeros(2 * r + 1)
     e0[r] = 1.0
-    worst = max(worst, float(np.max(np.abs(a @ w_star - pc.matrix @ e0))))
+    worst = float(np.max(np.abs(a @ w_star - pc.matrix @ e0)))
     moments = DataMoments(np.zeros(n), sigma_mat)
     _, ws, _ = gradient_flow_full(
         moments, sigma, eta, np.zeros(2 * r + 1), np.zeros(n), taus,
-        parametrization="patch", half_width=r, solve=_RK45,
+        parametrization="patch", half_width=r, adaptive=True,
     )
     offs = np.arange(-r, r + 1)
     taps = np.stack([[w[0, o % n] for o in offs] for w in ws])

@@ -43,9 +43,27 @@ class TestConfigParsing:
             ("dynamics.tau_max", "inf"),
             ("report.sigmas", "abc"),
             ("report.sigmas", "-1"),
+            ("model.dim", "0"),
+            ("model.lo", "-1"),
+            ("model.hi", "0"),
+            ("dynamics.tau_points", "0"),
+            ("dynamics.tau_points", "-3"),
         ]:
             with pytest.raises(ConfigError, match=key):
                 ExperimentConfig.from_flat({key: value})
+        for flat, key in [
+            ({"model.kind": "log-normal", "model.sd": "0"}, "model.sd"),
+            ({"model.kind": "explicit", "model.dim": "3", "model.values": "1,2"}, "model.values"),
+            ({"model.kind": "explicit", "model.dim": "2", "model.values": "1,-2"}, "model.values"),
+        ]:
+            with pytest.raises(ConfigError, match=key):
+                ExperimentConfig.from_flat(flat)
+        # parameters of another spectrum kind are not checked
+        ExperimentConfig.from_flat({"model.kind": "log-normal", "model.lo": "-1"})
+        with pytest.raises(ConfigError, match="dynamics.tau_points"):
+            run_experiment(ExperimentConfig(tau_points=1), stages=frozenset({"emergence"}))
+        with pytest.raises(ConfigError, match="dynamics.tau:"):
+            run_experiment(ExperimentConfig(tau_override=(1.0,)), stages=frozenset({"emergence"}))
 
 
 class TestRunExperiment:
@@ -174,6 +192,13 @@ class TestCliEntry:
         rc = main(["emergence", "--out", str(tmp_path), "--set", "analysis.gray_zone.lower=1.5"])
         assert rc == 1
         assert "analysis.gray_zone.lower" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "kl"])
+    def test_zero_tau_points_exit_1_without_tables(self, tmp_path, capsys, command):
+        rc = main([command, "--out", str(tmp_path / "o"), "--set", "dynamics.tau_points=0"])
+        assert rc == 1
+        assert "dynamics.tau_points" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_equal_eigenvalues_fail_the_fit_without_lapack_noise(self, tmp_path):
         proc = subprocess.run(

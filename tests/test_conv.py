@@ -8,15 +8,12 @@ from lindiff.convolution import (
     circulant_matrix,
     dft_mode_variance,
     filter_to_gammas,
-    full_width_gamma_trajectory,
     patch_covariance,
     patch_filter_trajectory,
 )
 from lindiff.dynamics import one_layer_psi
 from lindiff.gaussian import DataMoments, empirical_moments, sample_gaussian
-from lindiff.oracle import OdeSolveConfig, dense_dft_diag, gradient_flow_full
-
-RK45 = OdeSolveConfig(method="rk45-adaptive", rtol=1e-11, atol=1e-14)
+from lindiff.oracle import dense_dft_diag, gradient_flow_full
 
 
 def stationary_cov(n, seed=5):
@@ -54,16 +51,20 @@ class TestDftModeVariance:
 
 
 class TestFullWidth:
+    """The full-width filter's Fourier multipliers are one_layer_psi with lambda -> S_kk, eta -> N eta."""
+
     def test_initial_value(self):
-        assert full_width_gamma_trajectory(1.0, 0.2, 1.0, 1.0, 8, 0.0) == 0.2
+        assert one_layer_psi(1.0, 1.0, 0.2, 8 * 1.0, 0.0) == 0.2
 
     def test_substitution_identity_with_one_layer(self):
-        # gamma(tau; eta, N) == one-layer psi(tau; N eta) with lambda -> S_kk
+        # gamma* + (gamma0 - gamma*) exp(-2 N eta (sigma^2 + S_kk) tau), written out
         n = 16
         svals = np.geomspace(1e-2, 5, 10)
         taus = np.geomspace(1e-3, 3, 12)
         for sigma in (0.1, 1.0):
-            gam = full_width_gamma_trajectory(svals[:, None], 0.1, sigma, 1.0, n, taus[None, :])
+            gamma_star = svals[:, None] / (sigma**2 + svals[:, None])
+            rate = 2.0 * n * 1.0 * (sigma**2 + svals[:, None])
+            gam = gamma_star + (0.1 - gamma_star) * np.exp(-rate * taus[None, :])
             psi = one_layer_psi(svals[:, None], sigma, 0.1, n * 1.0, taus[None, :])
             assert np.max(np.abs(gam - psi)) < 1e-12
 
@@ -74,12 +75,12 @@ class TestFullWidth:
         taps0[0] = 0.1  # W(0) = 0.1 I
         _, ws, _ = gradient_flow_full(
             moments16, sigma, eta, taps0, np.zeros(n), taus,
-            parametrization="circulant", solve=RK45,
+            parametrization="circulant", adaptive=True,
         )
         mode_vars = dft_mode_variance(moments16.covariance)
         for i, tau in enumerate(taus):
             gam_numeric = np.fft.fft(ws[i][0, :])
-            gam_closed = full_width_gamma_trajectory(mode_vars, 0.1, sigma, eta, n, tau)
+            gam_closed = one_layer_psi(mode_vars, sigma, 0.1, n * eta, tau)
             assert np.max(np.abs(gam_numeric.real - gam_closed)) < 1e-6
             assert np.max(np.abs(gam_numeric.imag)) < 1e-8
 
@@ -87,7 +88,7 @@ class TestFullWidth:
         n, sigma = 15, 0.9  # odd so a full-width centered filter exists
         sig = stationary_cov(n)
         mode_vars = dft_mode_variance(sig)
-        gam_inf = full_width_gamma_trajectory(mode_vars, 0.1, sigma, 1.0, n, 1e9)
+        gam_inf = one_layer_psi(mode_vars, sigma, 0.1, n * 1.0, 1e9)
         w_taps = np.fft.ifft(gam_inf).real  # filter entries by offset mod N
         offs = np.arange(-(n // 2), n // 2 + 1)
         cd = CirculantDenoiser(n, n // 2, w_taps[offs % n], sigma)
@@ -154,7 +155,7 @@ class TestPatchFilterTrajectory:
         path, _ = patch_filter_trajectory(pc, sigma, eta, n, w0, taus)
         _, ws, _ = gradient_flow_full(
             moments, sigma, eta, w0, np.zeros(n), taus,
-            parametrization="patch", half_width=r, solve=RK45,
+            parametrization="patch", half_width=r, adaptive=True,
         )
         offs = np.arange(-r, r + 1)
         taps = np.stack([[w[0, o % n] for o in offs] for w in ws])

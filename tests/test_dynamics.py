@@ -8,7 +8,6 @@ from lindiff.dynamics import (
     LossVariant,
     OneLayer,
     Residual,
-    TwoLayerSymmetric,
     convergence_rate,
     deep_linear_mode,
     discrete_gd_trajectory,
@@ -16,18 +15,13 @@ from lindiff.dynamics import (
     mean_coupled_trajectory,
     one_layer_bias,
     one_layer_psi,
-    one_layer_trajectory,
     optimal_mode_weight,
-    residual_reparam_trajectory,
     two_layer_overlap_simulation,
     two_layer_psi,
-    two_layer_trajectory,
 )
 from lindiff.gaussian import CovarianceModel, DataMoments
 from lindiff.integrate import rk4_path
-from lindiff.oracle import OdeSolveConfig,dense_dft_diag, gradient_flow_full, loss_gradients, variant_moments
-
-RK45 = OdeSolveConfig(method="rk45-adaptive", rtol=1e-11, atol=1e-14)
+from lindiff.oracle import gradient_flow_full, loss_gradients, variant_moments
 
 
 class TestLossVariantTable:
@@ -97,14 +91,6 @@ class TestOneLayer:
             gap_lo = np.exp(-2.0 * taus * (sigma**2 + 0.2))
             assert np.all(gap_hi < gap_lo)
 
-    def test_trajectory_wrapper(self, model16):
-        cfg = DynamicsConfig(1.0, np.geomspace(1e-2, 1, 5), np.full(16, 0.1), [0.5, 2.0], OneLayer())
-        trajs = one_layer_trajectory(cfg, model16)
-        assert len(trajs) == 16
-        t0 = trajs[0]
-        assert t0.values.shape == (2, 5)
-        assert_allclose(t0.target, model16.spectrum[0] / (model16.spectrum[0] + cfg.sigma**2))
-
     def test_bias_decay(self):
         b0 = np.array([1.0, -2.0])
         assert_allclose(one_layer_bias(b0, 0.5, 1.0), b0 / np.e)
@@ -147,7 +133,7 @@ class TestMeanCovCoupling:
         cfg = DynamicsConfig(1.0, taus, np.array([0.3]), sigma, OneLayer())
         sol = mean_coupled_trajectory(moments, cfg, b0=np.array([0.1]))
         _, ws, bs = gradient_flow_full(
-            moments, sigma, 1.0, np.array([[0.3]]), np.array([0.1]), taus, solve=RK45
+            moments, sigma, 1.0, np.array([[0.3]]), np.array([0.1]), taus, adaptive=True
         )
         assert np.max(np.abs(ws[:, 0, 0] - sol.weight_diag[:, 0])) < 1e-8
         assert np.max(np.abs(bs[:, 0] - sol.bias[:, 0])) < 1e-8
@@ -217,13 +203,6 @@ class TestTwoLayer:
     def test_zero_eigenvalue_frozen_convention(self):
         assert np.all(two_layer_psi(0.0, 1.0, 0.2, 1.0, np.array([0.0, 1.0, 5.0])) == 0.2)
 
-    def test_trajectory_wrapper_requires_arch(self, model16):
-        cfg = DynamicsConfig(1.0, [0.1], np.full(16, 0.1), 1.0, OneLayer())
-        with pytest.raises(ValueError):
-            two_layer_trajectory(cfg, model16)
-        cfg2 = DynamicsConfig(1.0, [0.1], np.full(16, 0.1), 1.0, TwoLayerSymmetric())
-        assert len(two_layer_trajectory(cfg2, model16)) == 16
-
 
 class TestDeepLinear:
     def test_depth_one_matches_one_layer_after_rate_mapping(self):
@@ -256,20 +235,22 @@ class TestDeepLinear:
 class TestResidual:
     def test_trivial_reparam_matches_one_layer(self, model6):
         taus = np.geomspace(1e-2, 5, 7)
-        cfg = DynamicsConfig(1.0, taus, np.full(6, 0.2), 1.0, Residual(0.0, 1.0))
-        res = residual_reparam_trajectory(cfg, model6)
+        q, eta = Residual(0.0, 1.0).one_layer(np.full(6, 0.2), 1.0)
+        res = one_layer_psi(model6.spectrum[:, None], 1.0, q[:, None], eta, taus[None, :])
         direct = one_layer_psi(model6.spectrum[:, None], 1.0, 0.2, 1.0, taus[None, :])
         for k in range(6):
-            assert_allclose(res[k].values[0], direct[k], rtol=1e-14)
+            assert_allclose(res[k], direct[k], rtol=1e-14)
 
     def test_output_scale_quarters_time_constant(self):
         # c_out = 2 multiplies the rate by 4: psi_res(tau) == psi_base(4 tau)
         taus = np.geomspace(1e-3, 2, 9)
-        model = CovarianceModel(1, np.eye(1), np.array([1.0]))
-        cfg = DynamicsConfig(1.0, taus, np.array([0.05]), 1.0, Residual(0.0, 2.0))
-        res = residual_reparam_trajectory(cfg, model)[0].values[0]
+        res = one_layer_psi(1.0, 1.0, *Residual(0.0, 2.0).one_layer(0.05, 1.0), taus)
         base = one_layer_psi(1.0, 1.0, 0.1, 1.0, 4.0 * taus)  # Q_eff = c_out * 0.05
         assert_allclose(res, base, rtol=1e-13)
+
+    def test_zero_output_scale_rejected(self):
+        with pytest.raises(ValueError):
+            Residual(0.5, 0.0)
 
     def test_against_reparametrized_gradient_rk4(self, moments6, model6):
         c_skip, c_out, sigma, eta = 0.4, 1.5, 0.8, 1.0
@@ -284,13 +265,12 @@ class TestResidual:
 
         w_prime0 = (model6.basis * q0) @ model6.basis.T
         path = rk4_path(rhs, w_prime0, np.concatenate([[0.0], taus]), max_rate=2 * eta * c_out**2 * 5.0)
-        cfg = DynamicsConfig(eta, taus, np.full(6, q0), sigma, Residual(c_skip, c_out))
-        closed = residual_reparam_trajectory(cfg, model6)
+        q_eff, eta_eff = Residual(c_skip, c_out).one_layer(q0, eta)
+        closed = one_layer_psi(model6.spectrum[None, :], sigma, q_eff, eta_eff, taus[:, None])
         for i, tau in enumerate(taus):
             w_full = c_skip * np.eye(6) + c_out * path[i + 1]
             diag = np.einsum("ik,ij,jk->k", model6.basis, w_full, model6.basis)
-            ref = np.array([closed[k].values[0, i] for k in range(6)])
-            assert np.max(np.abs(diag - ref)) < 1e-7
+            assert np.max(np.abs(diag - closed[i])) < 1e-7
 
 
 class TestDiscreteGD:
@@ -373,7 +353,7 @@ class TestClosedFormVsOracleInvariant:
     def test_one_layer(self, sigma, model6, moments6):
         taus = np.geomspace(1e-3, 10, 20)
         w0 = (model6.basis * 0.1) @ model6.basis.T
-        _, ws, _ = gradient_flow_full(moments6, sigma, 1.0, w0, np.zeros(6), taus, solve=RK45)
+        _, ws, _ = gradient_flow_full(moments6, sigma, 1.0, w0, np.zeros(6), taus, adaptive=True)
         numeric = np.einsum("ik,tij,jk->tk", model6.basis, ws, model6.basis)
         closed = one_layer_psi(model6.spectrum[None, :], sigma, 0.1, 1.0, taus[:, None])
         assert np.max(np.abs(numeric - closed) / np.maximum(np.abs(closed), 1e-12)) < 1e-6
@@ -384,7 +364,7 @@ class TestClosedFormVsOracleInvariant:
         p0 = model6.basis * np.sqrt(0.1)
         _, ws, _ = gradient_flow_full(
             moments6, sigma, 1.0, p0, np.zeros(6), taus,
-            parametrization="two-layer-symmetric", solve=RK45,
+            parametrization="two-layer-symmetric", adaptive=True,
         )
         numeric = np.einsum("ik,tij,jk->tk", model6.basis, ws, model6.basis)
         closed = two_layer_psi(model6.spectrum[None, :], sigma, 0.1, 1.0, taus[:, None])
@@ -399,7 +379,3 @@ class TestConfigValidation:
     def test_non_increasing_tau(self):
         with pytest.raises(ValueError):
             DynamicsConfig(1.0, [0.2, 0.1], [0.1], 1.0, OneLayer())
-
-    def test_two_layer_negative_q(self):
-        with pytest.raises(ValueError):
-            DynamicsConfig(1.0, [0.1], [-0.1], 1.0, TwoLayerSymmetric())

@@ -6,7 +6,6 @@ from lindiff.dynamics import LossVariant
 from lindiff.gaussian import DataMoments
 from lindiff.integrate import rk4_path, rk45_path
 from lindiff.oracle import (
-    OdeSolveConfig,
     dense_dft_diag,
     gradient_flow_full,
     loss_gradients,
@@ -131,9 +130,3 @@ class TestIntegrators:
         a = rk4_path(rhs, np.array([1.0, 0.0]), grid, substeps=200)
         b = rk45_path(rhs, np.array([1.0, 0.0]), grid, rtol=1e-11, atol=1e-13)
         assert np.max(np.abs(a - b)) < 1e-8
-
-    def test_solver_config_validation(self):
-        with pytest.raises(ValueError):
-            OdeSolveConfig(method="euler")
-        with pytest.raises(ValueError):
-            OdeSolveConfig(substeps=0)

@@ -118,14 +118,6 @@ class TestGeneratedVariance:
         val = generated_variance(PhiFactor("converged", lam=4.0), sched)
         assert_allclose(val, 2.0, rtol=1e-12)
 
-    def test_full_width_equals_one_layer_substitution(self):
-        for tau in (0.01, 1.0):
-            a = generated_variance(
-                PhiFactor("full-width-conv", lam=0.5, q=0.1, eta=1.0, tau=tau, n_speedup=16), SCHED
-            )
-            b = generated_variance(PhiFactor("one-layer", lam=0.5, q=0.1, eta=16.0, tau=tau), SCHED)
-            assert_allclose(a, b, rtol=1e-14)
-
     def test_numeric_case_against_closed_form(self):
         lam, q, tau = 0.5, 0.1, 1.0
         phi_num = PhiFactor("numeric", weight_fn=lambda s: one_layer_psi(lam, s, q, 1.0, tau))
@@ -153,7 +145,8 @@ class TestAnalyticVsNumericInvariant:
             phi = PhiFactor("converged", lam=lam)
             wfn = lambda s: lam / (lam + s * s)
         else:
-            phi = PhiFactor("full-width-conv", lam=lam, q=q, eta=1.0, tau=tau, n_speedup=16)
+            # full-width convolution: one layer with lambda -> S_kk, eta -> N eta (N = 16)
+            phi = PhiFactor("one-layer", lam=lam, q=q, eta=16.0, tau=tau)
             wfn = lambda s: one_layer_psi(lam, s, q, 16.0, tau)
         analytic = generated_variance(phi, sched)
         numeric = sched.sigma_max**2 * float(pf_mode_scaling(wfn, sched)[0]) ** 2

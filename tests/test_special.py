@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lindiff.special import EULER_GAMMA, ToleranceConfig, erf, expint_ei
+from lindiff.special import EULER_GAMMA, erf, expint_ei
 
 mp.mp.dps = 60
 
@@ -106,13 +106,6 @@ class TestErf:
             fd = (erf(x + h) - erf(x - h)) / (2 * h)
             exact = 2.0 / math.sqrt(math.pi) * math.exp(-x * x)
             assert abs(fd - exact) <= 1e-6 * abs(exact)
-
-
-def test_tolerance_config_validation():
-    with pytest.raises(ValueError):
-        ToleranceConfig(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        ToleranceConfig(max_terms=0)
 
 
 def test_euler_gamma_constant():
