@@ -188,12 +188,14 @@ class DynamicsConfig:
 
 
 def one_layer_psi(lam, sigma, q, eta, tau):
-    """w* + (Q - w*) exp(-2 eta tau (sigma^2 + lambda)); broadcasts."""
-    lam, sigma, q, tau = np.broadcast_arrays(
-        np.asarray(lam, float), np.asarray(sigma, float), np.asarray(q, float), np.asarray(tau, float)
-    )
-    w_star = lam / (lam + sigma**2)
-    return w_star + (q - w_star) * np.exp(-2.0 * eta * tau * (sigma**2 + lam))
+    """w* + (Q - w*) exp(-2 eta tau (sigma^2 + lambda)); floats or broadcast arrays.
+
+    sigma^2 is ``sigma * sigma``: ``**`` on a Python float calls C ``pow``,
+    which rounds about 1 square in 1000 differently from NumPy's array square.
+    """
+    s2 = sigma * sigma
+    w_star = lam / (lam + s2)
+    return w_star + (q - w_star) * np.exp(-2.0 * eta * tau * (s2 + lam))
 
 
 def one_layer_bias(b0: np.ndarray, eta: float, tau) -> np.ndarray:

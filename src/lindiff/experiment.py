@@ -34,6 +34,8 @@ from .sampler import NoiseSchedule, PhiFactor, generated_variance
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config_text", "run_experiment", "oracle_deviation"]
 
 ORACLE_TOLERANCE = 1e-6
+# --validate-with-oracle integrates over this part of the tau window only.
+ORACLE_TAU_WINDOW = (1e-3, 10.0)
 
 
 class ConfigError(ValueError):
@@ -142,15 +144,27 @@ class ExperimentConfig:
             raise ConfigError("dynamics.tau_min: need 0 < tau_min < tau_max")
         if self.tau_override is not None and (not self.tau_override or min(self.tau_override) < 0):
             raise ConfigError("dynamics.tau: need one or more nonnegative values")
+        if self.tau_override is not None and any(b <= a for a, b in zip(self.tau_override, self.tau_override[1:])):
+            raise ConfigError("dynamics.tau: values must be strictly increasing")
         if self.tau_override is None and self.tau_points < 1:
             raise ConfigError("dynamics.tau_points: must be >= 1")
         if not self.report_sigmas or min(self.report_sigmas) <= 0:
             raise ConfigError("report.sigmas: need one or more positive values")
+        lo, hi = ORACLE_TAU_WINDOW
+        if self.validate_with_oracle and max(self.tau_min, lo) > min(self.tau_max, hi):
+            raise ConfigError(
+                f"dynamics.tau_min/dynamics.tau_max: the oracle check needs [tau_min, tau_max] "
+                f"to overlap [{lo:g}, {hi:g}]"
+            )
 
     def taus(self) -> np.ndarray:
         if self.tau_override is not None:
             return np.asarray(self.tau_override, dtype=float)
         return np.geomspace(self.tau_min, self.tau_max, self.tau_points)
+
+    def oracle_taus(self) -> np.ndarray:
+        lo, hi = ORACLE_TAU_WINDOW
+        return np.geomspace(max(self.tau_min, lo), min(self.tau_max, hi), 8)
 
     @staticmethod
     def from_flat(cfg: dict[str, str]) -> "ExperimentConfig":
@@ -223,11 +237,6 @@ def _lambda_gen(cfg: ExperimentConfig, lam: float, tau: float) -> float:
     case = "one-layer" if cfg.arch == "one-layer" else "two-layer"
     phi = PhiFactor(case, lam=lam, q=cfg.q_init, eta=cfg.eta, tau=tau)
     return generated_variance(phi, cfg.schedule)
-
-
-def _psi(cfg: ExperimentConfig, lam, sigma, tau):
-    fn = one_layer_psi if cfg.arch == "one-layer" else two_layer_psi
-    return fn(lam, sigma, cfg.q_init, cfg.eta, tau)
 
 
 def oracle_deviation(
@@ -333,8 +342,7 @@ def run_experiment(cfg: ExperimentConfig, stages: frozenset = frozenset({"trajec
         "outputs": sorted(written + ["manifest.json"]),
     }
     if cfg.validate_with_oracle:
-        oracle_taus = np.geomspace(max(cfg.tau_min, 1e-3), min(cfg.tau_max, 10.0), 8)
-        dev = oracle_deviation(model, cfg.arch, cfg.report_sigmas, cfg.q_init, cfg.eta, oracle_taus)
+        dev = oracle_deviation(model, cfg.arch, cfg.report_sigmas, cfg.q_init, cfg.eta, cfg.oracle_taus())
         manifest["oracle"] = {
             "max_rel_deviation": dev,
             "tolerance": ORACLE_TOLERANCE,
@@ -346,14 +354,13 @@ def run_experiment(cfg: ExperimentConfig, stages: frozenset = frozenset({"trajec
 
 
 def _emit_trajectories(cfg, out: Path, model, taus, lam_gen) -> str:
+    psi = one_layer_psi if cfg.arch == "one-layer" else two_layer_psi
+    q, eta = cfg.q_init, cfg.eta
     rows = []
-    for k in range(model.dim):
-        for i, tau in enumerate(taus):
+    for k, lam in enumerate(model.spectrum):
+        for tau, gen in zip(taus, lam_gen[k]):
             for sigma in cfg.report_sigmas:
-                psi = float(_psi(cfg, model.spectrum[k], sigma, tau))
-                rows.append(
-                    (k, model.spectrum[k], tau, sigma, psi, lam_gen[k, i])
-                )
+                rows.append((k, lam, tau, sigma, float(psi(lam, sigma, q, eta, tau)), gen))
     header = ["mode_index", "lambda_target", "tau", "sigma", "psi", "lambda_gen"]
     return _emit_table(cfg, out, "trajectories", header, rows)
 
@@ -385,14 +392,38 @@ def _cell(value) -> str:
     return f"{float(value):.17g}"
 
 
+def _column_format(values) -> str | None:
+    """The %-format that writes every value of a column as ``_cell`` does,
+    or None when the column needs ``_cell`` itself (None, bool, mixed)."""
+    types = set(map(type, values))
+    if all(issubclass(t, str) for t in types):
+        return "%s"
+    if all(t is int or issubclass(t, np.integer) for t in types):  # not bool: _cell writes True
+        return "%d"
+    if all(t is float or issubclass(t, np.floating) for t in types):
+        return "%.17g"
+    return None
+
+
+def _csv_lines(rows) -> list[str]:
+    """CSV text of ``rows``, byte for byte ``",".join(map(_cell, row))``,
+    with one %-format per row instead of one ``_cell`` call per value."""
+    columns = list(zip(*rows))
+    formats = []
+    for j, column in enumerate(columns):
+        fmt = _column_format(column)
+        if fmt is None:
+            columns[j], fmt = list(map(_cell, column)), "%s"
+        formats.append(fmt)
+    line = ",".join(formats)
+    return [line % row for row in zip(*columns)]
+
+
 def _emit_table(cfg, out: Path, name: str, header, rows) -> str:
     """Write rows as CSV (None -> empty cell) or JSON (None -> null)."""
     if cfg.fmt == "csv":
         path = out / f"{name}.csv"
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(map(_cell, row)))
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join([",".join(header), *_csv_lines(rows)]) + "\n")
         return path.name
     path = out / f"{name}.json"
     payload = [dict(zip(header, row)) for row in rows]

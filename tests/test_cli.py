@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lindiff.cli import main
-from lindiff.experiment import ConfigError, ExperimentConfig, parse_config_text, run_experiment
+from lindiff.experiment import ConfigError, ExperimentConfig, _cell, _emit_table, parse_config_text, run_experiment
 
 
 class TestConfigParsing:
@@ -55,11 +55,19 @@ class TestConfigParsing:
             ({"model.kind": "log-normal", "model.sd": "0"}, "model.sd"),
             ({"model.kind": "explicit", "model.dim": "3", "model.values": "1,2"}, "model.values"),
             ({"model.kind": "explicit", "model.dim": "2", "model.values": "1,-2"}, "model.values"),
+            ({"dynamics.tau": "10,1,100,0.1"}, "dynamics.tau"),
+            ({"dynamics.tau": "0,1,1,2"}, "dynamics.tau"),
+            ({"run.validate_with_oracle": "true", "dynamics.tau_min": "100", "dynamics.tau_max": "1e6"},
+             "dynamics.tau_min/dynamics.tau_max"),
+            ({"run.validate_with_oracle": "true", "dynamics.tau_max": "1e-4", "dynamics.tau_min": "1e-6"},
+             "dynamics.tau_min/dynamics.tau_max"),
         ]:
             with pytest.raises(ConfigError, match=key):
                 ExperimentConfig.from_flat(flat)
         # parameters of another spectrum kind are not checked
         ExperimentConfig.from_flat({"model.kind": "log-normal", "model.lo": "-1"})
+        # a tau window that touches the oracle's [1e-3, 10] still gives a valid oracle grid
+        ExperimentConfig.from_flat({"run.validate_with_oracle": "true", "dynamics.tau_min": "10"})
         with pytest.raises(ConfigError, match="dynamics.tau_points"):
             run_experiment(ExperimentConfig(tau_points=1), stages=frozenset({"emergence"}))
         with pytest.raises(ConfigError, match="dynamics.tau:"):
@@ -158,6 +166,32 @@ class TestRunExperiment:
         assert any(isinstance(row["tau_star"], float) for row in rows)
 
 
+class TestCsvWriter:
+    def test_rows_match_cell_by_cell_formatting_byte_for_byte(self, tmp_path):
+        specials = [-0.0, 5e-324, 1e308, float("nan"), float("inf"), -float("inf"), 0.1, 1 / 3, -2.5e-300]
+        n = len(specials)
+        columns = {
+            "int": [k - 3 for k in range(n)],
+            "int64": [np.int64(-(2**62) + k) for k in range(n)],
+            "bool": [k % 2 == 0 for k in range(n)],
+            "str": ["increasing" if k % 2 else "decreasing" for k in range(n)],
+            "float": specials,
+            "float64": [np.float64(v) for v in reversed(specials)],
+            "none": [None if k % 3 == 0 else specials[k] for k in range(n)],
+            "mixed": [k if k % 2 else specials[k] for k in range(n)],
+        }
+        header = list(columns)
+        rows = list(zip(*columns.values()))
+        cfg = ExperimentConfig(out_dir=str(tmp_path))
+        assert _emit_table(cfg, tmp_path, "t", header, rows) == "t.csv"
+        want = "\n".join([",".join(header)] + [",".join(map(_cell, row)) for row in rows]) + "\n"
+        assert (tmp_path / "t.csv").read_bytes() == want.encode()
+        first = (tmp_path / "t.csv").read_text().splitlines()[1].split(",")
+        assert first[2] == "True" and first[4] == "-0" and first[6] == ""
+        assert _emit_table(cfg, tmp_path, "empty", header, []) == "empty.csv"
+        assert (tmp_path / "empty.csv").read_text() == ",".join(header) + "\n"
+
+
 class TestCliEntry:
     def test_emergence_subcommand(self, tmp_path):
         rc = main(
@@ -199,6 +233,26 @@ class TestCliEntry:
         assert rc == 1
         assert "dynamics.tau_points" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "args, key",
+        [
+            (["--validate-with-oracle", "--set", "dynamics.tau_min=100", "--set", "dynamics.tau_max=1e6"],
+             "dynamics.tau_min/dynamics.tau_max"),
+            (["--set", "dynamics.tau=10,1,100,0.1"], "dynamics.tau"),
+        ],
+        ids=["oracle-window", "unsorted-tau"],
+    )
+    def test_bad_tau_grid_exits_1_before_writing(self, tmp_path, args, key):
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-m", "lindiff.cli", "emergence", "--out", str(out), "--set", "model.dim=4", *args],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"config error: {key}:")
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
     def test_equal_eigenvalues_fail_the_fit_without_lapack_noise(self, tmp_path):
         proc = subprocess.run(

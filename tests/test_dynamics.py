@@ -80,6 +80,33 @@ class TestOneLayer:
         num = rk4_path(rhs, np.array([0.0]), np.array([0.0, 0.25]), substeps=2000)[-1, 0]
         assert_allclose(val, num, atol=1e-12)
 
+    def test_broadcasts_scalars_and_arrays_like_the_broadcast_arrays_formula(self):
+        def reference(lam, sigma, q, eta, tau):
+            lam, sigma, q, tau = np.broadcast_arrays(
+                np.asarray(lam, float), np.asarray(sigma, float), np.asarray(q, float), np.asarray(tau, float)
+            )
+            w_star = lam / (lam + sigma**2)
+            return w_star + (q - w_star) * np.exp(-2.0 * eta * tau * (sigma**2 + lam))
+
+        spectrum = np.geomspace(1e-3, 10.0, 37)
+        taus = np.geomspace(1e-4, 1e6, 61)
+        q = np.linspace(0.0, 0.9, 61)
+        # 0.6931253941269515 ** 2 != 0.6931253941269515 * 0.6931253941269515 for Python floats
+        for sigma in (0.1, 1.0, 10.0, 0.6931253941269515, np.float64(0.6931253941269515)):
+            cases = [
+                (spectrum[:, None], sigma, 0.1, 1.0, taus[None, :]),
+                (spectrum[:, None], sigma, q, 2.0, taus[None, :]),
+                (spectrum[:, None, None], np.array([sigma, 1.0])[:, None], q, 1.0, taus),
+                (spectrum[5], sigma, 0.1, 1.0, taus[7]),
+                (float(spectrum[5]), sigma, np.float64(0.3), 1.0, 2.5),
+                (spectrum, sigma, 0.1, np.float64(0.5), 1e-2),
+            ]
+            for lam, s, q0, eta, tau in cases:
+                got = one_layer_psi(lam, s, q0, eta, tau)
+                want = reference(lam, s, q0, eta, tau)
+                assert np.shape(got) == np.broadcast_shapes(*map(np.shape, (lam, s, q0, eta, tau)))
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
     def test_zero_eigenvalue_pure_decay(self):
         assert_allclose(one_layer_psi(0.0, 1.0, 0.3, 1.0, 1.0), 0.3 * np.exp(-2.0))
 
