@@ -300,14 +300,23 @@ def two_layer_psi(lam, sigma, q, eta, tau):
 
     Q = 0 stays at the saddle; lambda = 0 modes are frozen at Q (the
     formula's rate 8 eta lambda vanishes); both conventions documented.
+    Takes floats or broadcast arrays; sigma^2 is ``sigma * sigma`` as in
+    ``one_layer_psi``.
     """
-    lam, sigma, q, tau = np.broadcast_arrays(
-        np.asarray(lam, float), np.asarray(sigma, float), np.asarray(q, float), np.asarray(tau, float)
-    )
+    s2 = sigma * sigma
+    decay = np.exp(-8.0 * eta * lam * tau)
+    if not isinstance(s2, np.ndarray) and not isinstance(q, np.ndarray) and not isinstance(decay, np.ndarray):
+        # every input is a scalar: plain arithmetic, no 0-d arrays
+        if q < 0:
+            raise ValueError("Q_k is a squared norm and must be nonnegative")
+        if lam == 0.0:
+            return q
+        w_star = lam / (s2 + lam)
+        den = (w_star - q) * decay + q
+        return 0.0 if q == 0.0 or den == 0.0 else w_star * q / den
     if np.any(q < 0):
         raise ValueError("Q_k is a squared norm and must be nonnegative")
-    w_star = lam / (sigma**2 + lam)
-    decay = np.exp(-8.0 * eta * lam * tau)
+    w_star = lam / (s2 + lam)
     den = (w_star - q) * decay + q
     out = np.where(q == 0.0, 0.0, np.divide(w_star * q, den, out=np.zeros_like(den), where=den != 0))
     return np.where(lam == 0.0, q, out)

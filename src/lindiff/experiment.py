@@ -151,7 +151,10 @@ class ExperimentConfig:
         if not self.report_sigmas or min(self.report_sigmas) <= 0:
             raise ConfigError("report.sigmas: need one or more positive values")
         lo, hi = ORACLE_TAU_WINDOW
-        if self.validate_with_oracle and max(self.tau_min, lo) > min(self.tau_max, hi):
+        explicit = self.tau_override is not None
+        if self.validate_with_oracle and explicit and not len(self.oracle_taus()):
+            raise ConfigError(f"dynamics.tau: the oracle check needs a value in [{lo:g}, {hi:g}]")
+        if self.validate_with_oracle and not explicit and max(self.tau_min, lo) > min(self.tau_max, hi):
             raise ConfigError(
                 f"dynamics.tau_min/dynamics.tau_max: the oracle check needs [tau_min, tau_max] "
                 f"to overlap [{lo:g}, {hi:g}]"
@@ -163,7 +166,11 @@ class ExperimentConfig:
         return np.geomspace(self.tau_min, self.tau_max, self.tau_points)
 
     def oracle_taus(self) -> np.ndarray:
+        """The run's tau values inside ORACLE_TAU_WINDOW: the explicit ``dynamics.tau``
+        values there, else 8 points on the part of [tau_min, tau_max] inside it."""
         lo, hi = ORACLE_TAU_WINDOW
+        if self.tau_override is not None:
+            return np.array([t for t in self.tau_override if lo <= t <= hi])
         return np.geomspace(max(self.tau_min, lo), min(self.tau_max, hi), 8)
 
     @staticmethod
@@ -285,7 +292,8 @@ def run_experiment(cfg: ExperimentConfig, stages: frozenset = frozenset({"trajec
     lam = model.spectrum
     s0, s_t = cfg.schedule.sigma_min, cfg.schedule.sigma_max
 
-    lam_gen = np.array([[_lambda_gen(cfg, l, t) for t in taus] for l in lam])
+    tau_list = taus.tolist()
+    lam_gen = np.array([[_lambda_gen(cfg, l, t) for t in tau_list] for l in lam.tolist()])
     v0 = s_t**2 * (s0 / s_t) ** (2.0 * (1.0 - cfg.q_init))
     targets = s_t**2 * (lam + s0**2) / (lam + s_t**2)
 
@@ -324,8 +332,10 @@ def run_experiment(cfg: ExperimentConfig, stages: frozenset = frozenset({"trajec
             fit_payload["error"] = fit_error
         _write_json(out / "fit.json", fit_payload)
         written.append("fit.json")
+    diagnostics = {}
     if "kl" in stages:
-        written.append(_emit_kl(cfg, out, model, taus, lam_gen))
+        name, diagnostics["kl_clamped_modes"] = _emit_kl(cfg, out, model, taus, lam_gen)
+        written.append(name)
 
     manifest = {
         "config": {
@@ -341,6 +351,8 @@ def run_experiment(cfg: ExperimentConfig, stages: frozenset = frozenset({"trajec
         },
         "outputs": sorted(written + ["manifest.json"]),
     }
+    if diagnostics:
+        manifest["diagnostics"] = diagnostics
     if cfg.validate_with_oracle:
         dev = oracle_deviation(model, cfg.arch, cfg.report_sigmas, cfg.q_init, cfg.eta, cfg.oracle_taus())
         manifest["oracle"] = {
@@ -371,17 +383,23 @@ def _emit_emergence(cfg, out: Path, model, tau_stars, branches, excluded) -> str
     return _emit_table(cfg, out, "emergence", header, rows)
 
 
-def _emit_kl(cfg, out: Path, model, taus, lam_gen) -> str:
+def _emit_kl(cfg, out: Path, model, taus, lam_gen) -> tuple[str, int]:
+    """Write the per-mode KL table; returns its name and the number of
+    (mode, tau) variances clamped to the KL floor."""
     from .metrics import kl_shared_basis
 
     zero = np.zeros(model.dim)
-    rows = []
-    for i, tau in enumerate(taus):
-        kl = kl_shared_basis(np.maximum(lam_gen[:, i], 1e-300), model.spectrum, zero, zero, model.basis)
-        for k in range(model.dim):
-            rows.append((k, model.spectrum[k], tau, lam_gen[k, i], kl.per_mode[k]))
+    kls = [kl_shared_basis(np.maximum(gen, 1e-300), model.spectrum, zero, zero, model.basis) for gen in lam_gen.T]
+    columns = (
+        np.tile(np.arange(model.dim), len(taus)),
+        np.tile(model.spectrum, len(taus)),
+        np.repeat(taus, model.dim),
+        lam_gen.T.ravel(),
+        np.concatenate([kl.per_mode for kl in kls]),
+    )
+    rows = list(zip(*(column.tolist() for column in columns)))
     header = ["mode_index", "lambda_target", "tau", "lambda_gen", "kl"]
-    return _emit_table(cfg, out, "kl", header, rows)
+    return _emit_table(cfg, out, "kl", header, rows), sum(kl.clamped for kl in kls)
 
 
 def _cell(value) -> str:
@@ -419,6 +437,32 @@ def _csv_lines(rows) -> list[str]:
     return [line % row for row in zip(*columns)]
 
 
+def _json_cells(column) -> list[str]:
+    """The JSON text of each value in ``column``, as the indented table writes it.
+
+    An int or float column is encoded by one ``json.dumps`` call without
+    indent, which runs in the C encoder; other columns one value at a time.
+    """
+    fmt = _column_format(column)
+    if fmt in ("%d", "%.17g"):
+        cast = int if fmt == "%d" else float
+        return json.dumps(list(map(cast, column)))[1:-1].split(", ")
+    return [json.dumps(v, indent=2, sort_keys=True, cls=_NumpyEncoder).replace("\n", "\n    ") for v in column]
+
+
+def _json_table(header, rows) -> str:
+    """``json.dumps([dict(zip(header, row)) for row in rows], indent=2,
+    sort_keys=True, cls=_NumpyEncoder)``, built one column at a time."""
+    if not rows:
+        return "[]"
+    order = sorted(range(len(header)), key=header.__getitem__)
+    columns = list(zip(*rows))
+    keys = [json.dumps(header[j]).replace("%", "%%") for j in order]
+    row = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
+    cells = zip(*(_json_cells(columns[j]) for j in order))
+    return "[\n" + ",\n".join([row % values for values in cells]) + "\n]"
+
+
 def _emit_table(cfg, out: Path, name: str, header, rows) -> str:
     """Write rows as CSV (None -> empty cell) or JSON (None -> null)."""
     if cfg.fmt == "csv":
@@ -426,20 +470,22 @@ def _emit_table(cfg, out: Path, name: str, header, rows) -> str:
         path.write_text("\n".join([",".join(header), *_csv_lines(rows)]) + "\n")
         return path.name
     path = out / f"{name}.json"
-    payload = [dict(zip(header, row)) for row in rows]
-    _write_json(path, payload)
+    path.write_text(_json_table(header, rows) + "\n")
     return path.name
 
 
-def _write_json(path: Path, payload) -> None:
-    class _F(json.JSONEncoder):
-        def default(self, o):
-            if isinstance(o, (np.integer,)):
-                return int(o)
-            if isinstance(o, (np.floating,)):
-                return float(o)
-            if isinstance(o, np.ndarray):
-                return o.tolist()
-            return super().default(o)
+class _NumpyEncoder(json.JSONEncoder):
+    """Writes NumPy integers, floats and arrays as the Python values they hold."""
 
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, cls=_F) + "\n")
+    def default(self, o):
+        if isinstance(o, np.integer):
+            return int(o)
+        if isinstance(o, np.floating):
+            return float(o)
+        if isinstance(o, np.ndarray):
+            return o.tolist()
+        return super().default(o)
+
+
+def _write_json(path: Path, payload) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, cls=_NumpyEncoder) + "\n")

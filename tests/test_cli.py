@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 
 from lindiff.cli import main
-from lindiff.experiment import ConfigError, ExperimentConfig, _cell, _emit_table, parse_config_text, run_experiment
+from lindiff.experiment import (
+    ConfigError,
+    ExperimentConfig,
+    _cell,
+    _emit_table,
+    _NumpyEncoder,
+    parse_config_text,
+    run_experiment,
+)
+from lindiff.sampler import NoiseSchedule
 
 
 class TestConfigParsing:
@@ -61,6 +70,7 @@ class TestConfigParsing:
              "dynamics.tau_min/dynamics.tau_max"),
             ({"run.validate_with_oracle": "true", "dynamics.tau_max": "1e-4", "dynamics.tau_min": "1e-6"},
              "dynamics.tau_min/dynamics.tau_max"),
+            ({"run.validate_with_oracle": "true", "dynamics.tau": "1e-5,1e-4,1e3"}, "dynamics.tau:"),
         ]:
             with pytest.raises(ConfigError, match=key):
                 ExperimentConfig.from_flat(flat)
@@ -68,6 +78,9 @@ class TestConfigParsing:
         ExperimentConfig.from_flat({"model.kind": "log-normal", "model.lo": "-1"})
         # a tau window that touches the oracle's [1e-3, 10] still gives a valid oracle grid
         ExperimentConfig.from_flat({"run.validate_with_oracle": "true", "dynamics.tau_min": "10"})
+        # an explicit dynamics.tau is checked at its own values inside [1e-3, 10]
+        cfg = ExperimentConfig.from_flat({"run.validate_with_oracle": "true", "dynamics.tau": "1e-5,1e-3,1,10,1e3"})
+        assert cfg.oracle_taus().tolist() == [1e-3, 1.0, 10.0]
         with pytest.raises(ConfigError, match="dynamics.tau_points"):
             run_experiment(ExperimentConfig(tau_points=1), stages=frozenset({"emergence"}))
         with pytest.raises(ConfigError, match="dynamics.tau:"):
@@ -192,6 +205,36 @@ class TestCsvWriter:
         assert (tmp_path / "empty.csv").read_text() == ",".join(header) + "\n"
 
 
+class TestJsonWriter:
+    def test_rows_match_json_dumps_byte_for_byte(self, tmp_path):
+        specials = [-0.0, 5e-324, 1e308, float("nan"), float("inf"), -float("inf"), 0.1, 1 / 3, -2.5e-300]
+        n = len(specials)
+        texts = ['say "hi"', "back\\slash", "100% sure", "caf\u00e9 \u03c4*", "", "tab\tnew\nline", "%s", "a", "z"]
+        columns = {
+            "int": [k - 3 for k in range(n)],
+            "int64": [np.int64(-(2**62) + k) for k in range(n)],
+            "bool": [k % 2 == 0 for k in range(n)],
+            "str": texts,
+            "float": specials,
+            "float64": [np.float64(v) for v in reversed(specials)],
+            "none": [None if k % 3 == 0 else specials[k] for k in range(n)],
+            "mixed": [k if k % 2 else specials[k] for k in range(n)],
+            "list": [[k, specials[k], None] for k in range(n)],
+            "%d \"key\" \u00e9": [np.float32(k / 7) for k in range(n)],
+        }
+        header = list(columns)
+        rows = list(zip(*columns.values()))
+        cfg = ExperimentConfig(out_dir=str(tmp_path), fmt="json")
+        assert _emit_table(cfg, tmp_path, "t", header, rows) == "t.json"
+        payload = [dict(zip(header, row)) for row in rows]
+        want = json.dumps(payload, indent=2, sort_keys=True, cls=_NumpyEncoder) + "\n"
+        assert (tmp_path / "t.json").read_bytes() == want.encode()
+        first = json.loads((tmp_path / "t.json").read_text())[0]
+        assert first["bool"] is True and first["none"] is None and first["str"] == 'say "hi"'
+        assert _emit_table(cfg, tmp_path, "empty", header, []) == "empty.json"
+        assert (tmp_path / "empty.json").read_text() == "[]\n"
+
+
 class TestCliEntry:
     def test_emergence_subcommand(self, tmp_path):
         rc = main(
@@ -222,6 +265,38 @@ class TestCliEntry:
         total = sum(float(line.split(",")[4]) for line in lines)
         assert total < 1e-4
 
+    def test_kl_json_and_csv_write_the_same_numbers(self, tmp_path):
+        tables = {}
+        for fmt in ("csv", "json"):
+            subprocess.run(
+                [sys.executable, "-m", "lindiff.cli", "kl", "--arch", "two-layer", "--format", fmt,
+                 "--out", str(tmp_path / fmt), "--set", "model.kind=log-normal", "--set", "model.dim=5",
+                 "--set", "dynamics.tau_points=7", "--seed", "3"],
+                check=True, capture_output=True,
+            )
+            tables[fmt] = (tmp_path / fmt / f"kl.{fmt}").read_text()
+        header, *lines = tables["csv"].splitlines()
+        columns = header.split(",")
+        rows = json.loads(tables["json"])
+        assert len(rows) == len(lines) == 5 * 7
+        for line, row in zip(lines, rows):
+            cells = line.split(",")
+            assert int(cells[0]) == row["mode_index"]
+            assert [float(c) for c in cells[1:]] == [row[c] for c in columns[1:]]
+
+    def test_kl_manifest_counts_clamped_modes(self, tmp_path):
+        cfg = ExperimentConfig(
+            model_kind="explicit", dim=3, values=(1e-15, 1e-3, 1.0), tau_override=(0.0, 1.0, 1e9),
+            schedule=NoiseSchedule(sigma_min=1e-9), out_dir=str(tmp_path),
+        )
+        manifest = run_experiment(cfg, stages=frozenset({"kl"}))
+        lam_gen = [float(line.split(",")[3]) for line in (tmp_path / "kl.csv").read_text().splitlines()[1:]]
+        clamped = sum(v < 1e-12 for v in lam_gen)
+        assert clamped > 0
+        assert manifest["diagnostics"] == {"kl_clamped_modes": clamped}
+        assert json.loads((tmp_path / "manifest.json").read_text())["diagnostics"] == manifest["diagnostics"]
+        assert "diagnostics" not in run_experiment(cfg, stages=frozenset({"trajectories"}))
+
     def test_validation_error_exit_code(self, tmp_path, capsys):
         rc = main(["emergence", "--out", str(tmp_path), "--set", "analysis.gray_zone.lower=1.5"])
         assert rc == 1
@@ -240,8 +315,9 @@ class TestCliEntry:
             (["--validate-with-oracle", "--set", "dynamics.tau_min=100", "--set", "dynamics.tau_max=1e6"],
              "dynamics.tau_min/dynamics.tau_max"),
             (["--set", "dynamics.tau=10,1,100,0.1"], "dynamics.tau"),
+            (["--validate-with-oracle", "--set", "dynamics.tau=1e3,1e4,1e5"], "dynamics.tau"),
         ],
-        ids=["oracle-window", "unsorted-tau"],
+        ids=["oracle-window", "unsorted-tau", "oracle-explicit-tau"],
     )
     def test_bad_tau_grid_exits_1_before_writing(self, tmp_path, args, key):
         out = tmp_path / "o"

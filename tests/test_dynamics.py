@@ -230,6 +230,44 @@ class TestTwoLayer:
     def test_zero_eigenvalue_frozen_convention(self):
         assert np.all(two_layer_psi(0.0, 1.0, 0.2, 1.0, np.array([0.0, 1.0, 5.0])) == 0.2)
 
+    def test_scalars_and_arrays_match_the_broadcast_arrays_formula(self):
+        def reference(lam, sigma, q, eta, tau):
+            lam, sigma, q, tau = np.broadcast_arrays(
+                np.asarray(lam, float), np.asarray(sigma, float), np.asarray(q, float), np.asarray(tau, float)
+            )
+            if np.any(q < 0):
+                raise ValueError("Q_k is a squared norm and must be nonnegative")
+            w_star = lam / (sigma**2 + lam)
+            decay = np.exp(-8.0 * eta * lam * tau)
+            den = (w_star - q) * decay + q
+            out = np.where(q == 0.0, 0.0, np.divide(w_star * q, den, out=np.zeros_like(den), where=den != 0))
+            return np.where(lam == 0.0, q, out)
+
+        spectrum = np.concatenate([[0.0], np.geomspace(1e-3, 10.0, 12)])
+        taus = np.geomspace(1e-4, 1e6, 21)
+        q = np.linspace(0.0, 0.9, 21)
+        # 0.6931253941269515 ** 2 != 0.6931253941269515 * 0.6931253941269515 for Python floats
+        for sigma in (0.1, 1.0, 10.0, 0.6931253941269515, np.float64(0.6931253941269515)):
+            cases = [
+                (spectrum[:, None], sigma, 0.1, 1.0, taus[None, :]),
+                (spectrum[:, None], sigma, q, 2.0, taus[None, :]),
+                (spectrum[:, None, None], np.array([sigma, 1.0])[:, None], q, 1.0, taus),
+                (spectrum, sigma, 0.0, np.float64(0.5), 1e-2),
+                (float(spectrum[5]), sigma, np.float64(0.3), 1.0, 2.5),
+                (0.0, sigma, 0.2, 1.0, 3.0),  # lambda = 0 stays at Q
+                (1.0, sigma, 0.0, 1.0, 3.0),  # Q = 0 stays at the saddle
+                (0.0, sigma, 0.0, 1.0, 3.0),
+            ]
+            cases += [(lam, sigma, 0.1, 1.0, tau) for lam in spectrum for tau in taus]
+            cases += [(float(lam), sigma, 0.05, 1.0, float(tau)) for lam in spectrum for tau in taus]
+            for lam, s, q0, eta, tau in cases:
+                got = two_layer_psi(lam, s, q0, eta, tau)
+                want = reference(lam, s, q0, eta, tau)
+                assert np.shape(got) == np.broadcast_shapes(*map(np.shape, (lam, s, q0, eta, tau)))
+                assert np.asarray(got, float).tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="nonnegative"):
+            two_layer_psi(spectrum, 1.0, np.array([0.1, -0.1])[:, None], 1.0, 1.0)
+
 
 class TestDeepLinear:
     def test_depth_one_matches_one_layer_after_rate_mapping(self):
