@@ -354,11 +354,13 @@ def run_experiment(cfg: ExperimentConfig, stages: frozenset = frozenset({"trajec
     if diagnostics:
         manifest["diagnostics"] = diagnostics
     if cfg.validate_with_oracle:
+        t_oracle = time.perf_counter()
         dev = oracle_deviation(model, cfg.arch, cfg.report_sigmas, cfg.q_init, cfg.eta, cfg.oracle_taus())
         manifest["oracle"] = {
             "max_rel_deviation": dev,
             "tolerance": ORACLE_TOLERANCE,
             "passed": bool(dev < ORACLE_TOLERANCE),
+            "seconds": time.perf_counter() - t_oracle,
         }
     manifest["wall_clock_s"] = time.perf_counter() - t_start
     _write_json(out / "manifest.json", manifest)

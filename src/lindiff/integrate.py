@@ -68,6 +68,12 @@ _CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
 _CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
 
 
+def _combine(weights, ks):
+    """Sum of w * k over the nonzero weights, added in stage order."""
+    terms = [w * k for w, k in zip(weights, ks) if w]
+    return sum(terms[1:], terms[0])
+
+
 def rk45_path(f, y0, t_grid, rtol=1e-10, atol=1e-12, max_steps=2_000_000):
     """Adaptive Cash-Karp RK45 hitting every ``t_grid`` point exactly."""
     t_grid = np.asarray(t_grid, dtype=float)
@@ -87,8 +93,8 @@ def rk45_path(f, y0, t_grid, rtol=1e-10, atol=1e-12, max_steps=2_000_000):
                 for a, k in zip(_CK_A[s], ks):
                     ys = ys + h * a * k
                 ks.append(f(t + _CK_C[s] * h, ys))
-            y5 = y + h * sum(b * k for b, k in zip(_CK_B5, ks))
-            y4 = y + h * sum(b * k for b, k in zip(_CK_B4, ks))
+            y5 = y + h * _combine(_CK_B5, ks)
+            y4 = y + h * _combine(_CK_B4, ks)
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
             err = float(np.max(np.abs(y5 - y4) / scale))
             if err <= 1.0:

@@ -3,7 +3,10 @@
 Nothing here touches the closed-form code paths: losses and gradients are
 assembled directly from the input/target moments of each training
 objective, and trajectories come from integrating those raw gradients on
-full matrices.  Slowness is fine; independence is the point.
+full matrices.  Each flow takes its gradient as one product with the
+augmented moments of x~ = [x; 1], built once per flow from those raw
+moments, with no per-mode decomposition; ``loss_gradients`` is the
+reference that product is tested against.  Independence is the point.
 """
 
 from __future__ import annotations
@@ -75,17 +78,12 @@ def loss_gradients(w, b, mm):
     return grad_w, grad_b
 
 
-def _circulant_from_taps(taps, offsets, n):
-    w = np.zeros((n, n))
-    for o, t in zip(offsets, taps):
-        idx = np.arange(n)
-        w[idx, (idx + o) % n] = t
-    return w
-
-
-def _sum_over_offsets(mat, offsets, n):
-    idx = np.arange(n)
-    return np.array([mat[idx, (idx + o) % n].sum() for o in offsets])
+def _augmented_moments(mm):
+    """A = E[x~ x~^T] and C = E[y x~^T] with x~ = [x; 1], so dL/d[W | b] = 2([W | b] A - C)."""
+    mu_x, mu_y, sxx, syx, _ = mm
+    a = np.block([[sxx + np.outer(mu_x, mu_x), mu_x[:, None]], [mu_x[None, :], np.ones((1, 1))]])
+    c = np.hstack([syx + np.outer(mu_y, mu_x), mu_y[:, None]])
+    return a, c
 
 
 def gradient_flow_full(
@@ -102,45 +100,53 @@ def gradient_flow_full(
 ):
     """Integrate exact full-batch gradient flow on raw parameter matrices.
 
-    parametrization: 'one-layer' (state W, b), 'two-layer-symmetric'
-    (state P with W = P P^T, plus b), 'circulant' (state = N filter taps),
-    or 'patch' (taps restricted to |offset| <= half_width).  The flow is
-    integrated by fixed-step RK4, or by adaptive Cash-Karp RK45 at
-    ``_RTOL`` / ``_ATOL`` when ``adaptive`` is set.
+    parametrization: 'one-layer' (state [W | b]), 'two-layer-symmetric'
+    (state [P | b] with W = P P^T), 'circulant' (state = N filter taps),
+    or 'patch' (taps restricted to |offset| <= half_width, 2r+1 <= N).
+    Every right-hand side is one product with the augmented moments of
+    x~ = [x; 1]: d[W | b]/dtau = -eta dL/d[W | b] = [W | b] (-2 eta A) - (-2 eta C)
+    with A = E[x~ x~^T] and C = E[y x~^T], built once from the raw moments
+    of the loss variant.  The two-layer flow applies the chain rule
+    dP/dtau = (G_W + G_W^T) P to that product's W block; the convolutional
+    flows sum its W block over the cells that share a tap.
+    The flow is integrated by fixed-step RK4, or by adaptive Cash-Karp
+    RK45 at ``_RTOL`` / ``_ATOL`` when ``adaptive`` is set.
     Returns (tau_grid, Ws, bs) with Ws[i] the dense weight matrix.
     """
     tau_grid = np.asarray(tau_grid, float)
     mm = variant_moments(variant, moments, s)
     d = moments.dim
-    rate0 = 2.0 * eta * float(np.linalg.eigvalsh(mm[2] + np.outer(mm[0], mm[0])).max())
+    aug_a, aug_c = _augmented_moments(mm)
+    rate0 = 2.0 * eta * float(np.linalg.eigvalsh(aug_a[:d, :d]).max())
+    a, c = -2.0 * eta * aug_a, -2.0 * eta * aug_c
 
     if parametrization == "one-layer":
-        rate = rate0
-
         def rhs(_t, y):
-            w, b = y[:-1], y[-1]
-            gw, gb = loss_gradients(w, b, mm)
-            return -eta * np.vstack([gw, gb[None, :]])
+            return y @ a - c
 
-        y0 = np.vstack([np.asarray(w0, float), np.asarray(b0, float)[None, :]])
-        path = _solve(rhs, y0, tau_grid, rate, adaptive)
-        return tau_grid, path[:, :-1, :], path[:, -1, :]
+        y0 = np.hstack([np.asarray(w0, float), np.asarray(b0, float)[:, None]])
+        path = _solve(rhs, y0, tau_grid, rate0, adaptive)
+        return tau_grid, path[:, :, :d], path[:, :, d]
 
     if parametrization == "two-layer-symmetric":
         p0 = np.asarray(w0, float)  # here w0 is the factor P(0)
         norm0 = float(np.linalg.norm(p0, 2)) ** 2
         rate = 6.0 * rate0 * max(1.0, norm0)
+        work = np.empty((d, d + 1))  # [P P^T | b], overwritten on every call
 
         def rhs(_t, y):
-            p, b = y[:-1], y[-1]
-            gw, gb = loss_gradients(p @ p.T, b, mm)
-            gp = (gw + gw.T) @ p
-            return -eta * np.vstack([gp, gb[None, :]])
+            p = y[:, :d]
+            np.matmul(p, p.T, out=work[:, :d])
+            work[:, d] = y[:, d]
+            g = work @ a - c
+            gw = g[:, :d]
+            gw[...] = (gw + gw.T) @ p
+            return g
 
-        y0 = np.vstack([p0, np.asarray(b0, float)[None, :]])
+        y0 = np.hstack([p0, np.asarray(b0, float)[:, None]])
         path = _solve(rhs, y0, tau_grid, rate, adaptive)
-        ws = np.einsum("tij,tkj->tik", path[:, :-1, :], path[:, :-1, :])
-        return tau_grid, ws, path[:, -1, :]
+        ps = path[:, :, :d]
+        return tau_grid, np.einsum("tij,tkj->tik", ps, ps), path[:, :, d]
 
     if parametrization in ("circulant", "patch"):
         if parametrization == "circulant":
@@ -148,17 +154,25 @@ def gradient_flow_full(
         else:
             if half_width is None:
                 raise ValueError("patch parametrization needs half_width")
+            if half_width < 0:
+                raise ValueError("patch half_width must be >= 0")
+            if 2 * half_width + 1 > d:
+                raise ValueError("patch must fit in the signal (2r+1 <= N)")
             offsets = np.arange(-half_width, half_width + 1)
+        k = len(offsets)
+        idx = np.arange(d)[:, None]
+        slot = np.full((d, d), k)  # slot[i, j]: the tap on cell (i, j); k off the band
+        slot[idx, (idx + offsets) % d] = np.arange(k)
+        flat = slot.ravel()
+        a_w, c_w = a[:d, :d].copy(), c[:, :d].copy()  # b = 0: only the W blocks enter
         rate = rate0 * d  # weight sharing multiplies every rate by N
 
         def rhs(_t, taps):
-            w = _circulant_from_taps(taps, offsets, d)
-            gw, _ = loss_gradients(w, np.zeros(d), mm)
-            return -eta * _sum_over_offsets(gw, offsets, d)
+            w = np.append(taps, 0.0)[slot]
+            return np.bincount(flat, (w @ a_w - c_w).ravel(), k + 1)[:k]
 
-        taps0 = np.asarray(w0, float)
-        path = _solve(rhs, taps0, tau_grid, rate, adaptive)
-        ws = np.stack([_circulant_from_taps(t, offsets, d) for t in path])
+        path = _solve(rhs, np.asarray(w0, float), tau_grid, rate, adaptive)
+        ws = np.pad(path, ((0, 0), (0, 1)))[:, slot]
         return tau_grid, ws, np.zeros((len(tau_grid), d))
 
     raise ValueError(f"unknown parametrization {parametrization!r}")

@@ -127,6 +127,7 @@ class TestRunExperiment:
         manifest = run_experiment(cfg)
         assert manifest["oracle"]["passed"]
         assert manifest["oracle"]["max_rel_deviation"] < 1e-6
+        assert manifest["oracle"]["seconds"] > 0
 
     def test_two_layer_arch(self, tmp_path):
         cfg = ExperimentConfig(dim=4, arch="two-layer", out_dir=str(tmp_path), tau_points=31)

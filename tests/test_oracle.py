@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import lindiff.oracle as oracle
 from lindiff.dynamics import LossVariant
 from lindiff.gaussian import DataMoments
 from lindiff.integrate import rk4_path, rk45_path
@@ -83,6 +84,65 @@ class TestEnergyDescent:
         )
         losses = [loss_value(ws[i], bs[i], mm) for i in range(len(taus))]
         assert np.all(np.diff(losses) <= 1e-10)
+
+
+class TestFlowRightHandSide:
+    """Each flow's right-hand side against -eta times the loss_gradients chain rule."""
+
+    @pytest.mark.parametrize(
+        "parametrization", ["one-layer", "two-layer-symmetric", "circulant", "patch"]
+    )
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.tag)
+    def test_matches_loss_gradients_with_nonzero_mean(self, monkeypatch, model6, variant, parametrization):
+        rng = np.random.default_rng(23)
+        moments = DataMoments(rng.normal(size=6), model6.covariance())
+        mm = variant_moments(variant, moments, 0.7)
+        eta, idx = 0.6, np.arange(6)
+        offsets = np.arange(6) if parametrization == "circulant" else np.arange(-2, 3)
+        dense = parametrization in ("one-layer", "two-layer-symmetric")
+        captured = []
+
+        def capture(f, y0, grid, **_):
+            captured.append(f)
+            return np.stack([y0] * len(grid))
+
+        monkeypatch.setattr(oracle, "rk4_path", capture)
+        gradient_flow_full(
+            moments, 0.7, eta, np.zeros((6, 6)) if dense else np.zeros(len(offsets)), np.zeros(6), [0.1],
+            variant=variant, parametrization=parametrization, half_width=2,
+        )
+        (rhs,) = captured
+        for _ in range(5):
+            if dense:
+                w, b = rng.normal(size=(6, 6)), rng.normal(size=6)
+                y = np.hstack([w, b[:, None]])
+                if parametrization == "one-layer":
+                    gw, gb = loss_gradients(w, b, mm)
+                else:  # w is the factor P of W = P P^T
+                    gw, gb = loss_gradients(w @ w.T, b, mm)
+                    gw = (gw + gw.T) @ w
+                expected = -eta * np.hstack([gw, gb[:, None]])
+            else:
+                y = rng.normal(size=len(offsets))
+                w = np.zeros((6, 6))
+                for o, t in zip(offsets, y):
+                    w[idx, (idx + o) % 6] = t
+                gw, _ = loss_gradients(w, np.zeros(6), mm)
+                expected = -eta * np.array([gw[idx, (idx + o) % 6].sum() for o in offsets])
+            got = rhs(0.0, y)
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize(
+        "half_width, message",
+        [(-1, "half_width must be >= 0"), (3, r"patch must fit in the signal \(2r\+1 <= N\)")],
+    )
+    def test_patch_must_fit_in_the_signal(self, moments6, half_width, message):
+        with pytest.raises(ValueError, match=message):
+            gradient_flow_full(
+                moments6, 0.9, 1.0, np.zeros(max(2 * half_width + 1, 0)), np.zeros(6), [0.1],
+                parametrization="patch", half_width=half_width,
+            )
 
 
 class TestMonteCarloLoss:
