@@ -3,7 +3,10 @@
 Configs are flat ``section.key = value`` text files, overridable by
 command-line ``--set`` flags.  A run produces deterministic data files
 (trajectories, emergence table, power-law fit, manifest); plotting is
-left to downstream tooling.
+left to downstream tooling.  Tables are written a fixed number of rows at
+a time, so a run's memory does not grow with a table's text, and the
+covariance eigenbasis is built only for the stages that read it (kl, the
+oracle check, and a data file's eigendecomposition).
 """
 
 from __future__ import annotations
@@ -227,17 +230,27 @@ _KEYS = {
 }
 
 
-def _build_model(cfg: ExperimentConfig) -> CovarianceModel:
+def _load_spectrum(cfg: ExperimentConfig, need_basis: bool) -> tuple[np.ndarray, CovarianceModel | None]:
+    """The run's spectrum, and its CovarianceModel when a data file is read or
+    ``need_basis`` is set.  A synthetic spectrum is make_covariance's first
+    draw, so the O(d^3) QR basis is built only for stages that read it.  Data
+    file errors are ``model.data`` config errors."""
     if cfg.model_kind == "data":
-        samples = read_samples(cfg.data_path)
-        return empirical_moments(samples).eigenmodel()
+        try:
+            model = empirical_moments(read_samples(cfg.data_path)).eigenmodel()
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"model.data: {exc}") from exc
+        return model.spectrum, model
     params = {
         "log-spaced": {"lo": cfg.lo, "hi": cfg.hi},
         "log-normal": {"mu": cfg.mu, "sd": cfg.sd},
         "explicit": {"values": cfg.values},
     }
     spec = SpectrumSpec(cfg.model_kind, params[cfg.model_kind], cfg.normalize)
-    return make_covariance(spec, cfg.dim, cfg.seed)
+    if need_basis:
+        model = make_covariance(spec, cfg.dim, cfg.seed)
+        return model.spectrum, model
+    return spec.generate(cfg.dim, np.random.default_rng(cfg.seed)), None
 
 
 def _lambda_gen(cfg: ExperimentConfig, lam: float, tau: float) -> float:
@@ -286,10 +299,10 @@ def run_experiment(cfg: ExperimentConfig, stages: frozenset = frozenset({"trajec
     if "emergence" in stages and len(taus) < 2:
         key = "dynamics.tau" if cfg.tau_override is not None else "dynamics.tau_points"
         raise ConfigError(f"{key}: emergence extraction needs >= 2 tau points")
+    # kl and the oracle check read the eigenbasis; the other stages only the spectrum
+    lam, model = _load_spectrum(cfg, need_basis="kl" in stages or cfg.validate_with_oracle)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    model = _build_model(cfg)
-    lam = model.spectrum
     s0, s_t = cfg.schedule.sigma_min, cfg.schedule.sigma_max
 
     tau_list = taus.tolist()
@@ -300,21 +313,21 @@ def run_experiment(cfg: ExperimentConfig, stages: frozenset = frozenset({"trajec
     written = []
     fit_payload = None
     if "trajectories" in stages:
-        written.append(_emit_trajectories(cfg, out, model, taus, lam_gen))
+        written.append(_emit_trajectories(cfg, out, lam, taus, lam_gen))
     if "emergence" in stages:
         crit = EmergenceCriterion(cfg.criterion)
         gz = GrayZone(cfg.gray_lower, cfg.gray_upper)
         tau_stars, branches, excluded = [], [], []
-        for k in range(model.dim):
+        for k in range(len(lam)):
             tau_stars.append(emergence_time(taus, lam_gen[k], v0, targets[k], crit))
             branches.append("increasing" if targets[k] > v0 else "decreasing")
             excluded.append(gz.excludes(v0, targets[k]))
         fits, fit_error = {}, None
         try:
-            fits = power_law_fit(lam, tau_stars, gz, np.full(model.dim, v0), targets)
+            fits = power_law_fit(lam, tau_stars, gz, np.full(len(lam), v0), targets)
         except ValueError as exc:
             fit_error = str(exc)
-        written.append(_emit_emergence(cfg, out, model, tau_stars, branches, excluded))
+        written.append(_emit_emergence(cfg, out, lam, tau_stars, branches, excluded))
         fit_payload = {
             "criterion": cfg.criterion,
             "gray_zone": {"lower": cfg.gray_lower, "upper": cfg.gray_upper},
@@ -367,11 +380,11 @@ def run_experiment(cfg: ExperimentConfig, stages: frozenset = frozenset({"trajec
     return manifest
 
 
-def _emit_trajectories(cfg, out: Path, model, taus, lam_gen) -> str:
+def _emit_trajectories(cfg, out: Path, spectrum, taus, lam_gen) -> str:
     psi = one_layer_psi if cfg.arch == "one-layer" else two_layer_psi
     q, eta = cfg.q_init, cfg.eta
     rows = []
-    for k, lam in enumerate(model.spectrum):
+    for k, lam in enumerate(spectrum):
         for tau, gen in zip(taus, lam_gen[k]):
             for sigma in cfg.report_sigmas:
                 rows.append((k, lam, tau, sigma, float(psi(lam, sigma, q, eta, tau)), gen))
@@ -379,8 +392,8 @@ def _emit_trajectories(cfg, out: Path, model, taus, lam_gen) -> str:
     return _emit_table(cfg, out, "trajectories", header, rows)
 
 
-def _emit_emergence(cfg, out: Path, model, tau_stars, branches, excluded) -> str:
-    rows = [(k, model.spectrum[k], tau_stars[k], branches[k], int(excluded[k])) for k in range(model.dim)]
+def _emit_emergence(cfg, out: Path, spectrum, tau_stars, branches, excluded) -> str:
+    rows = [(k, spectrum[k], tau_stars[k], branches[k], int(excluded[k])) for k in range(len(spectrum))]
     header = ["mode_index", "lambda_target", "tau_star", "branch", "excluded_flag"]
     return _emit_table(cfg, out, "emergence", header, rows)
 
@@ -425,9 +438,9 @@ def _column_format(values) -> str | None:
     return None
 
 
-def _csv_lines(rows) -> list[str]:
-    """CSV text of ``rows``, byte for byte ``",".join(map(_cell, row))``,
-    with one %-format per row instead of one ``_cell`` call per value."""
+def _csv_text(rows) -> str:
+    """CSV text of ``rows``, byte for byte one ``",".join(map(_cell, row)) + "\n"``
+    per row, with one %-format per row instead of one ``_cell`` call per value."""
     columns = list(zip(*rows))
     formats = []
     for j, column in enumerate(columns):
@@ -435,8 +448,8 @@ def _csv_lines(rows) -> list[str]:
         if fmt is None:
             columns[j], fmt = list(map(_cell, column)), "%s"
         formats.append(fmt)
-    line = ",".join(formats)
-    return [line % row for row in zip(*columns)]
+    line = ",".join(formats) + "\n"
+    return "".join([line % row for row in zip(*columns)])
 
 
 def _json_cells(column) -> list[str]:
@@ -452,27 +465,46 @@ def _json_cells(column) -> list[str]:
     return [json.dumps(v, indent=2, sort_keys=True, cls=_NumpyEncoder).replace("\n", "\n    ") for v in column]
 
 
-def _json_table(header, rows) -> str:
-    """``json.dumps([dict(zip(header, row)) for row in rows], indent=2,
-    sort_keys=True, cls=_NumpyEncoder)``, built one column at a time."""
-    if not rows:
-        return "[]"
+def _json_rows(header, rows) -> str:
+    """The objects of ``json.dumps([dict(zip(header, row)) for row in rows],
+    indent=2, sort_keys=True, cls=_NumpyEncoder)``, the text between its
+    brackets' newlines, built one column at a time; ``rows`` is not empty."""
     order = sorted(range(len(header)), key=header.__getitem__)
     columns = list(zip(*rows))
     keys = [json.dumps(header[j]).replace("%", "%%") for j in order]
     row = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
     cells = zip(*(_json_cells(columns[j]) for j in order))
-    return "[\n" + ",\n".join([row % values for values in cells]) + "\n]"
+    return ",\n".join([row % values for values in cells])
+
+
+# Rows formatted per write: a table's text is held one chunk at a time.
+_CHUNK_ROWS = 8192
 
 
 def _emit_table(cfg, out: Path, name: str, header, rows) -> str:
-    """Write rows as CSV (None -> empty cell) or JSON (None -> null)."""
-    if cfg.fmt == "csv":
-        path = out / f"{name}.csv"
-        path.write_text("\n".join([",".join(header), *_csv_lines(rows)]) + "\n")
-        return path.name
-    path = out / f"{name}.json"
-    path.write_text(_json_table(header, rows) + "\n")
+    """Write rows as CSV (None -> empty cell) or JSON (None -> null); returns
+    the file name.
+
+    The rows are formatted and written _CHUNK_ROWS at a time through one
+    open file.  The bytes are those of formatting the whole table at once;
+    each chunk's column formats are chosen from its own values, which gives
+    the same text because every format writes a value as ``_cell`` (CSV)
+    or ``json.dumps`` (JSON) does.
+    """
+    path = out / f"{name}.{cfg.fmt}"
+    chunks = (rows[i : i + _CHUNK_ROWS] for i in range(0, len(rows), _CHUNK_ROWS))
+    with path.open("w") as fh:
+        if cfg.fmt == "csv":
+            fh.write(",".join(header) + "\n")
+            for chunk in chunks:
+                fh.write(_csv_text(chunk))
+        elif not rows:
+            fh.write("[]\n")
+        else:
+            fh.write("[\n")
+            for i, chunk in enumerate(chunks):
+                fh.write((",\n" if i else "") + _json_rows(header, chunk))
+            fh.write("\n]\n")
     return path.name
 
 

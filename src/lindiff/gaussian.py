@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import json
+import warnings
 
 import numpy as np
 
@@ -71,6 +72,8 @@ class DataMoments:
         d = mean.shape[0]
         if cov.shape != (d, d):
             raise ValueError("covariance shape does not match mean")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+            raise ValueError("mean and covariance must be finite")
         if np.max(np.abs(cov - cov.T)) > _ORTHO_TOL * max(1.0, np.max(np.abs(cov))):
             raise ValueError("covariance must be symmetric")
         if np.linalg.eigvalsh(cov).min() < -1e-10:
@@ -170,6 +173,9 @@ def empirical_moments(samples: np.ndarray) -> DataMoments:
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[0] < 2:
         raise ValueError("need at least two samples to estimate moments")
+    bad = samples.size - np.count_nonzero(np.isfinite(samples))
+    if bad:
+        raise ValueError(f"{bad} of {samples.size} sample values are not finite")
     mean = samples.mean(axis=0)
     centered = samples - mean
     cov = centered.T @ centered / (samples.shape[0] - 1)
@@ -198,7 +204,10 @@ def read_samples(path: str) -> np.ndarray:
             meta = json.loads(head.decode("ascii"))
             rows, cols = int(meta["rows"]), int(meta["cols"])
         except (ValueError, KeyError, UnicodeDecodeError):
-            return np.loadtxt(path, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                # an empty file reads as zero samples, which empirical_moments rejects
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                return np.loadtxt(path, delimiter=",", ndmin=2)
         data = np.fromfile(fh, dtype="<f8", count=rows * cols)
         if data.size != rows * cols:
             raise ValueError(f"binary payload truncated in {path}")

@@ -1,12 +1,15 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from lindiff import experiment
 from lindiff.cli import main
 from lindiff.experiment import (
+    _CHUNK_ROWS,
     ConfigError,
     ExperimentConfig,
     _cell,
@@ -15,6 +18,7 @@ from lindiff.experiment import (
     parse_config_text,
     run_experiment,
 )
+from lindiff.gaussian import SpectrumSpec, make_covariance
 from lindiff.sampler import NoiseSchedule
 
 
@@ -236,6 +240,111 @@ class TestJsonWriter:
         assert (tmp_path / "empty.json").read_text() == "[]\n"
 
 
+def _boundary_columns(n: int) -> dict:
+    """n rows of the writer tests' cell kinds; "late-float" holds ints in the
+    first chunk and floats after it, "late-none" a None in the last row only,
+    so that a later chunk picks another column format than the first."""
+    specials = [-0.0, 5e-324, 1e308, float("nan"), float("inf"), -float("inf"), 0.1, 1 / 3, -2.5e-300]
+    return {
+        "int": [k - 3 for k in range(n)],
+        "int64": [np.int64(-(2**62) + k) for k in range(n)],
+        "bool": [k % 2 == 0 for k in range(n)],
+        "float": [specials[k % 9] for k in range(n)],
+        "float64": [np.float64(specials[-1 - k % 9]) for k in range(n)],
+        "none": [None if k % 3 == 0 else specials[k % 9] for k in range(n)],
+        "late-float": [k if k < _CHUNK_ROWS else specials[k % 9] for k in range(n)],
+        "late-none": [None if k == n - 1 else k / 7 for k in range(n)],
+    }
+
+
+_BOUNDARY_SIZES = [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 3]
+
+
+class TestChunkedTables:
+    @pytest.mark.parametrize("n", _BOUNDARY_SIZES)
+    def test_csv_chunk_boundaries_match_cell_by_cell_formatting(self, tmp_path, n):
+        columns = _boundary_columns(n)
+        columns["str"] = ["increasing" if k % 2 else "decreasing" for k in range(n)]
+        header = list(columns)
+        rows = list(zip(*columns.values()))
+        cfg = ExperimentConfig(out_dir=str(tmp_path))
+        assert _emit_table(cfg, tmp_path, "t", header, rows) == "t.csv"
+        want = "\n".join([",".join(header)] + [",".join(map(_cell, row)) for row in rows]) + "\n"
+        assert (tmp_path / "t.csv").read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("n", _BOUNDARY_SIZES)
+    def test_json_chunk_boundaries_match_json_dumps(self, tmp_path, n):
+        texts = ['say "hi"', "back\\slash", "100% sure", "caf\u00e9 \u03c4*", "", "tab\tnew\nline", "%s", "a", "z"]
+        columns = _boundary_columns(n)
+        columns["str"] = [texts[k % 9] for k in range(n)]
+        columns["list"] = [[k, 1 / (k + 1), None] for k in range(n)]
+        columns["%d \"key\" \u00e9"] = [np.float32(k / 7) for k in range(n)]
+        header = list(columns)
+        rows = list(zip(*columns.values()))
+        cfg = ExperimentConfig(out_dir=str(tmp_path), fmt="json")
+        assert _emit_table(cfg, tmp_path, "t", header, rows) == "t.json"
+        payload = [dict(zip(header, row)) for row in rows]
+        want = json.dumps(payload, indent=2, sort_keys=True, cls=_NumpyEncoder) + "\n"
+        assert (tmp_path / "t.json").read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_emission_peaks_below_the_size_of_the_file(self, tmp_path, fmt):
+        values = np.random.default_rng(0).lognormal(size=(100_000, 5)).tolist()
+        rows = [(k, *v) for k, v in enumerate(values)]
+        header = ["mode_index", "lambda_target", "tau", "sigma", "psi", "lambda_gen"]
+        cfg = ExperimentConfig(out_dir=str(tmp_path), fmt=fmt)
+        tracemalloc.start()
+        try:
+            name = _emit_table(cfg, tmp_path, "t", header, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / name).stat().st_size
+        assert peak < size, f"peak {peak} B for a {size} B file"
+
+
+class TestBasisUse:
+    SPEC = SpectrumSpec("log-normal", {"mu": 0.0, "sd": 1.0})
+
+    @staticmethod
+    def _cfg(tmp_path, **overrides) -> ExperimentConfig:
+        return ExperimentConfig(
+            model_kind="log-normal", dim=5, seed=11, tau_points=11, tau_max=10.0, report_sigmas=(1.0,),
+            out_dir=str(tmp_path), **overrides,
+        )
+
+    @pytest.mark.parametrize("stages", [("trajectories", "emergence"), ("trajectories",)], ids=["emergence", "simulate"])
+    def test_spectrum_stages_build_no_basis(self, tmp_path, monkeypatch, stages):
+        def no_basis(*args):
+            raise AssertionError("make_covariance called")
+
+        want = make_covariance(self.SPEC, 5, 11).spectrum
+        monkeypatch.setattr(experiment, "make_covariance", no_basis)
+        run_experiment(self._cfg(tmp_path), stages=frozenset(stages))
+        lines = (tmp_path / "trajectories.csv").read_text().splitlines()[1:]
+        assert [float(line.split(",")[1]) for line in lines[::11]] == want.tolist()  # 11 taus per mode
+
+    @pytest.mark.parametrize(
+        "stages, oracle, reader, position",
+        [(("kl",), False, "_emit_kl", 2), (("trajectories", "emergence"), True, "oracle_deviation", 0)],
+        ids=["kl", "validate-with-oracle"],
+    )
+    def test_basis_stages_read_the_make_covariance_basis(self, tmp_path, monkeypatch, stages, oracle, reader, position):
+        models = []
+        original = getattr(experiment, reader)
+
+        def recording(*args):
+            models.append(args[position])
+            return original(*args)
+
+        monkeypatch.setattr(experiment, reader, recording)
+        run_experiment(self._cfg(tmp_path, validate_with_oracle=oracle), stages=frozenset(stages))
+        want = make_covariance(self.SPEC, 5, 11)
+        (model,) = models
+        assert np.array_equal(model.basis, want.basis)
+        assert np.array_equal(model.spectrum, want.spectrum)
+
+
 class TestCliEntry:
     def test_emergence_subcommand(self, tmp_path):
         rc = main(
@@ -329,6 +438,26 @@ class TestCliEntry:
         assert proc.returncode == 1
         assert proc.stderr.startswith(f"config error: {key}:")
         assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, content",
+        [("emergence", None), ("kl", "1,2\n"), ("emergence", "1,2\n3,nan\n5,6\n"), ("kl", "1,2\n3,inf\n5,6\n"),
+         ("simulate", "")],
+        ids=["missing", "one-sample", "nan", "inf", "empty"],
+    )
+    def test_bad_data_file_exits_1_before_writing(self, tmp_path, command, content):
+        data, out = tmp_path / "x.csv", tmp_path / "o"
+        if content is not None:
+            data.write_text(content)
+        proc = subprocess.run(
+            [sys.executable, "-m", "lindiff.cli", command, "--data", str(data), "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("config error: model.data:")
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1  # no NumPy warning either
         assert not out.exists()
 
     def test_equal_eigenvalues_fail_the_fit_without_lapack_noise(self, tmp_path):

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 
 from lindiff.gaussian import (
     CovarianceModel,
+    DataMoments,
     SpectrumSpec,
     empirical_moments,
     make_covariance,
@@ -100,6 +101,13 @@ class TestEmpiricalMoments:
         with pytest.raises(ValueError):
             empirical_moments(np.ones((1, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected_without_warnings(self, bad, recwarn):
+        samples = np.array([[1.0, 2.0], [3.0, bad], [5.0, 6.0]])
+        with pytest.raises(ValueError, match="1 of 6 sample values are not finite"):
+            empirical_moments(samples)
+        assert not recwarn.list
+
     def test_round_trip_with_sampler(self, model6):
         samples = sample_gaussian(model6, np.zeros(6), 300_000, seed=21)
         mm = empirical_moments(samples)
@@ -143,6 +151,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             CovarianceModel(2, np.eye(2), np.array([0.5, 1.0]))
 
+    def test_non_finite_moments_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            DataMoments(np.zeros(2), np.array([[1.0, np.nan], [np.nan, 1.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            DataMoments(np.array([0.0, np.inf]), np.eye(2))
+
 
 class TestReadSamples:
     def test_csv_roundtrip(self, tmp_path):
@@ -159,6 +173,12 @@ class TestReadSamples:
             fh.write(b'{"rows": 7, "cols": 5}\n')
             fh.write(data.astype("<f8").tobytes())
         assert_allclose(read_samples(str(path)), data)
+
+    def test_empty_csv_reads_as_no_samples_without_warnings(self, tmp_path, recwarn):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        assert read_samples(str(path)).size == 0
+        assert not recwarn.list
 
     def test_truncated_binary_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
