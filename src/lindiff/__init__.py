@@ -81,4 +81,4 @@ from .sampler import (
     phi_two_layer,
     sample_generated,
 )
-from .special import erf, expint_ei
+from .special import expint_ei

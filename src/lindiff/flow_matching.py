@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import erf, expint_ei
+from .special import expint_ei
 
 __all__ = [
     "FlowConfig",
@@ -92,7 +92,7 @@ def fm_generated_variance_ratio(tau: float, lam: float, q: float, eta: float) ->
         return math.exp(2.0 * q) / lam
     ei_term = expint_ei(-x) - expint_ei(-x * lam)
     arg = math.sqrt(x / (lam + 1.0))
-    bracket = erf(arg) + erf(lam * arg)
+    bracket = math.erf(arg) + math.erf(lam * arg)
     pref = math.sqrt(math.pi / (x * (lam + 1.0))) * q * math.exp(-x * lam / (lam + 1.0))
     return math.exp(ei_term + pref * bracket)
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,34 +102,41 @@ class GeneratedDistribution:
                 raise ValueError("fourier variances of a real process must be symmetric")
 
 
-@dataclass(frozen=True)
-class PhiFactor:
+class _PhiFields(NamedTuple):
+    case: str
+    lam: float
+    q: float
+    eta: float
+    tau: float
+    weight_fn: object
+
+
+class PhiFactor(_PhiFields):
     """Which closed-form integrating factor to use, and its parameters.
 
     case: 'one-layer' | 'two-layer' | 'converged' | 'numeric'.  For
-    'numeric', ``weight_fn`` maps sigma to the per-mode weight.
+    'numeric', ``weight_fn`` maps sigma to the per-mode weight.  A tuple,
+    not a frozen dataclass: the sweep builds one per (mode, tau) cell.
     """
 
-    case: str
-    lam: float = 0.0
-    q: float = 0.0
-    eta: float = 1.0
-    tau: float = 0.0
-    weight_fn: object = None
-
+    __slots__ = ()
     _CASES = ("one-layer", "two-layer", "converged", "numeric")
 
-    def __post_init__(self) -> None:
-        if self.case not in self._CASES:
-            raise ValueError(f"unknown Phi case {self.case!r}")
+    def __new__(cls, case: str, lam: float = 0.0, q: float = 0.0, eta: float = 1.0, tau: float = 0.0, weight_fn=None):
+        if case not in cls._CASES:
+            raise ValueError(f"unknown Phi case {case!r}")
+        return tuple.__new__(cls, (case, lam, q, eta, tau, weight_fn))
 
 
-def phi_one_layer(sigma: float, tau: float, lam: float, q: float, eta: float) -> float:
+def phi_one_layer(sigma: float, tau: float, lam: float, q: float, eta: float, ei_memo: dict | None = None) -> float:
     """Integrating factor along one mode of the one-layer trajectory.
 
     Phi = sqrt(lam + sigma^2) * exp[(1-Q)/2 * Ei(-2 eta tau sigma^2)
           * e^(-2 eta tau lam) - 1/2 * Ei(-2 eta tau (sigma^2 + lam))].
-    At tau = 0 returns the regularized limit sigma^(1-Q).
+    At tau = 0 returns the regularized limit sigma^(1-Q).  The first Ei
+    term does not depend on lam: a caller that evaluates many modes at
+    the same (tau, sigma) passes a dict it owns as ``ei_memo``, which keeps
+    that term by its argument.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -137,7 +145,11 @@ def phi_one_layer(sigma: float, tau: float, lam: float, q: float, eta: float) ->
     if tau == 0.0:
         return sigma ** (1.0 - q)
     x_noise = 2.0 * eta * tau * sigma**2
-    expo = 0.5 * (1.0 - q) * expint_ei(-x_noise) * math.exp(-2.0 * eta * tau * lam) - 0.5 * expint_ei(
+    if ei_memo is None:
+        ei_noise = expint_ei(-x_noise)
+    elif (ei_noise := ei_memo.get(x_noise)) is None:
+        ei_noise = ei_memo[x_noise] = expint_ei(-x_noise)
+    expo = 0.5 * (1.0 - q) * ei_noise * math.exp(-2.0 * eta * tau * lam) - 0.5 * expint_ei(
         -(x_noise + 2.0 * eta * tau * lam)
     )
     return math.sqrt(lam + sigma**2) * math.exp(expo)
@@ -170,11 +182,12 @@ def phi_value(phi: PhiFactor, sigma: float) -> float:
     raise ValueError("numeric PhiFactor has no closed-form value")
 
 
-def generated_variance(phi: PhiFactor, schedule: NoiseSchedule) -> float:
+def generated_variance(phi: PhiFactor, schedule: NoiseSchedule, ei_memo: dict | None = None) -> float:
     """Generated mode variance sigma_T^2 Phi^2(sigma_min) / Phi^2(sigma_max).
 
     The Ei-based one-layer case dispatches to its closed asymptotic forms
-    at the extremes of training time (see module docstring thresholds).
+    at the extremes of training time (see module docstring thresholds),
+    and passes ``ei_memo`` on to ``phi_one_layer``.
     """
     s0, s_t = schedule.sigma_min, schedule.sigma_max
     if phi.case == "one-layer":
@@ -183,7 +196,7 @@ def generated_variance(phi: PhiFactor, schedule: NoiseSchedule) -> float:
             return s_t**2 * (s0 / s_t) ** (2.0 * (1.0 - q))
         if 2.0 * eta * tau * s0**2 > _LATE_THRESHOLD:
             return s_t**2 * (lam + s0**2) / (lam + s_t**2)
-        ratio = phi_one_layer(s0, tau, lam, q, eta) / phi_one_layer(s_t, tau, lam, q, eta)
+        ratio = phi_one_layer(s0, tau, lam, q, eta, ei_memo) / phi_one_layer(s_t, tau, lam, q, eta, ei_memo)
         return s_t**2 * ratio**2
     if phi.case == "two-layer":
         ratio = phi_value(phi, s0) / phi_value(phi, s_t)

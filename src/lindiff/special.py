@@ -1,9 +1,9 @@
-"""Exponential integral Ei and error function erf at double precision.
+"""Exponential integral Ei at double precision.
 
 The closed-form sampling trajectories need Ei on the negative real axis
-(arguments of the form -2*eta*tau*sigma^2) and erf for the flow-matching
-variance integral.  Target accuracy is a combined absolute/relative
-tolerance of 1e-12, which is what the downstream formulas require.
+(arguments of the form -2*eta*tau*sigma^2).  Target accuracy is a
+combined absolute/relative tolerance of 1e-12, which is what the
+downstream formulas require.
 
 Ei is evaluated by the standard three-regime split:
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["expint_ei", "erf", "EULER_GAMMA"]
+__all__ = ["expint_ei", "EULER_GAMMA"]
 
 EULER_GAMMA = 0.57721566490153286060651209008240243
 
@@ -113,12 +113,3 @@ def expint_ei(x: float) -> float:
     if x > 716.0:
         return math.inf  # e^x/x overflows double precision
     return _ei_asymptotic(x)
-
-
-def erf(x: float) -> float:
-    """Error function; odd, saturates at +-1.
-
-    Delegates to the C library implementation exposed by ``math.erf``,
-    which is accurate to well under the 1e-12 contract everywhere.
-    """
-    return math.erf(x)

@@ -8,6 +8,7 @@ at the repository root.
 
 import json
 import math
+from math import erf  # the erf that flow_matching calls
 import time
 
 import mpmath as mp
@@ -32,7 +33,7 @@ from lindiff.integrate import rk4_path
 from lindiff.metrics import denoiser_error, kl_shared_basis, score_error
 from lindiff.oracle import gradient_flow_full, loss_gradients, mc_dsm_loss, variant_moments
 from lindiff.sampler import NoiseSchedule, PhiFactor, generated_variance, pf_mode_scaling
-from lindiff.special import erf, expint_ei
+from lindiff.special import expint_ei
 
 
 def report(number: str, passed: bool, detail: str) -> None:

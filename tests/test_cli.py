@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lindiff import experiment
+from lindiff import experiment, sampler
 from lindiff.cli import main
 from lindiff.experiment import (
     _CHUNK_ROWS,
@@ -20,6 +20,7 @@ from lindiff.experiment import (
 )
 from lindiff.gaussian import SpectrumSpec, make_covariance
 from lindiff.sampler import NoiseSchedule
+from lindiff.special import expint_ei
 
 
 class TestConfigParsing:
@@ -123,6 +124,26 @@ class TestRunExperiment:
         m1.pop("wall_clock_s"), m2.pop("wall_clock_s")
         assert m1 == m2
 
+    def test_each_run_computes_the_lambda_free_ei_terms_again(self, tmp_path, monkeypatch):
+        # Every cell takes the Ei branch: 2 eta tau sigma_max^2 >= 128 and
+        # 2 eta tau sigma_min^2 <= 8e-4.  Each cell makes two lambda-dependent
+        # Ei calls; each (tau, sigma) one lambda-free call, in each run.
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return expint_ei(x)
+
+        monkeypatch.setattr(sampler, "expint_ei", counted)
+        dim, taus = 6, (1e-2, 1.0, 100.0)
+        tables = []
+        for run in ("a", "b"):
+            calls.clear()
+            run_experiment(ExperimentConfig(dim=dim, tau_override=taus, out_dir=str(tmp_path / run)))
+            assert len(calls) == 2 * dim * len(taus) + 2 * len(taus)
+            tables.append({name: (tmp_path / run / name).read_bytes() for name in ("trajectories.csv", "emergence.csv")})
+        assert tables[0] == tables[1]
+
     def test_validate_with_oracle_records_deviation(self, tmp_path):
         cfg = ExperimentConfig(
             dim=4, out_dir=str(tmp_path), tau_points=11, tau_max=10.0,
@@ -209,6 +230,24 @@ class TestCsvWriter:
         assert _emit_table(cfg, tmp_path, "empty", header, []) == "empty.csv"
         assert (tmp_path / "empty.csv").read_text() == ",".join(header) + "\n"
 
+    def test_repeated_floats_keep_their_own_text(self, tmp_path):
+        rows = [(v,) for v in _repeated_floats(_CHUNK_ROWS + 5)]
+        cfg = ExperimentConfig(out_dir=str(tmp_path))
+        _emit_table(cfg, tmp_path, "t", ["x"], rows)
+        want = "\n".join(["x"] + [_cell(v) for (v,) in rows]) + "\n"
+        assert (tmp_path / "t.csv").read_bytes() == want.encode()
+        assert (tmp_path / "t.csv").read_text().splitlines()[1 + _CHUNK_ROWS : 3 + _CHUNK_ROWS] == ["-0", "0"]
+
+
+def _repeated_floats(n: int) -> list:
+    """A float column of repeated values: both zeros in both orders, two NaN
+    objects, and equal float and np.float64 values; the chunk after the
+    first starts with -0.0 so that each chunk meets the zeros in its own order."""
+    values = [0.0, -0.0, -0.0, 0.0, 1 / 3, np.float64(1 / 3), float("nan"), float("nan"), 2.5, 2.5, np.float64(0.0)]
+    column = [values[k % len(values)] for k in range(n)]
+    column[_CHUNK_ROWS : _CHUNK_ROWS + 2] = [-0.0, 0.0]
+    return column
+
 
 class TestJsonWriter:
     def test_rows_match_json_dumps_byte_for_byte(self, tmp_path):
@@ -238,6 +277,13 @@ class TestJsonWriter:
         assert first["bool"] is True and first["none"] is None and first["str"] == 'say "hi"'
         assert _emit_table(cfg, tmp_path, "empty", header, []) == "empty.json"
         assert (tmp_path / "empty.json").read_text() == "[]\n"
+
+    def test_repeated_floats_keep_their_own_text(self, tmp_path):
+        rows = [(v,) for v in _repeated_floats(_CHUNK_ROWS + 5)]
+        cfg = ExperimentConfig(out_dir=str(tmp_path), fmt="json")
+        _emit_table(cfg, tmp_path, "t", ["x"], rows)
+        want = json.dumps([{"x": v} for (v,) in rows], indent=2, sort_keys=True, cls=_NumpyEncoder) + "\n"
+        assert (tmp_path / "t.json").read_bytes() == want.encode()
 
 
 def _boundary_columns(n: int) -> dict:

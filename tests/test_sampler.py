@@ -54,6 +54,13 @@ class TestPhiOneLayer:
         with pytest.raises(ValueError):
             phi_one_layer(1.0, -1.0, 1.0, 0.1, 1.0)
 
+    def test_ei_memo_keeps_the_lambda_free_term_bit_for_bit(self):
+        memo = {}
+        for lam in (1e-3, 0.5, 7.0):
+            for sigma in (0.002, 80.0):
+                assert phi_one_layer(sigma, 2.0, lam, 0.1, 1.0, memo) == phi_one_layer(sigma, 2.0, lam, 0.1, 1.0)
+        assert len(memo) == 2  # one entry per (tau, sigma)
+
     def test_positive_everywhere(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -111,6 +118,12 @@ class TestGeneratedVariance:
         v_late = generated_variance(PhiFactor("one-layer", lam=lam, q=q, eta=1.0, tau=tau_late), SCHED)
         v_inf = SCHED.sigma_max**2 * (lam + SCHED.sigma_min**2) / (lam + SCHED.sigma_max**2)
         assert abs(v_late - v_inf) / v_inf < 1e-6
+
+    def test_unknown_case_rejected(self):
+        with pytest.raises(ValueError, match="unknown Phi case 'full-width-conv'"):
+            PhiFactor("full-width-conv", lam=1.0)
+        phi = PhiFactor("one-layer", 2.0, tau=3.0)
+        assert (phi.case, phi.lam, phi.q, phi.eta, phi.tau, phi.weight_fn) == ("one-layer", 2.0, 0.0, 1.0, 3.0, None)
 
     def test_converged_case_arithmetic(self):
         # lam = sigma_T^2 and sigma_0 -> 0 gives lam / 2
