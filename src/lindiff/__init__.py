@@ -13,25 +13,19 @@ from .analysis import (
     GrayZone,
     InsufficientDataError,
     PowerLawFit,
-    alignment_score,
     emergence_time,
     power_law_fit,
 )
 from .convolution import (
-    CirculantDenoiser,
-    FourierModeSet,
     PatchCovariance,
     circulant_matrix,
     dft_mode_variance,
-    filter_to_gammas,
     patch_covariance,
     patch_filter_trajectory,
 )
 from .dynamics import (
-    DiscreteGD,
     DynamicsConfig,
     LossVariant,
-    OneLayer,
     Residual,
     convergence_rate,
     deep_linear_mode,
@@ -45,7 +39,6 @@ from .dynamics import (
     two_layer_psi,
 )
 from .flow_matching import (
-    FlowConfig,
     fm_generated_variance_ratio,
     fm_one_layer_weight,
     fm_sampling_converged,
@@ -70,7 +63,6 @@ from .oracle import (
     mc_dsm_loss,
 )
 from .sampler import (
-    GeneratedDistribution,
     NoiseSchedule,
     PhiFactor,
     generated_variance,
@@ -79,6 +71,5 @@ from .sampler import (
     pf_ode_numeric,
     phi_one_layer,
     phi_two_layer,
-    sample_generated,
 )
 from .special import expint_ei

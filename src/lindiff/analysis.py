@@ -21,7 +21,6 @@ __all__ = [
     "InsufficientDataError",
     "emergence_time",
     "power_law_fit",
-    "alignment_score",
 ]
 
 
@@ -145,16 +144,3 @@ def _ols_loglog(lam, tau, branch: str) -> PowerLawFit:
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid**2)) / ss_tot
     return PowerLawFit(-float(slope), float(intercept), r2, len(x), branch)
-
-
-def alignment_score(sigma_sample: np.ndarray, basis: np.ndarray) -> float:
-    """How diagonal the sample covariance is in the given frame.
-
-    chi = sum of squared diagonal entries of U^T S U over the sum of all
-    squared entries; 1 exactly when U diagonalizes S.
-    """
-    rotated = np.asarray(basis, float).T @ np.asarray(sigma_sample, float) @ basis
-    total = float(np.sum(rotated**2))
-    if total == 0.0:
-        raise ValueError("alignment score undefined for the zero matrix")
-    return float(np.sum(np.diagonal(rotated) ** 2) / total)

@@ -1,10 +1,9 @@
 """Command-line entry point.
 
-Subcommands: simulate (weight trajectories), sample (generated
-distributions over tau), emergence (first-passage times + power-law
-fits; the full pipeline), kl (per-mode KL over tau), validate (oracle
-cross-checks).  Exit codes: 0 success, 1 validation/tolerance failure,
-2 usage error.
+Subcommands: simulate (weight trajectories and generated variances over
+tau), emergence (first-passage times + power-law fits; the full
+pipeline), kl (per-mode KL over tau), validate (oracle cross-checks).
+Exit codes: 0 success, 1 validation/tolerance failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from .validation import run_suite
 
 _STAGES = {
     "simulate": frozenset({"trajectories"}),
-    "sample": frozenset({"trajectories"}),
     "emergence": frozenset({"trajectories", "emergence"}),
     "kl": frozenset({"kl"}),
 }
@@ -43,8 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, help_text in (
-        ("simulate", "closed-form weight trajectories"),
-        ("sample", "generated distribution over training time"),
+        ("simulate", "closed-form weight trajectories and generated variances"),
         ("emergence", "emergence times and power-law fits (full pipeline)"),
         ("kl", "per-mode KL divergence over training time"),
     ):
@@ -52,8 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p)
         p.add_argument("--data", type=str, default=None, help="CSV or binary sample matrix")
         p.add_argument("--arch", choices=["one-layer", "two-layer"], default=None)
-        if name == "sample":
-            p.add_argument("--tau", type=float, default=None, help="single training time")
         if name == "emergence":
             p.add_argument(
                 "--validate-with-oracle",
@@ -88,8 +83,6 @@ def _flat_config(args) -> dict[str, str]:
         flat["model.data"] = args.data
     if getattr(args, "arch", None):
         flat["arch.kind"] = args.arch
-    if getattr(args, "tau", None) is not None:
-        flat["dynamics.tau"] = str(args.tau)
     if getattr(args, "validate_with_oracle", False):
         flat["run.validate_with_oracle"] = "true"
     return flat

@@ -18,70 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "CirculantDenoiser",
-    "FourierModeSet",
     "PatchCovariance",
     "dft_mode_variance",
     "patch_covariance",
     "patch_filter_trajectory",
-    "filter_to_gammas",
     "circulant_matrix",
 ]
-
-
-@dataclass(frozen=True)
-class CirculantDenoiser:
-    """Filter of half-width r on a length-N circle; taps ordered -r..r."""
-
-    signal_len: int
-    half_width: int
-    filter: np.ndarray  # (2r+1,)
-    noise_scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        taps = np.asarray(self.filter, dtype=float)
-        object.__setattr__(self, "filter", taps)
-        k = 2 * self.half_width + 1
-        if self.half_width < 0:
-            raise ValueError("half_width must be >= 0")
-        if taps.shape != (k,):
-            raise ValueError(f"filter must have odd length {k} (= 2r+1)")
-        if k > self.signal_len:
-            raise ValueError("filter cannot be wider than the signal")
-        if self.noise_scale <= 0:
-            raise ValueError("noise scale must be positive")
-
-    @property
-    def width(self) -> int:
-        return 2 * self.half_width + 1
-
-    def offsets(self) -> np.ndarray:
-        return np.arange(-self.half_width, self.half_width + 1)
-
-    def dense(self) -> np.ndarray:
-        return circulant_matrix(self.filter, self.offsets(), self.signal_len)
-
-
-@dataclass(frozen=True)
-class FourierModeSet:
-    """Fourier multipliers of a real filter, optionally with the data's
-    per-mode variances alongside."""
-
-    gammas: np.ndarray  # (N,) complex
-    mode_vars: np.ndarray | None = None  # (N,) nonnegative
-
-    def __post_init__(self) -> None:
-        g = np.asarray(self.gammas, dtype=complex)
-        object.__setattr__(self, "gammas", g)
-        n = g.shape[0]
-        rolled = np.conj(g[(-np.arange(n)) % n])
-        if np.max(np.abs(g - rolled)) > 1e-9 * max(1.0, np.max(np.abs(g))):
-            raise ValueError("gammas of a real filter must be conjugate-symmetric")
-        if self.mode_vars is not None:
-            mv = np.asarray(self.mode_vars, dtype=float)
-            object.__setattr__(self, "mode_vars", mv)
-            if np.any(mv < -1e-12):
-                raise ValueError("mode variances must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -170,16 +112,3 @@ def patch_filter_trajectory(pc: PatchCovariance, sigma, eta, n, w0, tau_grid):
     decay = np.exp(-2.0 * n * eta * tau_grid[:, None] * evals[None, :])
     path = w_star[None, :] + (decay * coeff[None, :]) @ evecs.T
     return path, w_star
-
-
-def filter_to_gammas(cd: CirculantDenoiser) -> FourierModeSet:
-    """Fourier multipliers gamma_l = sum_k e^{-2 pi i k l / N} w_k.
-
-    Only the 2r+1 stored taps contribute; the inverse transform recovers
-    the filter exactly when the width equals the signal length.
-    """
-    n = cd.signal_len
-    embedded = np.zeros(n)
-    for o, t in zip(cd.offsets(), cd.filter):
-        embedded[o % n] += t
-    return FourierModeSet(np.fft.fft(embedded))

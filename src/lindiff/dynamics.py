@@ -33,9 +33,7 @@ from .integrate import rk4_path
 
 __all__ = [
     "LossVariant",
-    "OneLayer",
     "Residual",
-    "DiscreteGD",
     "DynamicsConfig",
     "MeanCovCoupling",
     "MeanCovSolution",
@@ -126,11 +124,6 @@ def convergence_rate(variant: LossVariant, lam: float, s: float) -> float:
 
 
 @dataclass(frozen=True)
-class OneLayer:
-    pass
-
-
-@dataclass(frozen=True)
 class Residual:
     """Skip connection W = c_skip I + c_out W' around a trained layer W'."""
 
@@ -150,15 +143,6 @@ class Residual:
 
 
 @dataclass(frozen=True)
-class DiscreteGD:
-    step: float
-
-    def __post_init__(self) -> None:
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-
-
-@dataclass(frozen=True)
 class DynamicsConfig:
     """Everything a trajectory needs besides the data model."""
 
@@ -166,7 +150,6 @@ class DynamicsConfig:
     tau_grid: np.ndarray
     init_q: np.ndarray  # aligned initialization u_k^T W(0) u_k, one per mode
     sigma: float | np.ndarray
-    architecture: OneLayer | DiscreteGD = OneLayer()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tau_grid", np.atleast_1d(np.asarray(self.tau_grid, float)))
@@ -259,8 +242,6 @@ def mean_coupled_trajectory(
     and M X* = R.  The fixed point reproduces W* = Sigma (Sigma+sigma^2 I)^-1
     and b* = (I - W*) mu.
     """
-    if not isinstance(cfg.architecture, OneLayer):
-        raise ValueError("mean-coupled dynamics are defined for the one-layer case")
     if cfg.sigma.size != 1:
         raise ValueError("one sigma at a time for the coupled solve")
     sigma = float(cfg.sigma[0])
@@ -373,27 +354,23 @@ class DiscreteGDResult:
 
 
 def discrete_gd_trajectory(
-    cfg: DynamicsConfig, model: CovarianceModel, steps: int, b0: float | None = None
+    model: CovarianceModel, sigma: float, q, step: float, steps: int, b0: float | None = None
 ) -> DiscreteGDResult:
-    """Geometric iteration psi_t = w* + (Q - w*) (1 - 2 eta (sigma^2+lambda))^t.
+    """Geometric iteration psi_t = w* + (Q - w*) (1 - 2 step (sigma^2+lambda))^t.
 
-    Divergence (|factor| >= 1) is reported in the result, never raised:
-    the stability boundary is itself a quantity of interest.
+    ``q`` is the aligned initialization u_k^T W(0) u_k, a scalar or one
+    per mode.  Divergence (|factor| >= 1) is reported in the result, never
+    raised: the stability boundary is itself a quantity of interest.
     """
-    arch = cfg.architecture
-    if not isinstance(arch, DiscreteGD):
-        raise ValueError("config architecture must be DiscreteGD")
-    if cfg.sigma.size != 1:
-        raise ValueError("one sigma at a time for the discrete iteration")
-    sigma = float(cfg.sigma[0])
-    eta = arch.step
+    if step <= 0:
+        raise ValueError("step must be positive")
     lam = model.spectrum
-    q = np.broadcast_to(cfg.init_q, lam.shape)
+    q = np.broadcast_to(np.asarray(q, float), lam.shape)
     w_star = lam / (lam + sigma**2)
-    factor = 1.0 - 2.0 * eta * (sigma**2 + lam)
+    factor = 1.0 - 2.0 * step * (sigma**2 + lam)
     t = np.arange(steps + 1)
     iterates = w_star[:, None] + (q - w_star)[:, None] * factor[:, None] ** t[None, :]
-    bias = None if b0 is None else b0 * (1.0 - 2.0 * eta) ** t
+    bias = None if b0 is None else b0 * (1.0 - 2.0 * step) ** t
     return DiscreteGDResult(iterates, np.abs(factor) >= 1.0, factor, bias)
 
 

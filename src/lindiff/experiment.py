@@ -218,8 +218,6 @@ _KEYS = {
     "report.sigmas": ("report_sigmas", _floats),
     "schedule.sigma_min": ("sigma_min", _float),
     "schedule.sigma_max": ("sigma_max", _float),
-    "schedule.rho": ("rho", _float),
-    "schedule.steps": ("num_steps", int),
     "analysis.criterion": ("criterion", _choice("geometric", "harmonic")),
     "analysis.gray_zone.lower": ("gray_lower", _float),
     "analysis.gray_zone.upper": ("gray_upper", _float),
@@ -228,6 +226,11 @@ _KEYS = {
     "run.format": ("fmt", _choice("csv", "json")),
     "run.validate_with_oracle": ("validate_with_oracle", _bool),
 }
+
+
+# The ``model.*`` keys that draw each model.kind's spectrum.  Apart from
+# ``data``, each is also a SpectrumSpec parameter and an ExperimentConfig field.
+_SPECTRUM_KEYS = {"log-spaced": ("lo", "hi"), "log-normal": ("mu", "sd"), "explicit": ("values",), "data": ("data",)}
 
 
 def _load_spectrum(cfg: ExperimentConfig, need_basis: bool) -> tuple[np.ndarray, CovarianceModel | None]:
@@ -241,12 +244,8 @@ def _load_spectrum(cfg: ExperimentConfig, need_basis: bool) -> tuple[np.ndarray,
         except (OSError, ValueError) as exc:
             raise ConfigError(f"model.data: {exc}") from exc
         return model.spectrum, model
-    params = {
-        "log-spaced": {"lo": cfg.lo, "hi": cfg.hi},
-        "log-normal": {"mu": cfg.mu, "sd": cfg.sd},
-        "explicit": {"values": cfg.values},
-    }
-    spec = SpectrumSpec(cfg.model_kind, params[cfg.model_kind], cfg.normalize)
+    params = {key: getattr(cfg, key) for key in _SPECTRUM_KEYS[cfg.model_kind]}
+    spec = SpectrumSpec(cfg.model_kind, params, cfg.normalize)
     if need_basis:
         model = make_covariance(spec, cfg.dim, cfg.seed)
         return model.spectrum, model
@@ -301,6 +300,9 @@ def run_experiment(cfg: ExperimentConfig, stages: frozenset = frozenset({"trajec
         raise ConfigError(f"{key}: emergence extraction needs >= 2 tau points")
     # kl and the oracle check read the eigenbasis; the other stages only the spectrum
     lam, model = _load_spectrum(cfg, need_basis="kl" in stages or cfg.validate_with_oracle)
+    if "kl" in stages and lam.min() <= 0:  # each mode's KL divides by its eigenvalue; the fit drops zeros
+        keys = "/".join(f"model.{key}" for key in _SPECTRUM_KEYS[cfg.model_kind])
+        raise ConfigError(f"{keys}: kl needs positive eigenvalues, {np.count_nonzero(lam <= 0)} of {lam.size} are zero")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     s0, s_t = cfg.schedule.sigma_min, cfg.schedule.sigma_max

@@ -19,7 +19,6 @@ import numpy as np
 from .special import expint_ei
 
 __all__ = [
-    "FlowConfig",
     "FmTwoLayerState",
     "fm_one_layer_weight",
     "fm_sampling_converged",
@@ -31,25 +30,6 @@ __all__ = [
 # by its small-argument limit (the tau^-1/2 prefactor times erf ~ tau^1/2
 # is finite; the series avoids 0 * inf at tau -> 0).
 _SERIES_CROSSOVER = 1e-8
-
-
-@dataclass(frozen=True)
-class FlowConfig:
-    """Grids for flow-matching sweeps; t strictly inside (0, 1)."""
-
-    t_grid: np.ndarray
-    eta: float
-    init_q: np.ndarray
-    tau_grid: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "t_grid", np.atleast_1d(np.asarray(self.t_grid, float)))
-        object.__setattr__(self, "init_q", np.atleast_1d(np.asarray(self.init_q, float)))
-        object.__setattr__(self, "tau_grid", np.atleast_1d(np.asarray(self.tau_grid, float)))
-        if np.any(self.t_grid <= 0) or np.any(self.t_grid >= 1):
-            raise ValueError("t grid must lie strictly inside (0, 1)")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
 
 
 def fm_one_layer_weight(tau, t, lam, q, eta):

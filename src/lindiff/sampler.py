@@ -28,13 +28,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gaussian import CovarianceModel
 from .integrate import IntegrationError
 from .special import expint_ei
 
 __all__ = [
     "NoiseSchedule",
-    "GeneratedDistribution",
     "PhiFactor",
     "phi_one_layer",
     "phi_two_layer",
@@ -43,7 +41,6 @@ __all__ = [
     "pf_ode_numeric",
     "pf_mode_scaling",
     "mean_transport",
-    "sample_generated",
     "IntegrationError",
 ]
 
@@ -56,7 +53,11 @@ _LATE_THRESHOLD = 50.0  # on 2 eta tau sigma_min^2
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """EDM rho-power schedule from sigma_max down to sigma_min."""
+    """EDM rho-power schedule from sigma_max down to sigma_min.
+
+    The closed forms read only the endpoints; ``rho`` and ``num_steps``
+    shape the Heun grid (``grid``).  The CLI sets the endpoints only.
+    """
 
     sigma_min: float = 0.002
     sigma_max: float = 80.0
@@ -78,54 +79,28 @@ class NoiseSchedule:
         return (self.sigma_max**inv + i * (self.sigma_min**inv - self.sigma_max**inv)) ** self.rho
 
 
-@dataclass(frozen=True)
-class GeneratedDistribution:
-    """Per-mode description of the PF-ODE output distribution."""
-
-    basis_tag: str  # 'eigen' or 'fourier'
-    mode_variances: np.ndarray
-    mean_modes: np.ndarray
-
-    def __post_init__(self) -> None:
-        mv = np.asarray(self.mode_variances, dtype=float)
-        mm = np.asarray(self.mean_modes, dtype=float)
-        object.__setattr__(self, "mode_variances", mv)
-        object.__setattr__(self, "mean_modes", mm)
-        if self.basis_tag not in ("eigen", "fourier"):
-            raise ValueError("basis_tag must be 'eigen' or 'fourier'")
-        if np.any(mv < 0):
-            raise ValueError("mode variances must be nonnegative")
-        if self.basis_tag == "fourier":
-            n = mv.shape[0]
-            mirrored = mv[(-np.arange(n)) % n]
-            if np.max(np.abs(mv - mirrored)) > 1e-9 * max(1.0, mv.max()):
-                raise ValueError("fourier variances of a real process must be symmetric")
-
-
 class _PhiFields(NamedTuple):
     case: str
     lam: float
     q: float
     eta: float
     tau: float
-    weight_fn: object
 
 
 class PhiFactor(_PhiFields):
     """Which closed-form integrating factor to use, and its parameters.
 
-    case: 'one-layer' | 'two-layer' | 'converged' | 'numeric'.  For
-    'numeric', ``weight_fn`` maps sigma to the per-mode weight.  A tuple,
-    not a frozen dataclass: the sweep builds one per (mode, tau) cell.
+    case: 'one-layer' | 'two-layer' | 'converged'.  A tuple, not a frozen
+    dataclass: the sweep builds one per (mode, tau) cell.
     """
 
     __slots__ = ()
-    _CASES = ("one-layer", "two-layer", "converged", "numeric")
+    _CASES = ("one-layer", "two-layer", "converged")
 
-    def __new__(cls, case: str, lam: float = 0.0, q: float = 0.0, eta: float = 1.0, tau: float = 0.0, weight_fn=None):
+    def __new__(cls, case: str, lam: float = 0.0, q: float = 0.0, eta: float = 1.0, tau: float = 0.0):
         if case not in cls._CASES:
             raise ValueError(f"unknown Phi case {case!r}")
-        return tuple.__new__(cls, (case, lam, q, eta, tau, weight_fn))
+        return tuple.__new__(cls, (case, lam, q, eta, tau))
 
 
 def phi_one_layer(sigma: float, tau: float, lam: float, q: float, eta: float, ei_memo: dict | None = None) -> float:
@@ -172,14 +147,12 @@ def phi_two_layer(sigma: float, tau: float, lam: float, q: float, eta: float) ->
 
 
 def phi_value(phi: PhiFactor, sigma: float) -> float:
-    """Evaluate a closed-form PhiFactor at one noise scale."""
+    """Evaluate a PhiFactor at one noise scale."""
     if phi.case == "one-layer":
         return phi_one_layer(sigma, phi.tau, phi.lam, phi.q, phi.eta)
     if phi.case == "two-layer":
         return phi_two_layer(sigma, phi.tau, phi.lam, phi.q, phi.eta)
-    if phi.case == "converged":
-        return math.sqrt(phi.lam + sigma**2)
-    raise ValueError("numeric PhiFactor has no closed-form value")
+    return math.sqrt(phi.lam + sigma**2)  # converged
 
 
 def generated_variance(phi: PhiFactor, schedule: NoiseSchedule, ei_memo: dict | None = None) -> float:
@@ -201,15 +174,10 @@ def generated_variance(phi: PhiFactor, schedule: NoiseSchedule, ei_memo: dict | 
     if phi.case == "two-layer":
         ratio = phi_value(phi, s0) / phi_value(phi, s_t)
         return s_t**2 * ratio**2
-    if phi.case == "converged":
-        return s_t**2 * (phi.lam + s0**2) / (phi.lam + s_t**2)
-    if phi.case == "numeric":
-        scale = pf_mode_scaling(phi.weight_fn, schedule)
-        return float(s_t**2 * np.asarray(scale).reshape(-1)[0] ** 2)
-    raise ValueError(f"unknown Phi case {phi.case!r}")
+    return s_t**2 * (phi.lam + s0**2) / (phi.lam + s_t**2)  # converged
 
 
-def pf_mode_scaling(weight_fn, schedule: NoiseSchedule) -> np.ndarray:
+def pf_mode_scaling(psi_fn, schedule: NoiseSchedule) -> np.ndarray:
     """Per-mode amplification c(sigma_min)/c(sigma_max) of the unbiased PF-ODE.
 
     Heun's trapezoidal step applied to the exactly linear log-amplitude
@@ -221,7 +189,7 @@ def pf_mode_scaling(weight_fn, schedule: NoiseSchedule) -> np.ndarray:
     u = np.log(grid)
     rows = []
     for s in grid:
-        psi = np.atleast_1d(np.asarray(weight_fn(s), dtype=float))
+        psi = np.atleast_1d(np.asarray(psi_fn(s), dtype=float))
         if not np.all(np.isfinite(psi)):
             raise IntegrationError(f"non-finite weight evaluation at sigma={s}")
         rows.append(1.0 - psi)
@@ -230,10 +198,10 @@ def pf_mode_scaling(weight_fn, schedule: NoiseSchedule) -> np.ndarray:
     return np.exp(log_amp)
 
 
-def pf_ode_numeric(weight_fn, bias_fn, schedule: NoiseSchedule, x_start: np.ndarray) -> np.ndarray:
+def pf_ode_numeric(psi_fn, bias_fn, schedule: NoiseSchedule, x_start: np.ndarray) -> np.ndarray:
     """Heun (2nd order) integration of the per-mode PF-ODE on the schedule.
 
-    ``weight_fn(sigma)`` returns the per-mode weights psi(sigma) and
+    ``psi_fn(sigma)`` returns the per-mode weights psi(sigma) and
     ``bias_fn(sigma)`` the per-mode biases (or None for unbiased);
     ``x_start`` holds the mode coordinates at sigma_max.  Returns the
     coordinates at sigma_min.
@@ -242,7 +210,7 @@ def pf_ode_numeric(weight_fn, bias_fn, schedule: NoiseSchedule, x_start: np.ndar
     grid = schedule.grid()
 
     def drift(xv, s):
-        psi = np.asarray(weight_fn(s), dtype=float)
+        psi = np.asarray(psi_fn(s), dtype=float)
         if not np.all(np.isfinite(psi)):
             raise IntegrationError(f"non-finite weight evaluation at sigma={s}")
         b = np.asarray(bias_fn(s), dtype=float) if bias_fn is not None else 0.0
@@ -299,33 +267,3 @@ def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
     return _simpson_rec(f, a, m, fa, flm, fm, left, half, depth - 1) + _simpson_rec(
         f, m, b, fm, frm, fb, right, half, depth - 1
     )
-
-
-def sample_generated(
-    dist: GeneratedDistribution, model: CovarianceModel | None, n: int, seed: int
-) -> np.ndarray:
-    """Materialize N(mean, Cov) samples of a generated distribution.
-
-    'eigen' uses the model basis; 'fourier' realizes the stationary
-    process with circulant covariance F diag(var) F*.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    var = dist.mode_variances
-    d = var.shape[0]
-    if dist.basis_tag == "eigen":
-        if model is None or model.dim != d:
-            raise ValueError("eigen-basis sampling needs a matching CovarianceModel")
-        z = rng.standard_normal((n, d))
-        modes = dist.mean_modes + z * np.sqrt(var)
-        return modes @ model.basis.T
-    # circulant covariance: first row is ifft of the variances
-    j, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    f = np.exp(-2j * np.pi * j * k / d) / np.sqrt(d)
-    cov = (f * var) @ f.conj().T
-    cov = 0.5 * (cov.real + cov.real.T)
-    evals, evecs = np.linalg.eigh(cov)
-    root = evecs * np.sqrt(np.clip(evals, 0.0, None))
-    mean = (f @ dist.mean_modes).real
-    return mean + rng.standard_normal((n, d)) @ root.T

@@ -12,7 +12,7 @@ from functools import partial
 import numpy as np
 
 from .convolution import circulant_matrix, patch_covariance, patch_filter_trajectory
-from .dynamics import DynamicsConfig, LossVariant, OneLayer, mean_coupled_trajectory
+from .dynamics import DynamicsConfig, LossVariant, mean_coupled_trajectory
 from .experiment import oracle_deviation
 from .gaussian import DataMoments, SpectrumSpec, make_covariance
 from .oracle import gradient_flow_full, loss_gradients, variant_moments
@@ -49,7 +49,7 @@ def suite_mean_cov() -> SuiteResult:
     taus = np.geomspace(1e-2, 8.0, 10)
     worst = 0.0
     for sigma in (0.5, 1.5):
-        cfg = DynamicsConfig(1.0, taus, np.full(6, 0.2), sigma, OneLayer())
+        cfg = DynamicsConfig(1.0, taus, np.full(6, 0.2), sigma)
         sol = mean_coupled_trajectory(moments, cfg)
         w0 = (sol.basis * 0.2) @ sol.basis.T
         _, ws, bs = gradient_flow_full(moments, sigma, 1.0, w0, np.zeros(6), taus, adaptive=True)

@@ -20,7 +20,6 @@ from lindiff.convolution import circulant_matrix, dft_mode_variance, patch_covar
 from lindiff.dynamics import (
     DynamicsConfig,
     LossVariant,
-    OneLayer,
     convergence_rate,
     mean_coupled_trajectory,
     one_layer_psi,
@@ -28,7 +27,7 @@ from lindiff.dynamics import (
     two_layer_psi,
 )
 from lindiff.experiment import ExperimentConfig, oracle_deviation, run_experiment
-from lindiff.gaussian import CovarianceModel, DataMoments, SpectrumSpec, make_covariance
+from lindiff.gaussian import DataMoments, SpectrumSpec, make_covariance
 from lindiff.integrate import rk4_path
 from lindiff.metrics import denoiser_error, kl_shared_basis, score_error
 from lindiff.oracle import gradient_flow_full, loss_gradients, mc_dsm_loss, variant_moments
@@ -70,7 +69,7 @@ def test_criterion_02_mean_cov_coupling():
     taus = np.geomspace(1e-2, 8.0, 12)
     worst = 0.0
     for sigma in (0.5, 1.5):
-        cfg = DynamicsConfig(1.0, taus, np.full(8, 0.2), sigma, OneLayer())
+        cfg = DynamicsConfig(1.0, taus, np.full(8, 0.2), sigma)
         sol = mean_coupled_trajectory(moments, cfg)
         w0 = (sol.basis * 0.2) @ sol.basis.T
         _, ws, bs = gradient_flow_full(moments, sigma, 1.0, w0, np.zeros(8), taus)
@@ -81,7 +80,7 @@ def test_criterion_02_mean_cov_coupling():
     # the two-dimensional mean/variance interaction example: m=1, lambda=1
     m1 = DataMoments(np.array([1.0]), np.array([[1.0]]))
     for sigma in (0.1, 1.5, 4.0):
-        cfg = DynamicsConfig(1.0, taus, np.array([0.3]), sigma, OneLayer())
+        cfg = DynamicsConfig(1.0, taus, np.array([0.3]), sigma)
         sol = mean_coupled_trajectory(m1, cfg, b0=np.array([0.1]))
         _, ws, bs = gradient_flow_full(m1, sigma, 1.0, np.array([[0.3]]), np.array([0.1]), taus)
         worst = max(worst, float(np.max(np.abs(ws[:, 0, 0] - sol.weight_diag[:, 0]))))

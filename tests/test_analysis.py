@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.testing import assert_allclose
 
 from lindiff.analysis import (
     EmergenceCriterion,
     GrayZone,
     InsufficientDataError,
-    alignment_score,
     emergence_time,
     power_law_fit,
 )
@@ -110,39 +108,3 @@ class TestPowerLawFit:
             GrayZone(lower=1.5)
         with pytest.raises(ValueError):
             GrayZone(upper=0.9)
-
-
-class TestAlignmentScore:
-    def test_diagonalizing_frame_scores_one(self, model6):
-        sample = (model6.basis * np.linspace(2, 1, 6)) @ model6.basis.T
-        assert alignment_score(sample, model6.basis) == pytest.approx(1.0, abs=1e-12)
-
-    def test_hand_computed_two_by_two(self):
-        sample = np.array([[1.0, 1.0], [1.0, 1.0]])
-        assert alignment_score(sample, np.eye(2)) == pytest.approx(0.5)
-
-    def test_rotated_diagonal_matches_trig_expression(self):
-        # rotate diag(a, b) by angle theta; chi has a closed trigonometric form
-        a, b, theta = 2.0, 0.5, 0.3
-        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-        sample = rot @ np.diag([a, b]) @ rot.T
-        chi = alignment_score(sample, np.eye(2))
-        d = a - b
-        c2, s2 = np.cos(theta) ** 2, np.sin(theta) ** 2
-        diag_sq = (a * c2 + b * s2) ** 2 + (a * s2 + b * c2) ** 2
-        off_sq = 2.0 * (d * np.sin(theta) * np.cos(theta)) ** 2
-        assert_allclose(chi, diag_sq / (diag_sq + off_sq), rtol=1e-12)
-
-    def test_invariant_to_permutations_and_sign_flips(self, model6):
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(6, 6))
-        sample = a @ a.T
-        base = alignment_score(sample, model6.basis)
-        perm = rng.permutation(6)
-        signs = rng.choice([-1.0, 1.0], 6)
-        shuffled = model6.basis[:, perm] * signs
-        assert alignment_score(sample, shuffled) == pytest.approx(base, rel=1e-12)
-
-    def test_zero_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            alignment_score(np.zeros((3, 3)), np.eye(3))

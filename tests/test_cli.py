@@ -1,4 +1,6 @@
+import argparse
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -6,8 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lindiff import experiment, sampler
-from lindiff.cli import main
+from lindiff import cli, experiment, sampler
+from lindiff.cli import build_parser, main
 from lindiff.experiment import (
     _CHUNK_ROWS,
     ConfigError,
@@ -52,6 +54,8 @@ class TestConfigParsing:
             ExperimentConfig.from_flat({"model.kind": "explicit"})
         for key, value in [
             ("model.dimm", "64"),
+            ("schedule.rho", "5"),
+            ("schedule.steps", "40"),
             ("arch.q_init", "nan"),
             ("dynamics.eta", "nan"),
             ("dynamics.tau_max", "inf"),
@@ -183,8 +187,7 @@ class TestRunExperiment:
             "model.data": "unused.csv", "arch.kind": "two-layer", "arch.q_init": "0.2",
             "dynamics.eta": "2", "dynamics.tau_min": "0.01", "dynamics.tau_max": "10",
             "dynamics.tau_points": "5", "dynamics.tau": "1,2", "report.sigmas": "0.5",
-            "schedule.sigma_min": "0.01", "schedule.sigma_max": "50", "schedule.rho": "5",
-            "schedule.steps": "40", "analysis.criterion": "harmonic",
+            "schedule.sigma_min": "0.01", "schedule.sigma_max": "50", "analysis.criterion": "harmonic",
             "analysis.gray_zone.lower": "0.4", "analysis.gray_zone.upper": "3",
             "run.seed": "4", "run.out": str(tmp_path), "run.format": "json",
             "run.validate_with_oracle": "false",
@@ -193,7 +196,7 @@ class TestRunExperiment:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert set(manifest["config"]) == set(flat) - {"run.out"}
         assert manifest["config"]["dynamics.tau"] == [1.0, 2.0]
-        assert manifest["config"]["schedule.steps"] == 40
+        assert manifest["config"]["schedule.sigma_max"] == 50.0
 
     def test_emergence_json_cells_are_numbers_or_null(self, tmp_path):
         cfg = ExperimentConfig(dim=6, out_dir=str(tmp_path), tau_min=1e-4, tau_max=1e-1, tau_points=11, fmt="json")
@@ -402,7 +405,7 @@ class TestCliEntry:
 
     def test_sample_tau_zero_matches_asymptote(self, tmp_path):
         rc = main(
-            ["sample", "--arch", "two-layer", "--tau", "0", "--out", str(tmp_path),
+            ["simulate", "--arch", "two-layer", "--set", "dynamics.tau=0", "--out", str(tmp_path),
              "--set", "model.dim=3"]
         )
         assert rc == 0
@@ -489,8 +492,8 @@ class TestCliEntry:
     @pytest.mark.parametrize(
         "command, content",
         [("emergence", None), ("kl", "1,2\n"), ("emergence", "1,2\n3,nan\n5,6\n"), ("kl", "1,2\n3,inf\n5,6\n"),
-         ("simulate", "")],
-        ids=["missing", "one-sample", "nan", "inf", "empty"],
+         ("simulate", ""), ("kl", "1,2,3\n2,4,6\n")],
+        ids=["missing", "one-sample", "nan", "inf", "empty", "rank-deficient"],
     )
     def test_bad_data_file_exits_1_before_writing(self, tmp_path, command, content):
         data, out = tmp_path / "x.csv", tmp_path / "o"
@@ -519,10 +522,37 @@ class TestCliEntry:
         fit = json.loads((tmp_path / "fit.json").read_text())
         assert fit["error"] == "branch 'increasing' has 1 distinct eigenvalue(s) among 3 usable mode(s), need >= 2"
 
+    @pytest.mark.parametrize("command, rc", [("kl", 1), ("emergence", 0), ("simulate", 0)])
+    def test_zero_eigenvalue_fails_kl_only(self, tmp_path, command, rc):
+        # exp(-800 + N(0, 1)) underflows to 0: kl divides by it, the fit drops it
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-m", "lindiff.cli", command, "--out", str(out), "--set", "model.kind=log-normal",
+             "--set", "model.mu=-800", "--set", "model.dim=4", "--set", "dynamics.tau_points=5"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == rc
+        if rc:
+            assert proc.stderr.startswith("config error: model.mu/model.sd: kl needs positive eigenvalues")
+            assert not out.exists()
+        else:
+            assert proc.stderr == ""
+
     def test_unknown_subcommand_usage_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_sample_subcommand_is_gone(self):
+        # `simulate --set dynamics.tau=T` writes what `sample --tau T` wrote
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--tau", "1"])
+        assert exc.value.code == 2
+
+    def test_help_text_names_every_subcommand(self):
+        subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        listed = cli.__doc__.split("Subcommands:", 1)[1].split("Exit codes:", 1)[0]
+        assert re.findall(r"(\w+) \(", listed) == list(subparsers.choices)
 
     def test_config_file_with_overrides(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"

@@ -3,11 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lindiff.convolution import (
-    CirculantDenoiser,
-    FourierModeSet,
     circulant_matrix,
     dft_mode_variance,
-    filter_to_gammas,
     patch_covariance,
     patch_filter_trajectory,
 )
@@ -84,18 +81,6 @@ class TestFullWidth:
             assert np.max(np.abs(gam_numeric.real - gam_closed)) < 1e-6
             assert np.max(np.abs(gam_numeric.imag)) < 1e-8
 
-    def test_fixed_point_fourier_multipliers(self):
-        n, sigma = 15, 0.9  # odd so a full-width centered filter exists
-        sig = stationary_cov(n)
-        mode_vars = dft_mode_variance(sig)
-        gam_inf = one_layer_psi(mode_vars, sigma, 0.1, n * 1.0, 1e9)
-        w_taps = np.fft.ifft(gam_inf).real  # filter entries by offset mod N
-        offs = np.arange(-(n // 2), n // 2 + 1)
-        cd = CirculantDenoiser(n, n // 2, w_taps[offs % n], sigma)
-        fm = filter_to_gammas(cd)
-        assert np.max(np.abs(fm.gammas - mode_vars / (sigma**2 + mode_vars))) < 1e-8
-
-
 class TestPatchCovariance:
     def test_identity(self):
         pc = patch_covariance(np.eye(12), 2)
@@ -171,46 +156,6 @@ class TestPatchFilterTrajectory:
         assert np.max(np.abs(w_star - center)) < 1e-10
 
 
-class TestFilterToGammas:
-    def test_identity_filter(self):
-        cd = CirculantDenoiser(8, 1, np.array([0.0, 1.0, 0.0]))
-        fm = filter_to_gammas(cd)
-        assert_allclose(fm.gammas, 1.0, atol=1e-14)
-
-    def test_symmetric_three_tap_cosine_form(self):
-        n, a, b = 16, 0.3, 1.1
-        cd = CirculantDenoiser(n, 1, np.array([a, b, a]))
-        fm = filter_to_gammas(cd)
-        expected = b + 2.0 * a * np.cos(2.0 * np.pi * np.arange(n) / n)
-        assert_allclose(fm.gammas.real, expected, atol=1e-12)
-        assert_allclose(fm.gammas.imag, 0.0, atol=1e-12)
-
-    def test_matches_dense_circulant_eigenvalues(self):
-        rng = np.random.default_rng(12)
-        n, r = 16, 3
-        taps = rng.normal(size=2 * r + 1)
-        cd = CirculantDenoiser(n, r, taps)
-        fm = filter_to_gammas(cd)
-        dense = cd.dense()
-        # dense circulant eigenvalues = DFT of the first row
-        expected = np.fft.fft(dense[0])
-        assert np.max(np.abs(np.sort_complex(fm.gammas) - np.sort_complex(expected))) < 1e-10
-
-    def test_full_width_roundtrip(self):
-        rng = np.random.default_rng(3)
-        n = 9
-        taps = rng.normal(size=n)
-        cd = CirculantDenoiser(n, n // 2, taps)
-        fm = filter_to_gammas(cd)
-        back = np.fft.ifft(fm.gammas).real
-        offs = cd.offsets()
-        assert np.max(np.abs(back[offs % n] - taps)) < 1e-12
-
-    def test_even_width_rejected(self):
-        with pytest.raises(ValueError):
-            CirculantDenoiser(8, 1, np.array([1.0, 0.5]))
-
-
 class TestCommutativity:
     def test_circulant_matrices_commute(self):
         rng = np.random.default_rng(2)
@@ -218,15 +163,3 @@ class TestCommutativity:
         w1 = circulant_matrix(rng.normal(size=7), np.arange(-3, 4), n)
         w2 = circulant_matrix(rng.normal(size=5), np.arange(-2, 3), n)
         assert np.max(np.abs(w1 @ w2 - w2 @ w1)) < 1e-10
-
-
-class TestFourierModeSet:
-    def test_conjugate_symmetry_enforced(self):
-        bad = np.ones(8, dtype=complex)
-        bad[1] = 1j  # breaks gamma_k = conj(gamma_{N-k})
-        with pytest.raises(ValueError):
-            FourierModeSet(bad)
-
-    def test_mode_vars_nonnegative(self):
-        with pytest.raises(ValueError):
-            FourierModeSet(np.ones(4, dtype=complex), mode_vars=np.array([1.0, -1.0, 1.0, 1.0]))

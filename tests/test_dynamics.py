@@ -3,10 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lindiff.dynamics import (
-    DiscreteGD,
     DynamicsConfig,
     LossVariant,
-    OneLayer,
     Residual,
     convergence_rate,
     deep_linear_mode,
@@ -145,7 +143,7 @@ class TestMeanCovCoupling:
     def test_zero_mean_reduces_to_decoupled(self, model6):
         moments = DataMoments(np.zeros(6), model6.covariance())
         taus = np.geomspace(1e-2, 5, 8)
-        cfg = DynamicsConfig(1.0, taus, np.full(6, 0.2), 1.0, OneLayer())
+        cfg = DynamicsConfig(1.0, taus, np.full(6, 0.2), 1.0)
         sol = mean_coupled_trajectory(moments, cfg, b0=np.full(6, 0.3))
         decoupled = one_layer_psi(sol.spectrum[None, :], 1.0, 0.2, 1.0, taus[:, None])
         assert np.max(np.abs(sol.weight_diag - decoupled)) < 1e-12
@@ -157,7 +155,7 @@ class TestMeanCovCoupling:
         # mean aligned with the single mode: m=1, lambda=1
         moments = DataMoments(np.array([1.0]), np.array([[1.0]]))
         taus = np.geomspace(1e-2, 8, 12)
-        cfg = DynamicsConfig(1.0, taus, np.array([0.3]), sigma, OneLayer())
+        cfg = DynamicsConfig(1.0, taus, np.array([0.3]), sigma)
         sol = mean_coupled_trajectory(moments, cfg, b0=np.array([0.1]))
         _, ws, bs = gradient_flow_full(
             moments, sigma, 1.0, np.array([[0.3]]), np.array([0.1]), taus, adaptive=True
@@ -169,7 +167,7 @@ class TestMeanCovCoupling:
         rng = np.random.default_rng(8)
         mu = rng.normal(size=6)
         moments = DataMoments(mu, model6.covariance())
-        cfg = DynamicsConfig(1.0, np.array([0.0, 400.0]), np.full(6, 0.2), 0.8, OneLayer())
+        cfg = DynamicsConfig(1.0, np.array([0.0, 400.0]), np.full(6, 0.2), 0.8)
         sol = mean_coupled_trajectory(moments, cfg)
         sigma_mat = moments.covariance
         w_star = sigma_mat @ np.linalg.inv(sigma_mat + 0.8**2 * np.eye(6))
@@ -340,21 +338,18 @@ class TestResidual:
 
 class TestDiscreteGD:
     def test_initial_value_and_one_step_exact(self, model6):
-        cfg = DynamicsConfig(1.0, [0.0, 1.0], np.full(6, 0.1), 1.0, DiscreteGD(0.05))
-        res = discrete_gd_trajectory(cfg, model6, 3)
+        res = discrete_gd_trajectory(model6, 1.0, np.full(6, 0.1), 0.05, 3)
         assert_allclose(res.iterates[:, 0], 0.1)
         # eta (sigma^2 + lambda) = 0.5 converges in one step
         model1 = CovarianceModel(1, np.eye(1), np.array([1.0]))
         step = 0.5 / (1.0 + 1.0)
-        cfg1 = DynamicsConfig(1.0, [0.0, 1.0], np.array([0.3]), 1.0, DiscreteGD(step))
-        res1 = discrete_gd_trajectory(cfg1, model1, 2)
+        res1 = discrete_gd_trajectory(model1, 1.0, np.array([0.3]), step, 2)
         assert_allclose(res1.iterates[0, 1:], 0.5)
 
     def test_matches_matrix_oracle(self, model6, moments6):
         from lindiff.oracle import discrete_gd_full
 
-        cfg = DynamicsConfig(1.0, [0.0, 1.0], np.full(6, 0.1), 1.0, DiscreteGD(0.05))
-        res = discrete_gd_trajectory(cfg, model6, 40, b0=0.3)
+        res = discrete_gd_trajectory(model6, 1.0, np.full(6, 0.1), 0.05, 40, b0=0.3)
         w0 = (model6.basis * 0.1) @ model6.basis.T
         ws, bs = discrete_gd_full(moments6, 1.0, 0.05, w0, np.full(6, 0.3), 40)
         num = np.einsum("ik,tij,jk->tk", model6.basis, ws, model6.basis)
@@ -366,14 +361,12 @@ class TestDiscreteGD:
         eta = 1e-3
         steps = 2000
         model = CovarianceModel(2, np.eye(2), np.array([1.0, 0.3]))
-        cfg = DynamicsConfig(1.0, [0.0, 1.0], np.full(2, 0.1), 1.0, DiscreteGD(eta))
-        res = discrete_gd_trajectory(cfg, model, steps)
+        res = discrete_gd_trajectory(model, 1.0, np.full(2, 0.1), eta, steps)
         flow = one_layer_psi(model.spectrum[:, None], 1.0, 0.1, eta, np.arange(steps + 1)[None, :])
         assert np.max(np.abs(res.iterates - flow)) < 1e-3
 
     def test_divergence_flagged_not_raised(self, model6):
-        cfg = DynamicsConfig(1.0, [0.0, 1.0], np.full(6, 0.1), 1.0, DiscreteGD(0.6))
-        res = discrete_gd_trajectory(cfg, model6, 10)
+        res = discrete_gd_trajectory(model6, 1.0, np.full(6, 0.1), 0.6, 10)
         expected = np.abs(1.0 - 2.0 * 0.6 * (1.0 + model6.spectrum)) >= 1.0
         assert np.array_equal(res.diverged, expected)
         assert res.diverged.any()
@@ -439,8 +432,8 @@ class TestClosedFormVsOracleInvariant:
 class TestConfigValidation:
     def test_bad_eta(self):
         with pytest.raises(ValueError):
-            DynamicsConfig(0.0, [0.1], [0.1], 1.0, OneLayer())
+            DynamicsConfig(0.0, [0.1], [0.1], 1.0)
 
     def test_non_increasing_tau(self):
         with pytest.raises(ValueError):
-            DynamicsConfig(1.0, [0.2, 0.1], [0.1], 1.0, OneLayer())
+            DynamicsConfig(1.0, [0.2, 0.1], [0.1], 1.0)

@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from lindiff.analysis import EmergenceCriterion, GrayZone, emergence_time, power_law_fit
 from lindiff.dynamics import LossVariant, convergence_rate, optimal_mode_weight
 from lindiff.flow_matching import (
-    FlowConfig,
     fm_generated_variance_ratio,
     fm_one_layer_weight,
     fm_sampling_converged,
@@ -181,12 +180,3 @@ class TestFmEmergencePowerLaw:
         for fit in fits.values():
             assert 0.8 <= fit.alpha <= 1.2
             assert fit.r_squared > 0.99
-
-
-def test_flow_config_validation():
-    with pytest.raises(ValueError):
-        FlowConfig([0.0, 0.5], 1.0, [0.1], [1.0])
-    with pytest.raises(ValueError):
-        FlowConfig([0.5], -1.0, [0.1], [1.0])
-    cfg = FlowConfig([0.1, 0.9], 1.0, [0.1], [0.5, 1.0])
-    assert cfg.t_grid.shape == (2,)

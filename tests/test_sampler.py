@@ -3,10 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lindiff.dynamics import one_layer_psi, two_layer_psi
-from lindiff.gaussian import CovarianceModel, SpectrumSpec, empirical_moments, make_covariance, project_variances
+from lindiff.gaussian import SpectrumSpec, make_covariance
 from lindiff.oracle import heun_affine_dense
 from lindiff.sampler import (
-    GeneratedDistribution,
     IntegrationError,
     NoiseSchedule,
     PhiFactor,
@@ -16,7 +15,6 @@ from lindiff.sampler import (
     pf_ode_numeric,
     phi_one_layer,
     phi_two_layer,
-    sample_generated,
 )
 
 SCHED = NoiseSchedule(0.002, 80.0, 7.0, 81)  # 80 integration steps
@@ -123,22 +121,13 @@ class TestGeneratedVariance:
         with pytest.raises(ValueError, match="unknown Phi case 'full-width-conv'"):
             PhiFactor("full-width-conv", lam=1.0)
         phi = PhiFactor("one-layer", 2.0, tau=3.0)
-        assert (phi.case, phi.lam, phi.q, phi.eta, phi.tau, phi.weight_fn) == ("one-layer", 2.0, 0.0, 1.0, 3.0, None)
+        assert (phi.case, phi.lam, phi.q, phi.eta, phi.tau) == ("one-layer", 2.0, 0.0, 1.0, 3.0)
 
     def test_converged_case_arithmetic(self):
         # lam = sigma_T^2 and sigma_0 -> 0 gives lam / 2
         sched = NoiseSchedule(1e-8, 2.0, 7.0, 16)
         val = generated_variance(PhiFactor("converged", lam=4.0), sched)
         assert_allclose(val, 2.0, rtol=1e-12)
-
-    def test_numeric_case_against_closed_form(self):
-        lam, q, tau = 0.5, 0.1, 1.0
-        phi_num = PhiFactor("numeric", weight_fn=lambda s: one_layer_psi(lam, s, q, 1.0, tau))
-        phi_cf = PhiFactor("one-layer", lam=lam, q=q, eta=1.0, tau=tau)
-        a = generated_variance(phi_num, SCHED)
-        b = generated_variance(phi_cf, SCHED)
-        assert abs(a - b) / b < 1e-3
-
 
 class TestAnalyticVsNumericInvariant:
     """Generated variance vs the Monte-Carlo-free Heun route, 16 modes."""
@@ -274,42 +263,3 @@ class TestMeanTransport:
         exact = 0.5 * 0.01 * (1.0 / 0.01 - 1.0 / 10.0)
         assert abs(coarse[0] - fine[0]) < 1e-8
         assert abs(coarse[0] - exact) < 1e-8
-
-
-class TestSampleGenerated:
-    def test_zero_variance_returns_mean(self, model6):
-        dist = GeneratedDistribution("eigen", np.zeros(6), np.full(6, 0.5))
-        samples = sample_generated(dist, model6, 7, seed=0)
-        mean = model6.basis @ np.full(6, 0.5)
-        assert_allclose(samples, np.tile(mean, (7, 1)), atol=1e-12)
-
-    def test_monte_carlo_variances(self, model6):
-        var = np.array([2.0, 1.0, 0.5, 0.25, 0.125, 0.0625])
-        dist = GeneratedDistribution("eigen", var, np.zeros(6))
-        samples = sample_generated(dist, model6, 200_000, seed=1)
-        emp = project_variances(empirical_moments(samples).covariance, model6)
-        assert np.all(np.abs(emp - var) / var < 0.02)
-
-    def test_rotation_preserves_total_variance(self, model6):
-        var = np.linspace(1.0, 0.1, 6)
-        dist = GeneratedDistribution("eigen", var, np.zeros(6))
-        samples = sample_generated(dist, model6, 150_000, seed=2)
-        total = np.trace(empirical_moments(samples).covariance)
-        assert abs(total - var.sum()) / var.sum() < 0.02
-
-    def test_fourier_stationary_process(self):
-        n = 8
-        var = np.array([2.0, 1.0, 0.5, 0.25, 0.3, 0.25, 0.5, 1.0])  # symmetric
-        dist = GeneratedDistribution("fourier", var, np.zeros(n))
-        samples = sample_generated(dist, None, 150_000, seed=3)
-        emp = empirical_moments(samples).covariance
-        modes = np.real(np.diag(np.fft.ifft(np.fft.fft(emp, axis=1), axis=0)))
-        assert np.max(np.abs(modes - var)) < 0.05
-
-    def test_fourier_requires_symmetric_variances(self):
-        with pytest.raises(ValueError):
-            GeneratedDistribution("fourier", np.array([1.0, 2.0, 1.0, 0.5]), np.zeros(4))
-
-    def test_negative_variance_rejected(self):
-        with pytest.raises(ValueError):
-            GeneratedDistribution("eigen", np.array([-1.0]), np.zeros(1))
