@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .gaussian import CovarianceModel, DataMoments
-from .integrate import rk4_path
+from .integrate import rk45_path
 
 __all__ = [
     "LossVariant",
@@ -330,10 +330,8 @@ def deep_linear_mode(depth, lam, sigma, c0, eta, tau_grid):
         c_safe = np.maximum(c, 0.0)
         return eta * depth * (lam - (sigma**2 + lam) * c) * c_safe**expo
 
-    c_max = max(abs(c0), lam / (sigma**2 + lam), 1e-30)
-    rate = eta * depth * (sigma**2 + lam) * max(c_max**expo, 1.0)
     grid = tau_grid if tau_grid[0] == 0 else np.concatenate([[0.0], tau_grid])
-    path = rk4_path(rhs, np.array([c0]), grid, max_rate=rate)
+    path = rk45_path(rhs, np.array([c0]), grid)
     vals = path[:, 0] if tau_grid[0] == 0 else path[1:, 0]
     if depth > 2 and c0 > 0 and np.any(vals < 1e-13 * c0):
         raise RuntimeError("trajectory stalled at the c = 0 saddle")
@@ -411,10 +409,8 @@ def two_layer_overlap_simulation(
         grad = -4.0 * lam[:, None] * qm + 2.0 * (coef * gram) @ qm
         return -eta * grad
 
-    norm0 = float(np.max(np.sum(q0**2, axis=1)))
-    rate = 8.0 * eta * (sigma**2 + lam.max()) * max(1.0, norm0)
     grid = tau_grid if tau_grid[0] == 0 else np.concatenate([[0.0], tau_grid])
-    path = rk4_path(rhs, q0, grid, max_rate=rate)
+    path = rk45_path(rhs, q0, grid)
     if tau_grid[0] != 0:
         path = path[1:]
     overlaps = np.einsum("tij,tkj->tik", path, path)

@@ -246,10 +246,21 @@ def _load_spectrum(cfg: ExperimentConfig, need_basis: bool) -> tuple[np.ndarray,
         return model.spectrum, model
     params = {key: getattr(cfg, key) for key in _SPECTRUM_KEYS[cfg.model_kind]}
     spec = SpectrumSpec(cfg.model_kind, params, cfg.normalize)
-    if need_basis:
-        model = make_covariance(spec, cfg.dim, cfg.seed)
-        return model.spectrum, model
-    return spec.generate(cfg.dim, np.random.default_rng(cfg.seed)), None
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite draw is reported below
+        if need_basis:
+            model = make_covariance(spec, cfg.dim, cfg.seed)
+            lam = model.spectrum
+        else:
+            lam, model = spec.generate(cfg.dim, np.random.default_rng(cfg.seed)), None
+    bad = lam.size - np.count_nonzero(np.isfinite(lam))
+    if bad:
+        raise ConfigError(f"{_spectrum_keys(cfg)}: {bad} of {lam.size} eigenvalues are not finite")
+    return lam, model
+
+
+def _spectrum_keys(cfg: ExperimentConfig) -> str:
+    """The dotted keys that draw the spectrum of the run's model.kind, for error messages."""
+    return "/".join(f"model.{key}" for key in _SPECTRUM_KEYS[cfg.model_kind])
 
 
 def _lambda_gen(cfg: ExperimentConfig, lam: float, tau: float, ei_memo: dict) -> float:
@@ -265,7 +276,8 @@ def oracle_deviation(
 
     The flow starts from Q times the identity in the model's eigenbasis
     (one-layer W0, or two-layer P0 with W0 = P0 P0^T) on zero-mean data;
-    ``adaptive`` selects gradient_flow_full's RK45 route over fixed-step RK4.
+    ``adaptive`` selects gradient_flow_full's RK45 route over fixed-step RK4
+    for the one-layer flow; the two-layer flow is always integrated by RK45.
     """
     moments = DataMoments(np.zeros(model.dim), model.covariance())
     worst = 0.0
@@ -301,8 +313,7 @@ def run_experiment(cfg: ExperimentConfig, stages: frozenset = frozenset({"trajec
     # kl and the oracle check read the eigenbasis; the other stages only the spectrum
     lam, model = _load_spectrum(cfg, need_basis="kl" in stages or cfg.validate_with_oracle)
     if "kl" in stages and lam.min() <= 0:  # each mode's KL divides by its eigenvalue; the fit drops zeros
-        keys = "/".join(f"model.{key}" for key in _SPECTRUM_KEYS[cfg.model_kind])
-        raise ConfigError(f"{keys}: kl needs positive eigenvalues, {np.count_nonzero(lam <= 0)} of {lam.size} are zero")
+        raise ConfigError(f"{_spectrum_keys(cfg)}: kl needs positive eigenvalues, {np.count_nonzero(lam <= 0)} of {lam.size} are zero")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     s0, s_t = cfg.schedule.sigma_min, cfg.schedule.sigma_max

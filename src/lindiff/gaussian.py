@@ -84,10 +84,16 @@ class DataMoments:
         return self.mean.shape[0]
 
     def eigenmodel(self) -> CovarianceModel:
-        """Eigendecompose into a CovarianceModel (descending, sign-fixed)."""
+        """Eigendecompose into a CovarianceModel (descending, sign-fixed).
+
+        Eigenvalues below max(evals) * dim * eps, the rank tolerance of
+        np.linalg.matrix_rank, are round-off of a rank-deficient covariance
+        and are set to zero.
+        """
         evals, evecs = np.linalg.eigh(self.covariance)
         order = np.argsort(evals)[::-1]
-        evals = np.clip(evals[order], 0.0, None)
+        evals = evals[order]
+        evals[evals < evals[0] * self.dim * np.finfo(float).eps] = 0.0
         evecs = _fix_signs(evecs[:, order])
         return CovarianceModel(self.dim, evecs, evals)
 

@@ -109,8 +109,11 @@ def gradient_flow_full(
     of the loss variant.  The two-layer flow applies the chain rule
     dP/dtau = (G_W + G_W^T) P to that product's W block; the convolutional
     flows sum its W block over the cells that share a tap.
-    The flow is integrated by fixed-step RK4, or by adaptive Cash-Karp
-    RK45 at ``_RTOL`` / ``_ATOL`` when ``adaptive`` is set.
+    The linear flows (one-layer, circulant, patch) are integrated by
+    fixed-step RK4 at their spectral rate (2 eta lambda_max of E[x x^T],
+    times N with weight sharing), or by adaptive Cash-Karp RK45 at ``_RTOL`` /
+    ``_ATOL`` when ``adaptive`` is set.  The nonlinear two-layer flow has no
+    such rate and is always integrated by RK45; it ignores ``adaptive``.
     Returns (tau_grid, Ws, bs) with Ws[i] the dense weight matrix.
     """
     tau_grid = np.asarray(tau_grid, float)
@@ -125,13 +128,11 @@ def gradient_flow_full(
             return y @ a - c
 
         y0 = np.hstack([np.asarray(w0, float), np.asarray(b0, float)[:, None]])
-        path = _solve(rhs, y0, tau_grid, rate0, adaptive)
+        path = _solve(rhs, y0, tau_grid, None if adaptive else rate0)
         return tau_grid, path[:, :, :d], path[:, :, d]
 
     if parametrization == "two-layer-symmetric":
         p0 = np.asarray(w0, float)  # here w0 is the factor P(0)
-        norm0 = float(np.linalg.norm(p0, 2)) ** 2
-        rate = 6.0 * rate0 * max(1.0, norm0)
         work = np.empty((d, d + 1))  # [P P^T | b], overwritten on every call
 
         def rhs(_t, y):
@@ -144,7 +145,7 @@ def gradient_flow_full(
             return g
 
         y0 = np.hstack([p0, np.asarray(b0, float)[:, None]])
-        path = _solve(rhs, y0, tau_grid, rate, adaptive)
+        path = _solve(rhs, y0, tau_grid, None)
         ps = path[:, :, :d]
         return tau_grid, np.einsum("tij,tkj->tik", ps, ps), path[:, :, d]
 
@@ -171,16 +172,17 @@ def gradient_flow_full(
             w = np.append(taps, 0.0)[slot]
             return np.bincount(flat, (w @ a_w - c_w).ravel(), k + 1)[:k]
 
-        path = _solve(rhs, np.asarray(w0, float), tau_grid, rate, adaptive)
+        path = _solve(rhs, np.asarray(w0, float), tau_grid, None if adaptive else rate)
         ws = np.pad(path, ((0, 0), (0, 1)))[:, slot]
         return tau_grid, ws, np.zeros((len(tau_grid), d))
 
     raise ValueError(f"unknown parametrization {parametrization!r}")
 
 
-def _solve(rhs, y0, tau_grid, rate, adaptive: bool):
+def _solve(rhs, y0, tau_grid, rate: float | None):
+    """Fixed-step RK4 at the stiffness bound ``rate``, or RK45 when it is None."""
     grid = tau_grid if tau_grid[0] == 0 else np.concatenate([[0.0], tau_grid])
-    if adaptive:
+    if rate is None:
         path = rk45_path(rhs, y0, grid, rtol=_RTOL, atol=_ATOL)
     else:
         path = rk4_path(rhs, y0, grid, max_rate=rate)

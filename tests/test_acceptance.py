@@ -90,7 +90,7 @@ def test_criterion_02_mean_cov_coupling():
 
 
 def test_criterion_03_two_layer_closed_form(spectrum16):
-    """Prop.-2 sigmoid vs RK4 on the product gradient; emergence ln2/(8 eta lam)."""
+    """Prop.-2 sigmoid vs RK45 on the product gradient; emergence ln2/(8 eta lam)."""
     worst = oracle_deviation(spectrum16, "two-layer", (0.1, 1.0, 10.0), 0.1, 1.0, np.geomspace(1e-3, 10.0, 20))
 
     crit = EmergenceCriterion("harmonic")

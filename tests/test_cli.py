@@ -158,6 +158,19 @@ class TestRunExperiment:
         assert manifest["oracle"]["max_rel_deviation"] < 1e-6
         assert manifest["oracle"]["seconds"] > 0
 
+    def test_two_layer_oracle_check_is_adaptive(self, tmp_path):
+        # 1e-9 separates the adaptive two-layer flow (about 8e-12) from fixed-step RK4 (1.8e-9)
+        proc = subprocess.run(
+            [sys.executable, "-m", "lindiff.cli", "emergence", "--validate-with-oracle", "--arch", "two-layer",
+             "--set", "model.dim=16", "--set", "dynamics.tau_max=1", "--out", str(tmp_path)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        oracle = json.loads((tmp_path / "manifest.json").read_text())["oracle"]
+        assert oracle["passed"]
+        assert oracle["max_rel_deviation"] < 1e-9
+
     def test_two_layer_arch(self, tmp_path):
         cfg = ExperimentConfig(dim=4, arch="two-layer", out_dir=str(tmp_path), tau_points=31)
         manifest = run_experiment(cfg)
@@ -490,12 +503,14 @@ class TestCliEntry:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "command, content",
-        [("emergence", None), ("kl", "1,2\n"), ("emergence", "1,2\n3,nan\n5,6\n"), ("kl", "1,2\n3,inf\n5,6\n"),
-         ("simulate", ""), ("kl", "1,2,3\n2,4,6\n")],
+        "command, content, detail",
+        [("emergence", None, ""), ("kl", "1,2\n", ""), ("emergence", "1,2\n3,nan\n5,6\n", ""),
+         ("kl", "1,2\n3,inf\n5,6\n", ""), ("simulate", "", ""),
+         # rank 1: both round-off eigenvalues are zero, not only the exact one
+         ("kl", "1,2,3\n2,4,6\n", " kl needs positive eigenvalues, 2 of 3 are zero")],
         ids=["missing", "one-sample", "nan", "inf", "empty", "rank-deficient"],
     )
-    def test_bad_data_file_exits_1_before_writing(self, tmp_path, command, content):
+    def test_bad_data_file_exits_1_before_writing(self, tmp_path, command, content, detail):
         data, out = tmp_path / "x.csv", tmp_path / "o"
         if content is not None:
             data.write_text(content)
@@ -504,7 +519,7 @@ class TestCliEntry:
             capture_output=True, text=True,
         )
         assert proc.returncode == 1
-        assert proc.stderr.startswith("config error: model.data:")
+        assert proc.stderr.startswith(f"config error: model.data:{detail}")
         assert "Traceback" not in proc.stderr
         assert proc.stderr.count("\n") == 1  # no NumPy warning either
         assert not out.exists()
@@ -537,6 +552,19 @@ class TestCliEntry:
             assert not out.exists()
         else:
             assert proc.stderr == ""
+
+    @pytest.mark.parametrize("command", ["simulate", "kl"])
+    def test_infinite_eigenvalue_exits_1_before_writing(self, tmp_path, command):
+        # exp(800 + N(0, 1)) overflows to inf: every table cell would be inf or nan
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-m", "lindiff.cli", command, "--out", str(out), "--set", "model.kind=log-normal",
+             "--set", "model.mu=800", "--set", "model.dim=3", "--set", "dynamics.tau_points=3"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "config error: model.mu/model.sd: 3 of 3 eigenvalues are not finite\n"
+        assert not out.exists()
 
     def test_unknown_subcommand_usage_exit_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -107,6 +107,7 @@ class TestFlowRightHandSide:
             return np.stack([y0] * len(grid))
 
         monkeypatch.setattr(oracle, "rk4_path", capture)
+        monkeypatch.setattr(oracle, "rk45_path", capture)  # the two-layer flow's integrator
         gradient_flow_full(
             moments, 0.7, eta, np.zeros((6, 6)) if dense else np.zeros(len(offsets)), np.zeros(6), [0.1],
             variant=variant, parametrization=parametrization, half_width=2,
@@ -132,6 +133,21 @@ class TestFlowRightHandSide:
             got = rhs(0.0, y)
             assert got.shape == expected.shape
             assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_two_layer_flow_is_integrated_adaptively(self, monkeypatch, model6, moments6):
+        """The nonlinear two-layer flow never takes fixed RK4 steps, whatever ``adaptive`` says."""
+
+        def no_rk4(*_, **__):
+            raise AssertionError("fixed-step RK4 on the two-layer flow")
+
+        monkeypatch.setattr(oracle, "rk4_path", no_rk4)
+        taus = np.geomspace(1e-3, 1.0, 4)
+        p0 = model6.basis * np.sqrt(0.1)
+        _, ws, _ = gradient_flow_full(
+            moments6, 1.0, 1.0, p0, np.zeros(6), taus, parametrization="two-layer-symmetric"
+        )
+        assert ws.shape == (4, 6, 6)
+        assert np.all(np.isfinite(ws))
 
     @pytest.mark.parametrize(
         "half_width, message",
