@@ -54,31 +54,34 @@ def rk4_path(f, y0, t_grid, max_rate=None, substeps=64):
     return np.stack(out)
 
 
-# Cash-Karp embedded 4(5) coefficients.
-_CK_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (3 / 10, -9 / 10, 6 / 5),
-    (-11 / 54, 5 / 2, -70 / 27, 35 / 27),
-    (1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096),
-)
+# Cash-Karp embedded 4(5) tableau; row s of _CK_A weights the first s stages.
+_CK_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0],
+    [3 / 10, -9 / 10, 6 / 5, 0.0, 0.0],
+    [-11 / 54, 5 / 2, -70 / 27, 35 / 27, 0.0],
+    [1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096],
+])
 _CK_C = (0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8)
-_CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
-_CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
-
-
-def _combine(weights, ks):
-    """Sum of w * k over the nonzero weights, added in stage order."""
-    terms = [w * k for w, k in zip(weights, ks) if w]
-    return sum(terms[1:], terms[0])
+_CK_B5 = np.array([37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771])
+_CK_B4 = np.array([2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4])
+_CK_E = _CK_B5 - _CK_B4
 
 
 def rk45_path(f, y0, t_grid, rtol=1e-10, atol=1e-12, max_steps=2_000_000):
-    """Adaptive Cash-Karp RK45 hitting every ``t_grid`` point exactly."""
+    """Adaptive Cash-Karp RK45 hitting every ``t_grid`` point exactly.
+
+    The six stage values sit in one (6, n) array, so each stage state,
+    the fifth-order update and the error estimate are one tableau product.
+    The error norm is the largest scaled error over every entry of the state.
+    """
     t_grid = np.asarray(t_grid, dtype=float)
     y = np.array(y0, dtype=float)
-    out = [y.copy()]
+    shape = y.shape
+    y = y.ravel()
+    k = np.empty((6, y.size))
+    out = [y.reshape(shape)]
     nsteps = 0
     for i in range(len(t_grid) - 1):
         t, t_end = t_grid[i], t_grid[i + 1]
@@ -87,16 +90,13 @@ def rk45_path(f, y0, t_grid, rtol=1e-10, atol=1e-12, max_steps=2_000_000):
             h = min(h, t_end - t)
             if abs(h) < 1e-15 * max(1.0, abs(t)):
                 raise IntegrationError(f"step underflow at t={t}")
-            ks = []
-            for s in range(6):
-                ys = y
-                for a, k in zip(_CK_A[s], ks):
-                    ys = ys + h * a * k
-                ks.append(f(t + _CK_C[s] * h, ys))
-            y5 = y + h * _combine(_CK_B5, ks)
-            y4 = y + h * _combine(_CK_B4, ks)
+            k[0] = f(t, y.reshape(shape)).ravel()
+            for s in range(1, 6):
+                ys = y + (h * _CK_A[s, :s]) @ k[:s]
+                k[s] = f(t + _CK_C[s] * h, ys.reshape(shape)).ravel()
+            y5 = y + (h * _CK_B5) @ k
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-            err = float(np.max(np.abs(y5 - y4) / scale))
+            err = float(np.max(np.abs((h * _CK_E) @ k) / scale))
             if err <= 1.0:
                 t += h
                 y = y5
@@ -107,5 +107,5 @@ def rk45_path(f, y0, t_grid, rtol=1e-10, atol=1e-12, max_steps=2_000_000):
                 raise IntegrationError("max step count exceeded")
         if not np.all(np.isfinite(y)):
             raise IntegrationError(f"non-finite state at t={t_end}")
-        out.append(y.copy())
+        out.append(y.reshape(shape))
     return np.stack(out)

@@ -88,7 +88,7 @@ def _augmented_moments(mm):
 
 def gradient_flow_full(
     moments: DataMoments,
-    s: float,
+    s,
     eta: float,
     w0: np.ndarray,
     b0: np.ndarray,
@@ -114,40 +114,50 @@ def gradient_flow_full(
     times N with weight sharing), or by adaptive Cash-Karp RK45 at ``_RTOL`` /
     ``_ATOL`` when ``adaptive`` is set.  The nonlinear two-layer flow has no
     such rate and is always integrated by RK45; it ignores ``adaptive``.
-    Returns (tau_grid, Ws, bs) with Ws[i] the dense weight matrix.
+    The dense flows (one-layer, two-layer) also take ``s`` as a 1-D sequence
+    of S noise levels and integrate them as one flow whose state has a
+    leading sigma axis: RK4 steps at the largest sigma's rate, and RK45's
+    error norm spans the batch, so each sigma is stepped at least as finely
+    as alone.  ``w0`` is then shared by every sigma or given per sigma.
+    Returns (tau_grid, Ws, bs) with Ws[i] the dense weight matrix, or Ws[i, j]
+    the one of sigma s[j] for a sequence ``s``.
     """
     tau_grid = np.asarray(tau_grid, float)
-    mm = variant_moments(variant, moments, s)
+    if np.ndim(s) > 1 or (np.ndim(s) and parametrization in ("circulant", "patch")):
+        raise ValueError(f"{parametrization} takes one noise level s, not {np.shape(s)}")
     d = moments.dim
-    aug_a, aug_c = _augmented_moments(mm)
-    rate0 = 2.0 * eta * float(np.linalg.eigvalsh(aug_a[:d, :d]).max())
+    per_sigma = [_augmented_moments(variant_moments(variant, moments, x)) for x in np.ravel(s).tolist()]
+    aug_a, aug_c = (np.stack(m).reshape(np.shape(s) + m[0].shape) for m in zip(*per_sigma))
+    rate0 = 2.0 * eta * float(np.linalg.eigvalsh(aug_a[..., :d, :d]).max())
     a, c = -2.0 * eta * aug_a, -2.0 * eta * aug_c
+
+    if parametrization in ("one-layer", "two-layer-symmetric"):
+        y0 = np.empty(c.shape)  # [W | b], or [P | b] with W = P P^T, for every sigma
+        y0[..., :d] = w0
+        y0[..., d] = b0
 
     if parametrization == "one-layer":
         def rhs(_t, y):
             return y @ a - c
 
-        y0 = np.hstack([np.asarray(w0, float), np.asarray(b0, float)[:, None]])
         path = _solve(rhs, y0, tau_grid, None if adaptive else rate0)
-        return tau_grid, path[:, :, :d], path[:, :, d]
+        return tau_grid, path[..., :d], path[..., d]
 
     if parametrization == "two-layer-symmetric":
-        p0 = np.asarray(w0, float)  # here w0 is the factor P(0)
-        work = np.empty((d, d + 1))  # [P P^T | b], overwritten on every call
+        work = np.empty(c.shape)  # [P P^T | b], overwritten on every call
 
         def rhs(_t, y):
-            p = y[:, :d]
-            np.matmul(p, p.T, out=work[:, :d])
-            work[:, d] = y[:, d]
+            p = y[..., :d]
+            np.matmul(p, p.swapaxes(-1, -2), out=work[..., :d])
+            work[..., d] = y[..., d]
             g = work @ a - c
-            gw = g[:, :d]
-            gw[...] = (gw + gw.T) @ p
+            gw = g[..., :d]
+            gw[...] = (gw + gw.swapaxes(-1, -2)) @ p
             return g
 
-        y0 = np.hstack([p0, np.asarray(b0, float)[:, None]])
         path = _solve(rhs, y0, tau_grid, None)
-        ps = path[:, :, :d]
-        return tau_grid, np.einsum("tij,tkj->tik", ps, ps), path[:, :, d]
+        ps = path[..., :d]
+        return tau_grid, np.einsum("...ij,...kj->...ik", ps, ps), path[..., d]
 
     if parametrization in ("circulant", "patch"):
         if parametrization == "circulant":

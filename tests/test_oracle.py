@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import lindiff.experiment as experiment
 import lindiff.oracle as oracle
 from lindiff.dynamics import LossVariant
-from lindiff.gaussian import DataMoments
+from lindiff.experiment import ORACLE_TOLERANCE, ExperimentConfig, oracle_deviation
+from lindiff.gaussian import DataMoments, SpectrumSpec, make_covariance
 from lindiff.integrate import rk4_path, rk45_path
 from lindiff.oracle import (
     dense_dft_diag,
@@ -161,6 +163,87 @@ class TestFlowRightHandSide:
             )
 
 
+SIGMAS = (0.1, 1.0, 10.0)
+
+
+@pytest.fixture(scope="module")
+def model8():
+    return make_covariance(SpectrumSpec("log-spaced", {"lo": 1e-3, "hi": 10.0}), 8, 7)
+
+
+class TestBatchedSigmas:
+    """A sequence of noise levels integrated as one flow, against one call per level."""
+
+    @pytest.mark.parametrize(
+        "parametrization, adaptive, bound",
+        [
+            # RK4 steps every slice at the largest sigma's rate, finer than the
+            # smaller sigmas take alone: measured gaps up to 4.1e-10
+            ("one-layer", False, 1e-9),
+            # RK45's error norm spans the batch: measured gaps up to 2.9e-12
+            ("one-layer", True, 1e-11),
+            ("two-layer-symmetric", False, 1e-11),
+        ],
+    )
+    def test_each_slice_matches_its_scalar_call(self, model8, parametrization, adaptive, bound):
+        rng = np.random.default_rng(4)
+        moments = DataMoments(rng.normal(size=8) * 0.3, model8.covariance())
+        b0 = rng.normal(size=8) * 0.1
+        q = 0.1
+        w0 = (model8.basis * q) @ model8.basis.T if parametrization == "one-layer" else model8.basis * np.sqrt(q)
+        taus = np.geomspace(1e-3, 1.0, 8)
+        _, ws, bs = gradient_flow_full(
+            moments, SIGMAS, 1.0, w0, b0, taus, parametrization=parametrization, adaptive=adaptive
+        )
+        assert ws.shape == (8, 3, 8, 8)
+        assert bs.shape == (8, 3, 8)
+        for j, sigma in enumerate(SIGMAS):
+            _, w1, b1 = gradient_flow_full(
+                moments, sigma, 1.0, w0, b0, taus, parametrization=parametrization, adaptive=adaptive
+            )
+            gap = max(np.max(np.abs(ws[:, j] - w1)), np.max(np.abs(bs[:, j] - b1)))
+            assert gap <= bound * np.max(np.abs(w1))
+            if parametrization == "one-layer" and not adaptive and sigma == max(SIGMAS):
+                # the largest sigma sets the step, so its slice takes the scalar call's steps
+                assert np.array_equal(ws[:, j], w1)
+                assert np.array_equal(bs[:, j], b1)
+
+    @pytest.mark.parametrize("parametrization, taps", [("circulant", 6), ("patch", 3)])
+    def test_convolutional_flows_take_one_sigma(self, moments6, parametrization, taps):
+        with pytest.raises(ValueError, match="takes one noise level"):
+            gradient_flow_full(
+                moments6, (0.5, 1.0), 1.0, np.zeros(taps), np.zeros(6), [0.1],
+                parametrization=parametrization, half_width=1,
+            )
+
+
+class TestOracleDeviation:
+    @pytest.mark.parametrize("arch", ["one-layer", "two-layer"])
+    def test_one_flow_call_per_check(self, monkeypatch, model8, arch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return oracle.gradient_flow_full(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "gradient_flow_full", counting)
+        dev = oracle_deviation(model8, arch, SIGMAS, 0.1, 1.0, np.geomspace(1e-3, 1.0, 4))
+        assert len(calls) == 1
+        assert tuple(calls[0]) == SIGMAS
+        assert dev < ORACLE_TOLERANCE
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="fixed-step RK4 at the one-layer flow's spectral rate reads 1.128e-6 "
+        "at Q = 0.5; adaptive RK45 reads below 5e-9; see DECISIONS.md",
+    )
+    def test_one_layer_check_passes_away_from_the_default_q(self):
+        cfg = ExperimentConfig(dim=3, q_init=0.5, validate_with_oracle=True)
+        model = make_covariance(SpectrumSpec(cfg.model_kind, {"lo": cfg.lo, "hi": cfg.hi}), cfg.dim, cfg.seed)
+        dev = oracle_deviation(model, cfg.arch, cfg.report_sigmas, cfg.q_init, cfg.eta, cfg.oracle_taus())
+        assert dev < ORACLE_TOLERANCE
+
+
 class TestMonteCarloLoss:
     def test_optimum_within_three_standard_errors(self, model6, moments6):
         sigma = 0.8
@@ -206,3 +289,44 @@ class TestIntegrators:
         a = rk4_path(rhs, np.array([1.0, 0.0]), grid, substeps=200)
         b = rk45_path(rhs, np.array([1.0, 0.0]), grid, rtol=1e-11, atol=1e-13)
         assert np.max(np.abs(a - b)) < 1e-8
+
+    def test_rk45_matches_cash_karp_written_out_stage_by_stage(self):
+        """Two forced Van der Pol oscillators as a (2, 2) state, against a reference
+        stepper with the same step control and every tableau entry spelled out."""
+        mu = np.array([0.5, 2.0])
+
+        def rhs(t, y):
+            return np.stack([y[:, 1], mu * (1.0 - y[:, 0] ** 2) * y[:, 1] - y[:, 0] + 0.3 * np.cos(t)], axis=1)
+
+        def reference(y, grid, rtol, atol):
+            out = [y]
+            for t, t_end in zip(grid[:-1], grid[1:]):
+                h = (t_end - t) / 16.0
+                while t < t_end:
+                    h = min(h, t_end - t)
+                    k1 = rhs(t, y)
+                    k2 = rhs(t + h / 5, y + h * (k1 / 5))
+                    k3 = rhs(t + 3 * h / 10, y + h * (3 / 40 * k1 + 9 / 40 * k2))
+                    k4 = rhs(t + 3 * h / 5, y + h * (3 / 10 * k1 - 9 / 10 * k2 + 6 / 5 * k3))
+                    k5 = rhs(t + h, y + h * (-11 / 54 * k1 + 5 / 2 * k2 - 70 / 27 * k3 + 35 / 27 * k4))
+                    k6 = rhs(
+                        t + 7 * h / 8,
+                        y + h * (1631 / 55296 * k1 + 175 / 512 * k2 + 575 / 13824 * k3
+                                 + 44275 / 110592 * k4 + 253 / 4096 * k5),
+                    )
+                    y5 = y + h * (37 / 378 * k1 + 250 / 621 * k3 + 125 / 594 * k4 + 512 / 1771 * k6)
+                    y4 = y + h * (2825 / 27648 * k1 + 18575 / 48384 * k3 + 13525 / 55296 * k4
+                                  + 277 / 14336 * k5 + k6 / 4)
+                    err = np.max(np.abs(y5 - y4) / (atol + rtol * np.maximum(np.abs(y), np.abs(y5))))
+                    if err <= 1.0:
+                        t, y = t + h, y5
+                    h *= min(5.0, max(0.2, 0.9 * err**-0.2 if err > 0 else 5.0))
+                out.append(y)
+            return np.stack(out)
+
+        y0 = np.array([[2.0, 0.0], [1.0, -0.5]])
+        grid = np.linspace(0.0, 6.0, 7)
+        got = rk45_path(rhs, y0, grid, rtol=1e-10, atol=1e-12)
+        want = reference(y0, grid, 1e-10, 1e-12)
+        assert got.shape == want.shape == (7, 2, 2)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
