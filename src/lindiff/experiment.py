@@ -3,10 +3,11 @@
 Configs are flat ``section.key = value`` text files, overridable by
 command-line ``--set`` flags.  A run produces deterministic data files
 (trajectories, emergence table, power-law fit, manifest); plotting is
-left to downstream tooling.  Tables are written a fixed number of rows at
-a time, so a run's memory does not grow with a table's text, and the
-covariance eigenbasis is built only for the stages that read it (kl, the
-oracle check, and a data file's eigendecomposition).
+left to downstream tooling.  Each table is a NumPy structured array,
+written a fixed number of rows at a time and formatted column by column
+from its dtypes, so a run's memory does not grow with a table's text.
+The covariance eigenbasis is built only for the stages that read it (kl,
+the oracle check, and a data file's eigendecomposition).
 """
 
 from __future__ import annotations
@@ -303,8 +304,17 @@ def run_experiment(cfg: ExperimentConfig, stages: frozenset = frozenset({"trajec
 
     Stages: 'trajectories' (weights + generated variances), 'emergence'
     (first-passage table + power-law fit), 'kl' (per-mode KL over tau).
+    The manifest's ``stage_seconds`` times each stage that ran, from the
+    end of the one before it.
     """
     t_start = time.perf_counter()
+    stage_seconds, t_stage = {}, t_start
+
+    def lap(stage: str) -> None:
+        nonlocal t_stage
+        now = time.perf_counter()
+        stage_seconds[stage], t_stage = now - t_stage, now
+
     taus = cfg.taus()
     if "emergence" in stages and len(taus) < 2:
         key = "dynamics.tau" if cfg.tau_override is not None else "dynamics.tau_points"
@@ -316,6 +326,7 @@ def run_experiment(cfg: ExperimentConfig, stages: frozenset = frozenset({"trajec
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     s0, s_t = cfg.schedule.sigma_min, cfg.schedule.sigma_max
+    lap("spectrum")
 
     tau_list = taus.tolist()
     # The lambda-free Ei term of each (tau, sigma), shared by every mode.  The
@@ -324,11 +335,13 @@ def run_experiment(cfg: ExperimentConfig, stages: frozenset = frozenset({"trajec
     lam_gen = np.array([[_lambda_gen(cfg, l, t, ei_memo) for t in tau_list] for l in lam.tolist()])
     v0 = s_t**2 * (s0 / s_t) ** (2.0 * (1.0 - cfg.q_init))
     targets = s_t**2 * (lam + s0**2) / (lam + s_t**2)
+    lap("lambda_gen")
 
     written = []
     fit_payload = None
     if "trajectories" in stages:
         written.append(_emit_trajectories(cfg, out, lam, taus, lam_gen))
+        lap("trajectories")
     if "emergence" in stages:
         crit = EmergenceCriterion(cfg.criterion)
         gz = GrayZone(cfg.gray_lower, cfg.gray_upper)
@@ -360,10 +373,12 @@ def run_experiment(cfg: ExperimentConfig, stages: frozenset = frozenset({"trajec
             fit_payload["error"] = fit_error
         _write_json(out / "fit.json", fit_payload)
         written.append("fit.json")
+        lap("emergence")
     diagnostics = {}
     if "kl" in stages:
         name, diagnostics["kl_clamped_modes"] = _emit_kl(cfg, out, model, taus, lam_gen)
         written.append(name)
+        lap("kl")
 
     manifest = {
         "config": {
@@ -382,14 +397,15 @@ def run_experiment(cfg: ExperimentConfig, stages: frozenset = frozenset({"trajec
     if diagnostics:
         manifest["diagnostics"] = diagnostics
     if cfg.validate_with_oracle:
-        t_oracle = time.perf_counter()
         dev = oracle_deviation(model, cfg.arch, cfg.report_sigmas, cfg.q_init, cfg.eta, cfg.oracle_taus())
+        lap("oracle")
         manifest["oracle"] = {
             "max_rel_deviation": dev,
             "tolerance": ORACLE_TOLERANCE,
             "passed": bool(dev < ORACLE_TOLERANCE),
-            "seconds": time.perf_counter() - t_oracle,
+            "seconds": stage_seconds["oracle"],
         }
+    manifest["stage_seconds"] = stage_seconds
     manifest["wall_clock_s"] = time.perf_counter() - t_start
     _write_json(out / "manifest.json", manifest)
     return manifest
@@ -397,21 +413,29 @@ def run_experiment(cfg: ExperimentConfig, stages: frozenset = frozenset({"trajec
 
 def _emit_trajectories(cfg, out: Path, spectrum, taus, lam_gen) -> str:
     psi = one_layer_psi if cfg.arch == "one-layer" else two_layer_psi
-    q, eta = cfg.q_init, cfg.eta
-    tau_list = taus.tolist()
-    rows = []
-    for k, (lam, gens) in enumerate(zip(spectrum.tolist(), lam_gen.tolist())):
-        for tau, gen in zip(tau_list, gens):
-            for sigma in cfg.report_sigmas:
-                rows.append((k, lam, tau, sigma, float(psi(lam, sigma, q, eta, tau)), gen))
+    q, eta, sigmas = cfg.q_init, cfg.eta, cfg.report_sigmas
     header = ["mode_index", "lambda_target", "tau", "sigma", "psi", "lambda_gen"]
-    return _emit_table(cfg, out, "trajectories", header, rows)
+    table = np.empty(lam_gen.size * len(sigmas), dtype={"names": header, "formats": [int] + [float] * 5})
+    grid = table.reshape(len(spectrum), len(taus), len(sigmas))  # a view: rows in (mode, tau, sigma) order
+    grid["mode_index"] = np.arange(len(spectrum))[:, None, None]
+    grid["lambda_target"] = spectrum[:, None, None]
+    grid["tau"] = taus[:, None]
+    grid["sigma"] = sigmas
+    grid["lambda_gen"] = lam_gen[:, :, None]
+    cells = (psi(lam, sigma, q, eta, tau) for lam in spectrum.tolist() for tau in taus.tolist() for sigma in sigmas)
+    table["psi"] = np.fromiter(cells, float, len(table))
+    return _emit_table(cfg, out, "trajectories", header, table)
 
 
 def _emit_emergence(cfg, out: Path, spectrum, tau_stars, branches, excluded) -> str:
-    rows = [(k, spectrum[k], tau_stars[k], branches[k], int(excluded[k])) for k in range(len(spectrum))]
     header = ["mode_index", "lambda_target", "tau_star", "branch", "excluded_flag"]
-    return _emit_table(cfg, out, "emergence", header, rows)
+    table = np.empty(len(spectrum), dtype={"names": header, "formats": [int, float, object, object, int]})
+    table["mode_index"] = np.arange(len(spectrum))
+    table["lambda_target"] = spectrum
+    table["tau_star"] = tau_stars  # None where a mode never crosses
+    table["branch"] = branches
+    table["excluded_flag"] = excluded
+    return _emit_table(cfg, out, "emergence", header, table)
 
 
 def _emit_kl(cfg, out: Path, model, taus, lam_gen) -> tuple[str, int]:
@@ -421,16 +445,14 @@ def _emit_kl(cfg, out: Path, model, taus, lam_gen) -> tuple[str, int]:
 
     zero = np.zeros(model.dim)
     kls = [kl_shared_basis(np.maximum(gen, 1e-300), model.spectrum, zero, zero, model.basis) for gen in lam_gen.T]
-    columns = (
-        np.tile(np.arange(model.dim), len(taus)),
-        np.tile(model.spectrum, len(taus)),
-        np.repeat(taus, model.dim),
-        lam_gen.T.ravel(),
-        np.concatenate([kl.per_mode for kl in kls]),
-    )
-    rows = list(zip(*(column.tolist() for column in columns)))
     header = ["mode_index", "lambda_target", "tau", "lambda_gen", "kl"]
-    return _emit_table(cfg, out, "kl", header, rows), sum(kl.clamped for kl in kls)
+    grid = np.empty((len(taus), model.dim), dtype={"names": header, "formats": [int] + [float] * 4})  # (tau, mode) rows
+    grid["mode_index"] = np.arange(model.dim)
+    grid["lambda_target"] = model.spectrum
+    grid["tau"] = taus[:, None]
+    grid["lambda_gen"] = lam_gen.T
+    grid["kl"] = [kl.per_mode for kl in kls]
+    return _emit_table(cfg, out, "kl", header, grid.reshape(-1)), sum(kl.clamped for kl in kls)
 
 
 def _cell(value) -> str:
@@ -441,26 +463,12 @@ def _cell(value) -> str:
     return f"{float(value):.17g}"
 
 
-def _column_kind(values) -> type | None:
-    """str, int or float when every value of a column is one of that kind,
-    which ``_cell`` writes as ``str(value)`` (str, int) or ``%.17g`` (float);
-    None when the column needs ``_cell`` itself (None, bool, mixed)."""
-    types = set(map(type, values))
-    if all(issubclass(t, str) for t in types):
-        return str
-    if all(t is int or issubclass(t, np.integer) for t in types):  # not bool: _cell writes True
-        return int
-    if all(t is float or issubclass(t, np.floating) for t in types):
-        return float
-    return None
-
-
 def _distinct_cells(column, encode) -> list[str]:
     """The text of each value of a float column, from one ``encode`` call
     that maps the column's distinct values to their texts.
 
     Values are told apart by their bits, so 0.0 and -0.0 keep their own
-    text, and equal float and np.float64 values share one.
+    text.
     """
     bits = np.array(column, dtype=float).view(np.uint64)
     distinct, inverse = np.unique(bits, return_inverse=True)
@@ -468,51 +476,51 @@ def _distinct_cells(column, encode) -> list[str]:
     return texts[inverse].tolist()
 
 
-def _csv_cells(column):
-    """The text ``_cell`` writes for each value in ``column``; other than a
-    float column's, the texts are made as the rows are joined."""
-    kind = _column_kind(column)
-    if kind is float:
+def _csv_cells(column: np.ndarray):
+    """The text ``_cell`` writes for each value of ``column``: a float column's
+    from its distinct values, an int or bool column's by ``str``, and any
+    other dtype's by ``_cell``; the last two lazily, as the rows are joined."""
+    kind = column.dtype.kind
+    if kind == "f":
         return _distinct_cells(column, lambda values: ["%.17g" % v for v in values])
-    return map(str if kind else _cell, column)
+    return map(str if kind in "biu" else _cell, column.tolist())
 
 
-def _csv_text(rows) -> str:
-    """CSV text of ``rows``, byte for byte one ``",".join(map(_cell, row)) + "\n"``
-    per row, built one column at a time; ``rows`` is not empty."""
+def _csv_text(header, chunk) -> str:
+    """CSV text of the ``header`` columns of ``chunk``, byte for byte one
+    ``",".join(map(_cell, row)) + "\n"`` per row, built one column at a time;
+    ``chunk`` is not empty."""
     # One expression: the cells are freed before `+ "\n"` copies the text (a
     # local holding them raised a dim-16 emergence's peak RSS by 0.85 MiB).
-    return "\n".join(map(",".join, zip(*map(_csv_cells, zip(*rows))))) + "\n"
+    return "\n".join(map(",".join, zip(*(_csv_cells(chunk[key]) for key in header)))) + "\n"
 
 
 def _json_list(values) -> list[str]:
     return json.dumps(values)[1:-1].split(", ")
 
 
-def _json_cells(column) -> list[str]:
-    """The JSON text of each value in ``column``, as the indented table writes it.
+def _json_cells(column: np.ndarray) -> list[str]:
+    """The JSON text of each value of ``column``, as the indented table writes it.
 
-    An int column, or a float column's distinct values, is encoded by one
-    ``json.dumps`` call without indent, which runs in the C encoder; other
-    columns one value at a time.
+    An int or bool column, or a float column's distinct values, is encoded
+    by one ``json.dumps`` call without indent, which runs in the C encoder;
+    any other dtype one value at a time.
     """
-    kind = _column_kind(column)
-    if kind is int:
-        return _json_list(list(map(int, column)))
-    if kind is float:
+    kind = column.dtype.kind
+    if kind in "biu":
+        return _json_list(column.tolist())
+    if kind == "f":
         return _distinct_cells(column, _json_list)
-    return [json.dumps(v, indent=2, sort_keys=True, cls=_NumpyEncoder).replace("\n", "\n    ") for v in column]
+    return [json.dumps(v, indent=2, sort_keys=True, cls=_NumpyEncoder).replace("\n", "\n    ") for v in column.tolist()]
 
 
-def _json_rows(header, rows) -> str:
-    """The objects of ``json.dumps([dict(zip(header, row)) for row in rows],
+def _json_rows(header, chunk) -> str:
+    """The objects of ``json.dumps([dict(zip(header, row)) for row in chunk],
     indent=2, sort_keys=True, cls=_NumpyEncoder)``, the text between its
-    brackets' newlines, built one column at a time; ``rows`` is not empty."""
-    order = sorted(range(len(header)), key=header.__getitem__)
-    columns = list(zip(*rows))
-    keys = [json.dumps(header[j]).replace("%", "%%") for j in order]
-    row = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
-    cells = zip(*(_json_cells(columns[j]) for j in order))
+    brackets' newlines, built one column at a time; ``chunk`` is not empty."""
+    keys = sorted(header)
+    row = "  {\n" + ",\n".join(f"    {json.dumps(key).replace('%', '%%')}: %s" for key in keys) + "\n  }"
+    cells = zip(*(_json_cells(chunk[key]) for key in keys))
     return ",\n".join([row % values for values in cells])
 
 
@@ -520,24 +528,25 @@ def _json_rows(header, rows) -> str:
 _CHUNK_ROWS = 8192
 
 
-def _emit_table(cfg, out: Path, name: str, header, rows) -> str:
-    """Write rows as CSV (None -> empty cell) or JSON (None -> null); returns
-    the file name.
+def _emit_table(cfg, out: Path, name: str, header, table) -> str:
+    """Write ``table`` as CSV (None -> empty cell) or JSON (None -> null);
+    returns the file name.
 
-    The rows are formatted and written _CHUNK_ROWS at a time through one
-    open file.  The bytes are those of formatting the whole table at once;
-    each chunk's column kinds are read from its own values, which gives
-    the same text because every kind writes a value as ``_cell`` (CSV)
-    or ``json.dumps`` (JSON) does.
+    ``table`` is a NumPy structured array with a field per ``header`` name;
+    ``len(table)`` is its row count, which perfbench's tracer reads.  The
+    rows are written _CHUNK_ROWS at a time through one open file, each
+    column formatted by its dtype's kind (float, int or bool as a whole,
+    object one value at a time) into the text ``_cell`` (CSV) or
+    ``json.dumps`` (JSON) writes for each value.
     """
     path = out / f"{name}.{cfg.fmt}"
-    chunks = (rows[i : i + _CHUNK_ROWS] for i in range(0, len(rows), _CHUNK_ROWS))
+    chunks = (table[i : i + _CHUNK_ROWS] for i in range(0, len(table), _CHUNK_ROWS))
     with path.open("w") as fh:
         if cfg.fmt == "csv":
             fh.write(",".join(header) + "\n")
             for chunk in chunks:
-                fh.write(_csv_text(chunk))
-        elif not rows:
+                fh.write(_csv_text(header, chunk))
+        elif not len(table):
             fh.write("[]\n")
         else:
             fh.write("[\n")

@@ -125,8 +125,63 @@ class TestRunExperiment:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         m1 = json.loads((out1 / "manifest.json").read_text())
         m2 = json.loads((out2 / "manifest.json").read_text())
-        m1.pop("wall_clock_s"), m2.pop("wall_clock_s")
+        for m in (m1, m2):
+            m.pop("wall_clock_s"), m.pop("stage_seconds")
         assert m1 == m2
+
+    @pytest.mark.parametrize(
+        "stages, oracle, timed",
+        [
+            (("trajectories",), False, ["spectrum", "lambda_gen", "trajectories"]),
+            (("trajectories", "emergence"), True, ["spectrum", "lambda_gen", "trajectories", "emergence", "oracle"]),
+            (("kl",), False, ["spectrum", "lambda_gen", "kl"]),
+        ],
+        ids=["simulate", "emergence-oracle", "kl"],
+    )
+    def test_manifest_times_each_stage_that_ran(self, tmp_path, stages, oracle, timed):
+        cfg = ExperimentConfig(dim=4, out_dir=str(tmp_path), tau_points=11, tau_max=10.0, validate_with_oracle=oracle)
+        manifest = run_experiment(cfg, stages=frozenset(stages))
+        seconds = manifest["stage_seconds"]
+        assert list(seconds) == timed
+        assert all(s > 0 for s in seconds.values())
+        assert sum(seconds.values()) <= manifest["wall_clock_s"]
+        if oracle:
+            assert manifest["oracle"]["seconds"] == seconds["oracle"]
+        assert json.loads((tmp_path / "manifest.json").read_text())["stage_seconds"] == seconds
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["simulate", "emergence", "kl"])
+    def test_each_table_length_is_its_written_row_count(self, tmp_path, monkeypatch, command, fmt):
+        # perfbench's tracer counts experiment.emit_rows as len() of _emit_table's fifth argument
+        lengths = {}
+
+        def recording(*args):
+            lengths[args[2]] = len(args[4])
+            return _emit_table(*args)
+
+        monkeypatch.setattr(experiment, "_emit_table", recording)
+        rc = main([command, "--format", fmt, "--out", str(tmp_path), "--set", "model.kind=log-normal",
+                   "--set", "model.dim=5", "--set", "dynamics.tau_points=7"])
+        assert rc == 0
+        assert set(lengths) == {"simulate": {"trajectories"}, "emergence": {"trajectories", "emergence"},
+                                "kl": {"kl"}}[command]
+        for name, length in lengths.items():
+            text = (tmp_path / f"{name}.{fmt}").read_text()
+            rows = len(text.splitlines()) - 1 if fmt == "csv" else len(json.loads(text))
+            assert length == rows == {"trajectories": 5 * 7 * 3, "emergence": 5, "kl": 5 * 7}[name]
+
+    def test_simulate_holds_no_python_object_per_row(self, tmp_path):
+        # The table costs 48 B per row and one chunk's text a fixed amount; a
+        # Python tuple per row adds about 150 B (194 B per row measured so).
+        cfg = ExperimentConfig(dim=64, tau_points=241, out_dir=str(tmp_path))
+        tracemalloc.start()
+        try:
+            run_experiment(cfg, stages=frozenset({"trajectories"}))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = 64 * 241 * 3
+        assert peak < 150 * rows, f"peak {peak / rows:.0f} B per row"
 
     def test_each_run_computes_the_lambda_free_ei_terms_again(self, tmp_path, monkeypatch):
         # Every cell takes the Ei branch: 2 eta tau sigma_max^2 >= 128 and
@@ -221,36 +276,51 @@ class TestRunExperiment:
         assert any(isinstance(row["tau_star"], float) for row in rows)
 
 
+def _table(columns: dict) -> np.ndarray:
+    """The writer's input: a structured array with one field per
+    ``name: (dtype, values)`` entry, filled one field at a time."""
+    n = len(next(iter(columns.values()))[1])
+    table = np.empty(n, dtype=[(name, dtype) for name, (dtype, _) in columns.items()])
+    for name, (dtype, values) in columns.items():
+        table[name] = np.fromiter(values, dtype, n)  # fromiter keeps each list one object
+    return table
+
+
+def _rows(columns: dict) -> list[tuple]:
+    """The rows of the ``name: (dtype, values)`` columns, as the Python values given."""
+    return list(zip(*(values for _, values in columns.values())))
+
+
 class TestCsvWriter:
     def test_rows_match_cell_by_cell_formatting_byte_for_byte(self, tmp_path):
         specials = [-0.0, 5e-324, 1e308, float("nan"), float("inf"), -float("inf"), 0.1, 1 / 3, -2.5e-300]
         n = len(specials)
         columns = {
-            "int": [k - 3 for k in range(n)],
-            "int64": [np.int64(-(2**62) + k) for k in range(n)],
-            "bool": [k % 2 == 0 for k in range(n)],
-            "str": ["increasing" if k % 2 else "decreasing" for k in range(n)],
-            "float": specials,
-            "float64": [np.float64(v) for v in reversed(specials)],
-            "none": [None if k % 3 == 0 else specials[k] for k in range(n)],
-            "mixed": [k if k % 2 else specials[k] for k in range(n)],
+            "int": (int, [k - 3 for k in range(n)]),
+            "int64": (np.int64, [np.int64(-(2**62) + k) for k in range(n)]),
+            "bool": (bool, [k % 2 == 0 for k in range(n)]),
+            "str": (object, ["increasing" if k % 2 else "decreasing" for k in range(n)]),
+            "float": (float, specials),
+            "float64": (float, [np.float64(v) for v in reversed(specials)]),
+            "none": (object, [None if k % 3 == 0 else specials[k] for k in range(n)]),
+            "mixed": (object, [k if k % 2 else specials[k] for k in range(n)]),
         }
         header = list(columns)
-        rows = list(zip(*columns.values()))
+        table, rows = _table(columns), _rows(columns)
         cfg = ExperimentConfig(out_dir=str(tmp_path))
-        assert _emit_table(cfg, tmp_path, "t", header, rows) == "t.csv"
+        assert _emit_table(cfg, tmp_path, "t", header, table) == "t.csv"
         want = "\n".join([",".join(header)] + [",".join(map(_cell, row)) for row in rows]) + "\n"
         assert (tmp_path / "t.csv").read_bytes() == want.encode()
         first = (tmp_path / "t.csv").read_text().splitlines()[1].split(",")
         assert first[2] == "True" and first[4] == "-0" and first[6] == ""
-        assert _emit_table(cfg, tmp_path, "empty", header, []) == "empty.csv"
+        assert _emit_table(cfg, tmp_path, "empty", header, table[:0]) == "empty.csv"
         assert (tmp_path / "empty.csv").read_text() == ",".join(header) + "\n"
 
     def test_repeated_floats_keep_their_own_text(self, tmp_path):
-        rows = [(v,) for v in _repeated_floats(_CHUNK_ROWS + 5)]
+        values = _repeated_floats(_CHUNK_ROWS + 5)
         cfg = ExperimentConfig(out_dir=str(tmp_path))
-        _emit_table(cfg, tmp_path, "t", ["x"], rows)
-        want = "\n".join(["x"] + [_cell(v) for (v,) in rows]) + "\n"
+        _emit_table(cfg, tmp_path, "t", ["x"], _table({"x": (float, values)}))
+        want = "\n".join(["x"] + [_cell(v) for v in values]) + "\n"
         assert (tmp_path / "t.csv").read_bytes() == want.encode()
         assert (tmp_path / "t.csv").read_text().splitlines()[1 + _CHUNK_ROWS : 3 + _CHUNK_ROWS] == ["-0", "0"]
 
@@ -271,51 +341,51 @@ class TestJsonWriter:
         n = len(specials)
         texts = ['say "hi"', "back\\slash", "100% sure", "caf\u00e9 \u03c4*", "", "tab\tnew\nline", "%s", "a", "z"]
         columns = {
-            "int": [k - 3 for k in range(n)],
-            "int64": [np.int64(-(2**62) + k) for k in range(n)],
-            "bool": [k % 2 == 0 for k in range(n)],
-            "str": texts,
-            "float": specials,
-            "float64": [np.float64(v) for v in reversed(specials)],
-            "none": [None if k % 3 == 0 else specials[k] for k in range(n)],
-            "mixed": [k if k % 2 else specials[k] for k in range(n)],
-            "list": [[k, specials[k], None] for k in range(n)],
-            "%d \"key\" \u00e9": [np.float32(k / 7) for k in range(n)],
+            "int": (int, [k - 3 for k in range(n)]),
+            "int64": (np.int64, [np.int64(-(2**62) + k) for k in range(n)]),
+            "bool": (bool, [k % 2 == 0 for k in range(n)]),
+            "str": (object, texts),
+            "float": (float, specials),
+            "float64": (float, [np.float64(v) for v in reversed(specials)]),
+            "none": (object, [None if k % 3 == 0 else specials[k] for k in range(n)]),
+            "mixed": (object, [k if k % 2 else specials[k] for k in range(n)]),
+            "list": (object, [[k, specials[k], None] for k in range(n)]),
+            "%d \"key\" \u00e9": (np.float32, [np.float32(k / 7) for k in range(n)]),
         }
         header = list(columns)
-        rows = list(zip(*columns.values()))
+        table, rows = _table(columns), _rows(columns)
         cfg = ExperimentConfig(out_dir=str(tmp_path), fmt="json")
-        assert _emit_table(cfg, tmp_path, "t", header, rows) == "t.json"
+        assert _emit_table(cfg, tmp_path, "t", header, table) == "t.json"
         payload = [dict(zip(header, row)) for row in rows]
         want = json.dumps(payload, indent=2, sort_keys=True, cls=_NumpyEncoder) + "\n"
         assert (tmp_path / "t.json").read_bytes() == want.encode()
         first = json.loads((tmp_path / "t.json").read_text())[0]
         assert first["bool"] is True and first["none"] is None and first["str"] == 'say "hi"'
-        assert _emit_table(cfg, tmp_path, "empty", header, []) == "empty.json"
+        assert _emit_table(cfg, tmp_path, "empty", header, table[:0]) == "empty.json"
         assert (tmp_path / "empty.json").read_text() == "[]\n"
 
     def test_repeated_floats_keep_their_own_text(self, tmp_path):
-        rows = [(v,) for v in _repeated_floats(_CHUNK_ROWS + 5)]
+        values = _repeated_floats(_CHUNK_ROWS + 5)
         cfg = ExperimentConfig(out_dir=str(tmp_path), fmt="json")
-        _emit_table(cfg, tmp_path, "t", ["x"], rows)
-        want = json.dumps([{"x": v} for (v,) in rows], indent=2, sort_keys=True, cls=_NumpyEncoder) + "\n"
+        _emit_table(cfg, tmp_path, "t", ["x"], _table({"x": (float, values)}))
+        want = json.dumps([{"x": v} for v in values], indent=2, sort_keys=True, cls=_NumpyEncoder) + "\n"
         assert (tmp_path / "t.json").read_bytes() == want.encode()
 
 
 def _boundary_columns(n: int) -> dict:
     """n rows of the writer tests' cell kinds; "late-float" holds ints in the
     first chunk and floats after it, "late-none" a None in the last row only,
-    so that a later chunk picks another column format than the first."""
+    so that a later chunk of an object column holds other kinds than the first."""
     specials = [-0.0, 5e-324, 1e308, float("nan"), float("inf"), -float("inf"), 0.1, 1 / 3, -2.5e-300]
     return {
-        "int": [k - 3 for k in range(n)],
-        "int64": [np.int64(-(2**62) + k) for k in range(n)],
-        "bool": [k % 2 == 0 for k in range(n)],
-        "float": [specials[k % 9] for k in range(n)],
-        "float64": [np.float64(specials[-1 - k % 9]) for k in range(n)],
-        "none": [None if k % 3 == 0 else specials[k % 9] for k in range(n)],
-        "late-float": [k if k < _CHUNK_ROWS else specials[k % 9] for k in range(n)],
-        "late-none": [None if k == n - 1 else k / 7 for k in range(n)],
+        "int": (int, [k - 3 for k in range(n)]),
+        "int64": (np.int64, [np.int64(-(2**62) + k) for k in range(n)]),
+        "bool": (bool, [k % 2 == 0 for k in range(n)]),
+        "float": (float, [specials[k % 9] for k in range(n)]),
+        "float64": (float, [np.float64(specials[-1 - k % 9]) for k in range(n)]),
+        "none": (object, [None if k % 3 == 0 else specials[k % 9] for k in range(n)]),
+        "late-float": (object, [k if k < _CHUNK_ROWS else specials[k % 9] for k in range(n)]),
+        "late-none": (object, [None if k == n - 1 else k / 7 for k in range(n)]),
     }
 
 
@@ -326,38 +396,37 @@ class TestChunkedTables:
     @pytest.mark.parametrize("n", _BOUNDARY_SIZES)
     def test_csv_chunk_boundaries_match_cell_by_cell_formatting(self, tmp_path, n):
         columns = _boundary_columns(n)
-        columns["str"] = ["increasing" if k % 2 else "decreasing" for k in range(n)]
+        columns["str"] = (object, ["increasing" if k % 2 else "decreasing" for k in range(n)])
         header = list(columns)
-        rows = list(zip(*columns.values()))
         cfg = ExperimentConfig(out_dir=str(tmp_path))
-        assert _emit_table(cfg, tmp_path, "t", header, rows) == "t.csv"
-        want = "\n".join([",".join(header)] + [",".join(map(_cell, row)) for row in rows]) + "\n"
+        assert _emit_table(cfg, tmp_path, "t", header, _table(columns)) == "t.csv"
+        want = "\n".join([",".join(header)] + [",".join(map(_cell, row)) for row in _rows(columns)]) + "\n"
         assert (tmp_path / "t.csv").read_bytes() == want.encode()
 
     @pytest.mark.parametrize("n", _BOUNDARY_SIZES)
     def test_json_chunk_boundaries_match_json_dumps(self, tmp_path, n):
         texts = ['say "hi"', "back\\slash", "100% sure", "caf\u00e9 \u03c4*", "", "tab\tnew\nline", "%s", "a", "z"]
         columns = _boundary_columns(n)
-        columns["str"] = [texts[k % 9] for k in range(n)]
-        columns["list"] = [[k, 1 / (k + 1), None] for k in range(n)]
-        columns["%d \"key\" \u00e9"] = [np.float32(k / 7) for k in range(n)]
+        columns["str"] = (object, [texts[k % 9] for k in range(n)])
+        columns["list"] = (object, [[k, 1 / (k + 1), None] for k in range(n)])
+        columns["%d \"key\" \u00e9"] = (np.float32, [np.float32(k / 7) for k in range(n)])
         header = list(columns)
-        rows = list(zip(*columns.values()))
         cfg = ExperimentConfig(out_dir=str(tmp_path), fmt="json")
-        assert _emit_table(cfg, tmp_path, "t", header, rows) == "t.json"
-        payload = [dict(zip(header, row)) for row in rows]
+        assert _emit_table(cfg, tmp_path, "t", header, _table(columns)) == "t.json"
+        payload = [dict(zip(header, row)) for row in _rows(columns)]
         want = json.dumps(payload, indent=2, sort_keys=True, cls=_NumpyEncoder) + "\n"
         assert (tmp_path / "t.json").read_bytes() == want.encode()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_emission_peaks_below_the_size_of_the_file(self, tmp_path, fmt):
-        values = np.random.default_rng(0).lognormal(size=(100_000, 5)).tolist()
-        rows = [(k, *v) for k, v in enumerate(values)]
+        values = np.random.default_rng(0).lognormal(size=(100_000, 5))
         header = ["mode_index", "lambda_target", "tau", "sigma", "psi", "lambda_gen"]
+        columns = {key: (float, values[:, j]) for j, key in enumerate(header[1:])}
+        table = _table({"mode_index": (int, range(len(values)))} | columns)
         cfg = ExperimentConfig(out_dir=str(tmp_path), fmt=fmt)
         tracemalloc.start()
         try:
-            name = _emit_table(cfg, tmp_path, "t", header, rows)
+            name = _emit_table(cfg, tmp_path, "t", header, table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
