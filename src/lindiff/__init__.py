@@ -24,13 +24,12 @@ from .convolution import (
     patch_filter_trajectory,
 )
 from .dynamics import (
-    DynamicsConfig,
     LossVariant,
     Residual,
     convergence_rate,
     deep_linear_mode,
     discrete_gd_trajectory,
-    mean_cov_coupling,
+    linear_flow,
     mean_coupled_trajectory,
     one_layer_bias,
     one_layer_psi,

@@ -8,7 +8,7 @@ therefore the one-layer solution,
 ``dynamics.one_layer_psi(S_kk, sigma, gamma0, N * eta, tau)`` with S_kk
 from ``dft_mode_variance``.  Local filters instead do ridge regression in
 patch space: the K x K shift-averaged patch covariance governs the
-dynamics.
+dynamics, a ``dynamics.linear_flow`` at rate 2 N eta.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .dynamics import linear_flow
 
 __all__ = [
     "PatchCovariance",
@@ -93,22 +95,16 @@ def patch_covariance(sigma_mat: np.ndarray, r: int) -> PatchCovariance:
 def patch_filter_trajectory(pc: PatchCovariance, sigma, eta, n, w0, tau_grid):
     """Local-filter flow w(tau) = w* + exp(-2 N eta tau (sigma^2 I + S_p))(w0 - w*).
 
-    The matrix exponential is evaluated through the eigendecomposition of
-    sigma^2 I + Sigma_patch; w* = (sigma^2 I + Sigma_patch)^-1 Sigma_patch e0
-    with e0 the one-hot at the filter center.  Returns (w_path, w_star)
+    The flow dw/dtau = -2 N eta ((sigma^2 I + S_p) w - S_p e0), with e0 the
+    one-hot at the filter center, is ``dynamics.linear_flow`` at rate
+    2 N eta; w* = (sigma^2 I + S_p)^-1 S_p e0.  Returns (w_path, w_star)
     with w_path[i] the filter at tau_grid[i].
     """
-    tau_grid = np.atleast_1d(np.asarray(tau_grid, float))
     w0 = np.asarray(w0, float)
     k = pc.size
     if w0.shape != (k,):
         raise ValueError("w0 must match the patch size")
     a = sigma**2 * np.eye(k) + pc.matrix
-    e0 = np.zeros(k)
-    e0[k // 2] = 1.0
-    w_star = np.linalg.solve(a, pc.matrix @ e0)
-    evals, evecs = np.linalg.eigh(a)
-    coeff = evecs.T @ (w0 - w_star)
-    decay = np.exp(-2.0 * n * eta * tau_grid[:, None] * evals[None, :])
-    path = w_star[None, :] + (decay * coeff[None, :]) @ evecs.T
-    return path, w_star
+    r = pc.matrix[:, k // 2 : k // 2 + 1]  # S_p e0 as a column
+    path = linear_flow(a, r, w0[:, None], 2.0 * n * eta, tau_grid)[..., 0]
+    return path, np.linalg.solve(a, r)[:, 0]

@@ -15,10 +15,14 @@ Reparameterized architectures are calls of ``one_layer_psi``, not copies:
 a residual skip W = c_skip I + c_out W' is one layer with
 Q -> c_skip + c_out Q and eta -> c_out^2 eta (``Residual.one_layer``), and
 a full-width circulant convolution is one layer with lambda -> S_kk and
-eta -> N eta.  A matrix exponential in an extended (d+1)-dimensional space
-covers a data mean that couples weight and bias, and a geometric iteration
-covers discrete-time gradient descent.  The depth-L reduced ODE has no
-closed form and is integrated numerically.
+eta -> N eta.  A flow that is linear in its parameters but does not
+decouple per mode, dX/dtau = -rate (A X - R) with A symmetric positive
+definite, is one eigendecomposition of A (``linear_flow``): the (W, b)
+flow on data whose mean couples weight and bias
+(``mean_coupled_trajectory``) and the local patch filter
+(``convolution.patch_filter_trajectory``).  A geometric iteration covers
+discrete-time gradient descent.  The depth-L reduced ODE has no closed
+form and is integrated numerically.
 """
 
 from __future__ import annotations
@@ -34,9 +38,6 @@ from .integrate import rk45_path
 __all__ = [
     "LossVariant",
     "Residual",
-    "DynamicsConfig",
-    "MeanCovCoupling",
-    "MeanCovSolution",
     "DiscreteGDResult",
     "OverlapResult",
     "optimal_mode_weight",
@@ -44,7 +45,7 @@ __all__ = [
     "one_layer_psi",
     "two_layer_psi",
     "one_layer_bias",
-    "mean_cov_coupling",
+    "linear_flow",
     "mean_coupled_trajectory",
     "deep_linear_mode",
     "discrete_gd_trajectory",
@@ -119,7 +120,7 @@ def convergence_rate(variant: LossVariant, lam: float, s: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Architectures and configuration
+# Architectures
 # ---------------------------------------------------------------------------
 
 
@@ -140,29 +141,6 @@ class Residual:
         one_layer_psi(lam, sigma, *res.one_layer(q, eta), tau) = u_k^T W u_k.
         """
         return self.c_skip + self.c_out * np.asarray(q, float), eta * self.c_out**2
-
-
-@dataclass(frozen=True)
-class DynamicsConfig:
-    """Everything a trajectory needs besides the data model."""
-
-    eta: float
-    tau_grid: np.ndarray
-    init_q: np.ndarray  # aligned initialization u_k^T W(0) u_k, one per mode
-    sigma: float | np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tau_grid", np.atleast_1d(np.asarray(self.tau_grid, float)))
-        object.__setattr__(self, "init_q", np.atleast_1d(np.asarray(self.init_q, float)))
-        object.__setattr__(self, "sigma", np.atleast_1d(np.asarray(self.sigma, float)))
-        if self.eta <= 0:
-            raise ValueError("learning rate eta must be positive")
-        if np.any(np.diff(self.tau_grid) <= 0):
-            raise ValueError("tau grid must be strictly increasing")
-        if np.any(self.tau_grid < 0):
-            raise ValueError("tau grid must be nonnegative")
-        if np.any(self.sigma <= 0):
-            raise ValueError("sigma must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -189,86 +167,57 @@ def one_layer_bias(b0: np.ndarray, eta: float, tau) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Mean-covariance coupling (non-centered data)
+# Linear flows: mean-coupled bias and local filters
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MeanCovCoupling:
-    """Symmetric (d+1) by (d+1) dynamics matrix of the coupled system.
+def linear_flow(a, r, x0, rate: float, tau_grid) -> np.ndarray:
+    """Closed-form solution of dX/dtau = -rate (A X - R) for symmetric positive definite A.
 
-    M = D + q q^T with D = diag(sigma^2 + lambda_k, ..., 0) and
-    q = [m_1, ..., m_d, 1], where m_k = u_k . mu.
+    X(tau) = X* + V exp(-rate tau Omega) V^T (X0 - X*) with A X* = R and
+    A = V Omega V^T.  ``a`` is (..., n, n) with any leading batch axes;
+    ``r`` and ``x0`` are (n, m) matrices, or stacks of them that broadcast
+    against those axes.
+    Returns X at every tau, tau first: (n_tau, ..., n, m).
     """
-
-    overlaps: np.ndarray  # (d,)
-    dynamics_matrix: np.ndarray  # (d+1, d+1)
-
-
-@dataclass(frozen=True)
-class MeanCovSolution:
-    taus: np.ndarray
-    basis: np.ndarray  # eigenbasis used for the mode projections
-    spectrum: np.ndarray
-    weight_columns: np.ndarray  # (n_tau, d, d); [t, :, k] = W(tau_t) u_k
-    bias: np.ndarray  # (n_tau, d); b(tau) in original coordinates
-    weight_diag: np.ndarray  # (n_tau, d); u_k^T W(tau) u_k
-
-    def weight_matrix(self, i: int) -> np.ndarray:
-        """Dense W at tau index i (from W U = V)."""
-        return self.weight_columns[i] @ self.basis.T
+    x_star = np.linalg.solve(a, r)
+    omega, v = np.linalg.eigh(a)
+    coeff = np.swapaxes(v, -1, -2) @ (x0 - x_star)
+    decay = np.exp(-rate * np.asarray(tau_grid, float).reshape((-1,) + (1,) * omega.ndim) * omega)
+    return x_star + v @ (decay[..., None] * coeff)
 
 
-def mean_cov_coupling(moments: DataMoments, sigma: float) -> MeanCovCoupling:
-    model = moments.eigenmodel()
-    m = model.basis.T @ moments.mean
-    d = model.dim
-    q = np.concatenate([m, [1.0]])
-    diag = np.concatenate([sigma**2 + model.spectrum, [0.0]])
-    mat = np.diag(diag) + np.outer(q, q)
-    return MeanCovCoupling(m, mat)
+def mean_coupled_trajectory(moments: DataMoments, s, eta: float, w0, b0, tau_grid):
+    """One-layer (W, b) gradient flow on data with any mean, in closed form.
 
-
-def mean_coupled_trajectory(
-    moments: DataMoments,
-    cfg: DynamicsConfig,
-    b0: np.ndarray | None = None,
-) -> MeanCovSolution:
-    """Coupled (W, b) dynamics for nonzero mean, solved spectrally.
-
-    The stacked state X with rows (v_1, ..., v_d, b - mu), where
-    v_k = W u_k, obeys dX/dtau = -2 eta (M X - R).  M is symmetric, so
-    X(tau) = X* + S exp(-2 eta tau Omega) S^T (X0 - X*) with M = S Omega S^T
-    and M X* = R.  The fixed point reproduces W* = Sigma (Sigma+sigma^2 I)^-1
-    and b* = (I - W*) mu.
+    The EDM loss E|W x~ + b - x|^2 with x~ = x + s z couples W and b through
+    the mean mu.  Its flow is linear in X = [W | b]^T:
+    dX/dtau = -2 eta (A X - R) with A = E[[x~; 1][x~; 1]^T] and
+    R = [Sigma + mu mu^T; mu^T], so ``linear_flow`` solves it.  The fixed
+    point is W* = Sigma (Sigma + s^2 I)^-1, b* = (I - W*) mu.  ``s`` is one
+    noise level or a 1-D sequence of them (then A has a leading sigma axis
+    and ``w0`` is shared or given per sigma), as in
+    ``oracle.gradient_flow_full``.  Returns (Ws, bs) with that function's
+    shapes: Ws[i] (or Ws[i, j] for s[j]) is W at tau_grid[i].
     """
-    if cfg.sigma.size != 1:
-        raise ValueError("one sigma at a time for the coupled solve")
-    sigma = float(cfg.sigma[0])
-    model = moments.eigenmodel()
-    d = model.dim
-    coupling = mean_cov_coupling(moments, sigma)
-    m_mat = coupling.dynamics_matrix
-
-    u = model.basis
-    lam = model.spectrum
-    r = np.vstack([(u * lam).T, np.zeros(d)])  # rows lambda_k u_k^T, then 0
-    x_star = np.linalg.solve(m_mat, r)
-
-    q = np.broadcast_to(cfg.init_q, lam.shape)
-    w0 = (u * q) @ u.T
-    b_init = np.zeros(d) if b0 is None else np.asarray(b0, float)
-    x0 = np.vstack([(w0 @ u).T, b_init - moments.mean])
-
-    omega, s_mat = np.linalg.eigh(m_mat)
-    coeff = s_mat.T @ (x0 - x_star)
-    decay = np.exp(-2.0 * cfg.eta * cfg.tau_grid[:, None] * omega[None, :])
-    x_tau = x_star[None] + np.einsum("ij,tj,jk->tik", s_mat, decay, coeff)
-
-    v_cols = np.swapaxes(x_tau[:, :d, :], 1, 2)  # [t, :, k] = v_k
-    bias = x_tau[:, d, :] + moments.mean
-    w_diag = np.einsum("ik,tik->tk", u, v_cols)
-    return MeanCovSolution(cfg.tau_grid, u, lam, v_cols, bias, w_diag)
+    tau_grid = np.atleast_1d(np.asarray(tau_grid, float))
+    sig = np.asarray(s, float)
+    if eta <= 0:
+        raise ValueError("learning rate eta must be positive")
+    if tau_grid[0] < 0 or np.any(np.diff(tau_grid) <= 0):
+        raise ValueError("tau grid must be nonnegative and strictly increasing")
+    if sig.ndim > 1 or np.any(sig <= 0):
+        raise ValueError("sigma must be positive: one value or a 1-D sequence")
+    mu, d = moments.mean, moments.dim
+    second = moments.covariance + np.outer(mu, mu)
+    r = np.vstack([second, mu])
+    noise = np.diag(np.append(np.ones(d), 0.0))  # s^2 I in the x~ x~^T block only
+    a = np.hstack([r, np.append(mu, 1.0)[:, None]]) + (sig * sig)[..., None, None] * noise
+    x0 = np.empty(sig.shape + (d + 1, d))
+    x0[..., :d, :] = np.swapaxes(np.asarray(w0, float), -1, -2)
+    x0[..., d, :] = b0
+    x = linear_flow(a, r, x0, 2.0 * eta, tau_grid)
+    return np.swapaxes(x[..., :d, :], -1, -2), x[..., d, :]
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,11 @@ __all__ = ["ConfigError", "ExperimentConfig", "parse_config_text", "run_experime
 ORACLE_TOLERANCE = 1e-6
 # --validate-with-oracle integrates over this part of the tau window only.
 ORACLE_TAU_WINDOW = (1e-3, 10.0)
+# Bounds on |log10| of the schedule endpoints and of the tau = 0 generated
+# variance v0: targets lie in [sigma_min^2, sigma_max^2], so every product
+# or ratio of v0 and a target that the sweep forms stays within 1e+-250.
+SIGMA_LOG10_BOUND = 50
+V0_LOG10_BOUND = 150
 
 
 class ConfigError(ValueError):
@@ -142,6 +147,17 @@ class ExperimentConfig:
             raise ConfigError("analysis.gray_zone.upper: must exceed 1")
         if self.arch == "two-layer" and self.q_init <= 0:
             raise ConfigError("arch.q_init: two-layer requires Q > 0")
+        s0, s_t = self.schedule.sigma_min, self.schedule.sigma_max
+        if max(abs(math.log10(s0)), abs(math.log10(s_t))) > SIGMA_LOG10_BOUND:
+            raise ConfigError(f"schedule.sigma_min/schedule.sigma_max: must lie in [1e-{SIGMA_LOG10_BOUND}, 1e{SIGMA_LOG10_BOUND}]")
+        # log10 of v0 = sigma_max^2 (sigma_min/sigma_max)^(2(1-Q)), the generated variance at tau = 0
+        log_t, log_ratio = 2.0 * math.log10(s_t), 2.0 * math.log10(s0 / s_t)
+        if abs(log_t + (1.0 - self.q_init) * log_ratio) > V0_LOG10_BOUND:
+            q_lo, q_hi = (1.0 + (sign * V0_LOG10_BOUND + log_t) / log_ratio for sign in (1, -1))
+            raise ConfigError(
+                f"arch.q_init: need Q in [{q_lo:.4g}, {q_hi:.4g}] for this schedule, so that the tau = 0 generated "
+                f"variance sigma_max^2 (sigma_min/sigma_max)^(2(1-Q)) lies in [1e-{V0_LOG10_BOUND}, 1e{V0_LOG10_BOUND}]"
+            )
         if self.eta <= 0:
             raise ConfigError("dynamics.eta: must be positive")
         if not 0 < self.tau_min < self.tau_max:
@@ -192,7 +208,7 @@ class ExperimentConfig:
         try:
             fields["schedule"] = NoiseSchedule(**schedule)
         except ValueError as exc:
-            raise ConfigError(f"schedule: {exc}") from exc
+            raise ConfigError(f"schedule.sigma_min/schedule.sigma_max: {exc}") from exc
         return ExperimentConfig(**fields)
 
 

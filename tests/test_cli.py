@@ -418,8 +418,10 @@ class TestChunkedTables:
         assert (tmp_path / "t.json").read_bytes() == want.encode()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_emission_peaks_below_the_size_of_the_file(self, tmp_path, fmt):
-        values = np.random.default_rng(0).lognormal(size=(100_000, 5))
+    def test_emission_peaks_below_the_size_of_the_file(self, tmp_path, monkeypatch, fmt):
+        # 16 chunks: a writer that held the whole table's text would peak above the file's size
+        monkeypatch.setattr(experiment, "_CHUNK_ROWS", 512)
+        values = np.random.default_rng(0).lognormal(size=(8192, 5))
         header = ["mode_index", "lambda_target", "tau", "sigma", "psi", "lambda_gen"]
         columns = {key: (float, values[:, j]) for j, key in enumerate(header[1:])}
         table = _table({"mode_index": (int, range(len(values)))} | columns)
@@ -569,6 +571,26 @@ class TestCliEntry:
         assert proc.returncode == 1
         assert proc.stderr.startswith(f"config error: {key}:")
         assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "command, setting, key",
+        [
+            ("emergence", "arch.q_init=36", "arch.q_init"),  # v0 overflows a float
+            ("emergence", "arch.q_init=34", "arch.q_init"),  # v0 finite, v0 * target overflows
+            ("kl", "arch.q_init=-36", "arch.q_init"),  # v0 underflows to zero
+            ("simulate", "schedule.sigma_max=1e155", "schedule.sigma_min/schedule.sigma_max"),
+            ("kl", "schedule.sigma_min=0", "schedule.sigma_min/schedule.sigma_max"),
+        ],
+    )
+    def test_out_of_range_init_or_schedule_exits_1_before_writing(self, tmp_path, capsys, command, setting, key):
+        out = tmp_path / "o"
+        rc = main([command, "--out", str(out), "--set", "model.dim=4", "--set", "dynamics.tau_points=9", "--set", setting])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}:")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize(

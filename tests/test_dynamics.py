@@ -1,15 +1,15 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from lindiff.dynamics import (
-    DynamicsConfig,
     LossVariant,
     Residual,
     convergence_rate,
     deep_linear_mode,
     discrete_gd_trajectory,
-    mean_cov_coupling,
+    linear_flow,
     mean_coupled_trajectory,
     one_layer_bias,
     one_layer_psi,
@@ -128,52 +128,73 @@ class TestOneLayer:
         assert_allclose(one_layer_bias(b0, 1.7, 0.8), num, atol=1e-12)
 
 
-class TestMeanCovCoupling:
-    def test_matrix_structure(self, model6):
-        rng = np.random.default_rng(2)
-        mu = rng.normal(size=6)
-        moments = DataMoments(mu, model6.covariance())
-        coupling = mean_cov_coupling(moments, sigma=1.2)
-        m = coupling.overlaps
-        d = np.concatenate([1.2**2 + np.sort(np.linalg.eigvalsh(model6.covariance()))[::-1], [0.0]])
-        q = np.concatenate([m, [1.0]])
-        assert_allclose(coupling.dynamics_matrix, np.diag(d) + np.outer(q, q), atol=1e-10)
-        assert_allclose(coupling.dynamics_matrix, coupling.dynamics_matrix.T)
+class TestLinearFlow:
+    """linear_flow against a 30-digit matrix exponential on a batch of two SPD matrices."""
 
+    @pytest.fixture
+    def system(self):
+        rng = np.random.default_rng(4)
+        g = rng.normal(size=(2, 4, 4))
+        a = g @ np.swapaxes(g, -1, -2) + 0.5 * np.eye(4)
+        return a, rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), 0.7
+
+    def test_matches_mpmath_expm(self, system):
+        a, r, x0, rate = system
+        taus = np.array([0.0, 0.05, 0.8, 3.0])
+        got = linear_flow(a, r, x0, rate, taus)
+        assert got.shape == (4, 2, 4, 3)
+        with mp.workdps(30):
+            for j in range(2):
+                am = mp.matrix(a[j].tolist())
+                x_star = mp.inverse(am) * mp.matrix(r.tolist())
+                for i, tau in enumerate(taus):
+                    ref = x_star + mp.expm(-rate * mp.mpf(float(tau)) * am) * (mp.matrix(x0.tolist()) - x_star)
+                    ref = np.array(ref.tolist(), dtype=float)
+                    assert np.max(np.abs(got[i, j] - ref)) < 1e-12 * np.max(np.abs(ref))
+
+    def test_start_and_fixed_point(self, system):
+        a, r, x0, rate = system
+        got = linear_flow(a, r, x0, rate, [0.0, 1e4])
+        assert_allclose(got[0], np.broadcast_to(x0, got[0].shape), rtol=1e-12, atol=0)
+        assert_allclose(a @ got[1], np.broadcast_to(r, got[1].shape), rtol=1e-12, atol=1e-12 * np.max(np.abs(r)))
+
+
+class TestMeanCovCoupling:
     def test_zero_mean_reduces_to_decoupled(self, model6):
         moments = DataMoments(np.zeros(6), model6.covariance())
         taus = np.geomspace(1e-2, 5, 8)
-        cfg = DynamicsConfig(1.0, taus, np.full(6, 0.2), 1.0)
-        sol = mean_coupled_trajectory(moments, cfg, b0=np.full(6, 0.3))
-        decoupled = one_layer_psi(sol.spectrum[None, :], 1.0, 0.2, 1.0, taus[:, None])
-        assert np.max(np.abs(sol.weight_diag - decoupled)) < 1e-12
+        model = moments.eigenmodel()
+        basis = model.basis
+        ws, bs = mean_coupled_trajectory(moments, 1.0, 1.0, (basis * 0.2) @ basis.T, np.full(6, 0.3), taus)
+        weight_diag = np.einsum("ik,tij,jk->tk", basis, ws, basis)
+        decoupled = one_layer_psi(model.spectrum[None, :], 1.0, 0.2, 1.0, taus[:, None])
+        assert np.max(np.abs(weight_diag - decoupled)) < 1e-12
         bias = one_layer_bias(np.full(6, 0.3), 1.0, taus).T
-        assert np.max(np.abs(sol.bias - bias)) < 1e-12
+        assert np.max(np.abs(bs - bias)) < 1e-12
 
     @pytest.mark.parametrize("sigma", [0.1, 1.5, 4.0])
     def test_two_dimensional_example_vs_rk4(self, sigma):
         # mean aligned with the single mode: m=1, lambda=1
         moments = DataMoments(np.array([1.0]), np.array([[1.0]]))
         taus = np.geomspace(1e-2, 8, 12)
-        cfg = DynamicsConfig(1.0, taus, np.array([0.3]), sigma)
-        sol = mean_coupled_trajectory(moments, cfg, b0=np.array([0.1]))
+        closed_w, closed_b = mean_coupled_trajectory(moments, sigma, 1.0, np.array([[0.3]]), np.array([0.1]), taus)
         _, ws, bs = gradient_flow_full(
             moments, sigma, 1.0, np.array([[0.3]]), np.array([0.1]), taus, adaptive=True
         )
-        assert np.max(np.abs(ws[:, 0, 0] - sol.weight_diag[:, 0])) < 1e-8
-        assert np.max(np.abs(bs[:, 0] - sol.bias[:, 0])) < 1e-8
+        assert np.max(np.abs(ws[:, 0, 0] - closed_w[:, 0, 0])) < 1e-8
+        assert np.max(np.abs(bs[:, 0] - closed_b[:, 0])) < 1e-8
 
     def test_fixed_point_is_ridge_solution(self, model6):
         rng = np.random.default_rng(8)
         mu = rng.normal(size=6)
         moments = DataMoments(mu, model6.covariance())
-        cfg = DynamicsConfig(1.0, np.array([0.0, 400.0]), np.full(6, 0.2), 0.8)
-        sol = mean_coupled_trajectory(moments, cfg)
+        basis = moments.eigenmodel().basis
+        ws, bs = mean_coupled_trajectory(moments, 0.8, 1.0, (basis * 0.2) @ basis.T, np.zeros(6), [0.0, 400.0])
         sigma_mat = moments.covariance
         w_star = sigma_mat @ np.linalg.inv(sigma_mat + 0.8**2 * np.eye(6))
         b_star = (np.eye(6) - w_star) @ mu
-        assert np.max(np.abs(sol.weight_matrix(1) - w_star)) < 1e-9
-        assert np.max(np.abs(sol.bias[1] - b_star)) < 1e-9
+        assert np.max(np.abs(ws[1] - w_star)) < 1e-9
+        assert np.max(np.abs(bs[1] - b_star)) < 1e-9
 
 
 class TestTwoLayer:
@@ -430,10 +451,12 @@ class TestClosedFormVsOracleInvariant:
 
 
 class TestConfigValidation:
+    MOMENTS = DataMoments(np.array([0.5]), np.array([[1.0]]))
+
     def test_bad_eta(self):
         with pytest.raises(ValueError):
-            DynamicsConfig(0.0, [0.1], [0.1], 1.0)
+            mean_coupled_trajectory(self.MOMENTS, 1.0, 0.0, np.array([[0.1]]), np.zeros(1), [0.1])
 
     def test_non_increasing_tau(self):
         with pytest.raises(ValueError):
-            DynamicsConfig(1.0, [0.2, 0.1], [0.1], 1.0)
+            mean_coupled_trajectory(self.MOMENTS, 1.0, 1.0, np.array([[0.1]]), np.zeros(1), [0.2, 0.1])
