@@ -65,8 +65,9 @@ class LossVariant:
     """A training-loss variant plus its noise schedule.
 
     ``alpha`` and ``sigma_t`` map the scalar time argument to the signal
-    and noise amplitudes.  For EDM the time argument *is* the noise scale
-    (alpha = 1, sigma_t = s); for flow matching it is t in (0, 1).
+    and noise amplitudes, for every tag; the tag fixes only the regression
+    target.  By default the time argument *is* the noise scale (alpha = 1,
+    sigma_t = s, as for EDM); for flow matching it is t in (0, 1).
     """
 
     tag: str
@@ -86,37 +87,25 @@ class LossVariant:
         return LossVariant("FlowMatch", alpha=lambda t: t, sigma_t=lambda t: 1.0 - t)
 
 
-def optimal_mode_weight(variant: LossVariant, lam: float, s: float) -> float:
-    """Optimal per-mode weight w*_k for an eigenvalue lambda at time s."""
-    if variant.tag == "EDM":
-        den = lam + s * s
-        if den == 0:
-            raise ValueError("lambda + sigma^2 must be nonzero")
-        return lam / den
-    if variant.tag == "FlowMatch":
-        den = s * s * lam + (1.0 - s) ** 2
-        if den == 0:
-            raise ValueError("t^2 lambda + (1-t)^2 vanishes (t=1, lambda=0)")
-        return (s * lam - (1.0 - s)) / den
+def optimal_mode_weight(variant: LossVariant, lam, s):
+    """Optimal per-mode weight w*_k = (c_x alpha lam + c_eps sigma_t) / (alpha^2 lam + sigma_t^2)
+    for an eigenvalue lambda (or an array of them) at time s.
+
+    The variant regresses the target c_x x + c_eps eps on the input
+    alpha x + sigma_t eps; its tag fixes only (c_x, c_eps).
+    """
     a, st = variant.alpha(s), variant.sigma_t(s)
-    den = a * a * lam + st * st
-    if den == 0:
+    c_x, c_eps = {"EpsPred": (0.0, 1.0), "VPred": (-st, a), "FlowMatch": (1.0, -1.0)}.get(variant.tag, (1.0, 0.0))
+    den = convergence_rate(variant, lam, s)
+    if np.any(den == 0):
         raise ValueError("alpha^2 lambda + sigma_t^2 must be nonzero")
-    if variant.tag == "XPred":
-        return a * lam / den
-    if variant.tag == "EpsPred":
-        return st / den
-    return a * st * (1.0 - lam) / den  # VPred
+    return (c_x * a * lam + c_eps * st) / den
 
 
-def convergence_rate(variant: LossVariant, lam: float, s: float) -> float:
-    """Inverse time constant 1/tau* of the mode (without the 2 eta factor)."""
-    if variant.tag == "EDM":
-        return lam + s * s
-    if variant.tag == "FlowMatch":
-        return s * s * lam + (1.0 - s) ** 2
+def convergence_rate(variant: LossVariant, lam, s):
+    """Inverse time constant 1/tau* = alpha^2 lam + sigma_t^2 of the mode (without the 2 eta factor)."""
     a, st = variant.alpha(s), variant.sigma_t(s)
-    return a * a * lam + st * st
+    return a * a * lam + st**2
 
 
 # ---------------------------------------------------------------------------

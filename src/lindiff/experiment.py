@@ -312,9 +312,6 @@ def oracle_deviation(
     return float(np.max(np.abs(numeric - closed) / scale))
 
 
-ALL_STAGES = frozenset({"trajectories", "emergence", "kl"})
-
-
 def run_experiment(cfg: ExperimentConfig, stages: frozenset = frozenset({"trajectories", "emergence"})) -> dict:
     """Run the sweep and write the requested output files; returns the manifest.
 
@@ -460,15 +457,15 @@ def _emit_kl(cfg, out: Path, model, taus, lam_gen) -> tuple[str, int]:
     from .metrics import kl_shared_basis
 
     zero = np.zeros(model.dim)
-    kls = [kl_shared_basis(np.maximum(gen, 1e-300), model.spectrum, zero, zero, model.basis) for gen in lam_gen.T]
+    kl = kl_shared_basis(np.maximum(lam_gen.T, 1e-300), model.spectrum, zero, zero, model.basis)
     header = ["mode_index", "lambda_target", "tau", "lambda_gen", "kl"]
     grid = np.empty((len(taus), model.dim), dtype={"names": header, "formats": [int] + [float] * 4})  # (tau, mode) rows
     grid["mode_index"] = np.arange(model.dim)
     grid["lambda_target"] = model.spectrum
     grid["tau"] = taus[:, None]
     grid["lambda_gen"] = lam_gen.T
-    grid["kl"] = [kl.per_mode for kl in kls]
-    return _emit_table(cfg, out, "kl", header, grid.reshape(-1)), sum(kl.clamped for kl in kls)
+    grid["kl"] = kl.per_mode
+    return _emit_table(cfg, out, "kl", header, grid.reshape(-1)), kl.clamped
 
 
 def _cell(value) -> str:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import LossVariant, convergence_rate, optimal_mode_weight
 from .special import expint_ei
 
 __all__ = [
@@ -39,8 +40,8 @@ def fm_one_layer_weight(tau, t, lam, q, eta):
     )
     if np.any((t <= 0) | (t > 1)):
         raise ValueError("t must lie in (0, 1]")
-    rate = t * t * lam + (1.0 - t) ** 2
-    w_star = (t * lam - (1.0 - t)) / rate
+    variant = LossVariant.flow_match()
+    rate, w_star = convergence_rate(variant, lam, t), optimal_mode_weight(variant, lam, t)
     return w_star + (q - w_star) * np.exp(-2.0 * eta * tau * rate)
 
 

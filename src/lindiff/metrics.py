@@ -30,7 +30,8 @@ def kl_shared_basis(lam1, lam2, mu1, mu2, basis) -> ModeKL:
     """KL(N(mu1, U diag(lam1) U^T) || N(mu2, U diag(lam2) U^T)) per mode.
 
     Variances below 1e-12 are clamped (count reported); nonpositive
-    variances are a domain error.
+    variances are a domain error.  ``lam1`` may carry leading axes, as a
+    (tau, mode) grid of generated variances does; the KL is elementwise.
     """
     lam1 = np.asarray(lam1, float)
     lam2 = np.asarray(lam2, float)

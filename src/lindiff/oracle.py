@@ -39,18 +39,14 @@ def variant_moments(variant: LossVariant, moments: DataMoments, s: float):
     mu, cov = moments.mean, moments.covariance
     d = moments.dim
     eye = np.eye(d)
-    if variant.tag == "EDM":
-        return mu, mu, cov + s * s * eye, cov, cov
-    if variant.tag == "FlowMatch":
-        t = s
-        sxx = t * t * cov + (1 - t) ** 2 * eye
-        return t * mu, mu, sxx, t * cov - (1 - t) * eye, cov + eye
     a, st = variant.alpha(s), variant.sigma_t(s)
     sxx = a * a * cov + st * st * eye
-    if variant.tag == "XPred":
+    if variant.tag in ("EDM", "XPred"):
         return a * mu, mu, sxx, a * cov, cov
     if variant.tag == "EpsPred":
         return a * mu, np.zeros(d), sxx, st * eye, eye
+    if variant.tag == "FlowMatch":  # target x - eps
+        return a * mu, mu, sxx, a * cov - st * eye, cov + eye
     # VPred: target alpha*eps - sigma*x
     return a * mu, -st * mu, sxx, a * st * (eye - cov), a * a * eye + st * st * cov
 

@@ -41,7 +41,6 @@ __all__ = [
     "pf_ode_numeric",
     "pf_mode_scaling",
     "mean_transport",
-    "IntegrationError",
 ]
 
 # Dispatch thresholds for the Ei-based factors: below/above these the
@@ -151,6 +150,19 @@ def phi_two_layer(sigma: float, tau: float, lam: float, q: float, eta: float) ->
     return sigma**c * bracket ** (0.5 * (1.0 - c))
 
 
+def _two_layer_log_ratio(phi: PhiFactor, s0: float, s_t: float) -> float:
+    """ln Phi(s0)/Phi(s_t) of ``phi_two_layer``, c ln(s0/s_t) + (1-c)/2 ln(B(s0)/B(s_t)):
+    finite where sigma^c or B^((1-c)/2) alone over- or underflows.  No sum
+    cancels (1 - E by ``expm1``, Q + (1-Q) E as Q (1 - E) + E), because
+    |c ln(s0/s_t)| reaches several hundred and multiplies c's relative error."""
+    lam, q = phi.lam, phi.q
+    decay = math.exp(-8.0 * phi.eta * phi.tau * lam)
+    grown = -math.expm1(-8.0 * phi.eta * phi.tau * lam)  # 1 - E
+    c = (1.0 - q) * decay / (q * grown + decay)
+    b0, b_t = (lam * decay + q * grown * (lam + s * s) for s in (s0, s_t))
+    return c * math.log(s0 / s_t) + 0.5 * (1.0 - c) * math.log(b0 / b_t)
+
+
 def phi_value(phi: PhiFactor, sigma: float) -> float:
     """Evaluate a PhiFactor at one noise scale."""
     if phi.case == "one-layer":
@@ -165,7 +177,8 @@ def generated_variance(phi: PhiFactor, schedule: NoiseSchedule, ei_memo: dict | 
 
     The Ei-based one-layer case dispatches to its closed asymptotic forms
     at the extremes of training time (see module docstring thresholds),
-    and passes ``ei_memo`` on to ``phi_one_layer``.
+    and passes ``ei_memo`` on to ``phi_one_layer``.  The two-layer case
+    takes the ratio in logs where the direct one over- or underflows.
     """
     s0, s_t = schedule.sigma_min, schedule.sigma_max
     if phi.case == "one-layer":
@@ -177,8 +190,14 @@ def generated_variance(phi: PhiFactor, schedule: NoiseSchedule, ei_memo: dict | 
         ratio = phi_one_layer(s0, tau, lam, q, eta, ei_memo) / phi_one_layer(s_t, tau, lam, q, eta, ei_memo)
         return s_t**2 * ratio**2
     if phi.case == "two-layer":
-        ratio = phi_value(phi, s0) / phi_value(phi, s_t)
-        return s_t**2 * ratio**2
+        try:  # the direct ratio wherever both factors and it are finite and nonzero
+            ratio = phi_value(phi, s0) / phi_value(phi, s_t)
+            lam_gen = s_t**2 * ratio**2
+        except (OverflowError, ZeroDivisionError):  # sigma^c or B^((1-c)/2) out of range
+            lam_gen = 0.0
+        if 0.0 < lam_gen < math.inf:
+            return lam_gen
+        return math.exp(2.0 * (math.log(s_t) + _two_layer_log_ratio(phi, s0, s_t)))
     return s_t**2 * (phi.lam + s0**2) / (phi.lam + s_t**2)  # converged
 
 

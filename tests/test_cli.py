@@ -593,6 +593,41 @@ class TestCliEntry:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "command, sigma_min, sigma_max, q, extra, table",
+        [
+            ("kl", 1e-50, 1e-49, 125.0, [], "kl.csv"),  # sigma^c overflowed
+            ("emergence", 1e49, 1e50, 26.0, [], "trajectories.csv"),  # sigma^c overflowed
+            ("simulate", 1e49, 1e50, 26.0, ["--set", "dynamics.tau=1e-300,1"], "trajectories.csv"),  # Phi(s_T) was 0
+        ],
+        ids=["kl-small-sigma", "emergence-large-sigma", "simulate-tiny-tau"],
+    )
+    def test_two_layer_lambda_gen_at_extreme_schedules(self, tmp_path, capsys, command, sigma_min, sigma_max, q, extra, table):
+        out = tmp_path / "o"
+        rc = main([
+            command, "--arch", "two-layer", "--out", str(out), "--set", "model.dim=4",
+            "--set", f"schedule.sigma_min={sigma_min}", "--set", f"schedule.sigma_max={sigma_max}",
+            "--set", f"arch.q_init={q}", *extra,
+        ])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        rows = np.genfromtxt(out / table, delimiter=",", names=True)
+        assert np.all(np.isfinite(rows["lambda_gen"]))
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+
+        def reference(lam, tau):  # sigma_T^2 (Phi(sigma_0) / Phi(sigma_T))^2 of the two-layer factor
+            lam, tau, qq, s0, s_t = map(mp.mpf, (lam, tau, q, sigma_min, sigma_max))
+            decay = mp.exp(-8 * tau * lam)
+            c = (1 - qq) * decay / (qq + (1 - qq) * decay)
+            phi = lambda s: s**c * (lam * decay + qq * (1 - decay) * (lam + s**2)) ** ((1 - c) / 2)
+            return s_t**2 * (phi(s0) / phi(s_t)) ** 2
+
+        cells = {(lam, tau): gen for lam, tau, gen in zip(rows["lambda_target"], rows["tau"], rows["lambda_gen"])}
+        worst = max(abs(mp.mpf(gen) / reference(lam, tau) - 1) for (lam, tau), gen in cells.items())
+        assert worst < 1e-12
+
     @pytest.mark.parametrize(
         "command, content, detail",
         [("emergence", None, ""), ("kl", "1,2\n", ""), ("emergence", "1,2\n3,nan\n5,6\n", ""),

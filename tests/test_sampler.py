@@ -4,9 +4,9 @@ from numpy.testing import assert_allclose
 
 from lindiff.dynamics import one_layer_psi, two_layer_psi
 from lindiff.gaussian import SpectrumSpec, make_covariance
+from lindiff.integrate import IntegrationError
 from lindiff.oracle import heun_affine_dense
 from lindiff.sampler import (
-    IntegrationError,
     NoiseSchedule,
     PhiFactor,
     generated_variance,
