@@ -8,16 +8,18 @@ sigma is the ratio of the integrating factor
 
 evaluated at the two endpoints.  The generated variance starting from
 N(0, sigma_T^2 I) is then lambda_gen = sigma_T^2 Phi(sigma_0)^2/Phi(sigma_T)^2.
-Phi is closed-form for the one-layer trajectory (exponential integrals,
-``phi_one_layer``), the two-layer trajectory (elementary powers,
-``phi_two_layer``) and the converged denoiser.  Reparameterized
-architectures reuse the one-layer factor: the full-width convolution is
+``log_phi_ratio`` gives ln Phi(sigma_a)/Phi(sigma_b) in closed form for the
+one-layer trajectory (exponential integrals), the two-layer trajectory
+(elementary logs) and the converged denoiser; ``generated_variance`` is
+sigma_T^2 exp(2 ln Phi(sigma_0)/Phi(sigma_T)), with the one-layer early and
+late asymptotes as exact shortcuts.  Reparameterized architectures reuse
+the one-layer factor: the full-width convolution is
 ``PhiFactor("one-layer", lam=S_kk, eta=N * eta)``.  A Heun integrator on
 the EDM rho-schedule provides the independent numeric route.
 
-Phi is defined up to a sigma-independent normalization (only ratios are
-observable); the tau = 0 branch of the one-layer factor uses the
-regularized limit sigma^(1-Q).
+Phi is defined up to a sigma-independent normalization, so only ratios
+are computed; at tau = 0 the one-layer ratio is the regularized limit
+(sigma_a/sigma_b)^(1-Q).
 """
 
 from __future__ import annotations
@@ -34,9 +36,7 @@ from .special import expint_ei
 __all__ = [
     "NoiseSchedule",
     "PhiFactor",
-    "phi_one_layer",
-    "phi_two_layer",
-    "phi_value",
+    "log_phi_ratio",
     "generated_variance",
     "pf_ode_numeric",
     "pf_mode_scaling",
@@ -107,98 +107,71 @@ class PhiFactor(_PhiFields):
         return tuple.__new__(cls, (case, lam, q, eta, tau))
 
 
-def phi_one_layer(sigma: float, tau: float, lam: float, q: float, eta: float, ei_memo: dict | None = None) -> float:
-    """Integrating factor along one mode of the one-layer trajectory.
+def log_phi_ratio(phi: PhiFactor, sigma_a: float, sigma_b: float, ei_memo: dict | None = None) -> float:
+    """ln Phi(sigma_a)/Phi(sigma_b) along one mode, for each PhiFactor case.
 
-    Phi = sqrt(lam + sigma^2) * exp[(1-Q)/2 * Ei(-2 eta tau sigma^2)
-          * e^(-2 eta tau lam) - 1/2 * Ei(-2 eta tau (sigma^2 + lam))].
-    At tau = 0 returns the regularized limit sigma^(1-Q).  The first Ei
-    term does not depend on lam: a caller that evaluates many modes at
-    the same (tau, sigma) passes a dict it owns as ``ei_memo``, which keeps
-    that term by its argument.
+    one-layer, with x = 2 eta tau sigma^2 and u = 2 eta tau lam:
+        1/2 ln((lam + a^2)/(lam + b^2)) + (1-Q)/2 e^(-u) [Ei(-x_a) - Ei(-x_b)]
+        - 1/2 [Ei(-x_a - u) - Ei(-x_b - u)],
+    and (1-Q) ln(a/b) at tau = 0.  The Ei(-x) terms do not depend on lam: a
+    caller that evaluates many modes at the same (tau, sigma) passes a dict
+    it owns as ``ei_memo``, which keeps them by their argument.
+
+    two-layer, with E = e^(-8 eta tau lam), g = (1-E)/lam (8 eta tau at
+    lam = 0) and c = (1-Q) E / (Q lam g + E):
+        c ln(a/b) + (1-c)/2 ln((E + Q g (lam + a^2)) / (E + Q g (lam + b^2))).
+    1 - E comes from ``expm1`` and no sum cancels, because |c ln(a/b)|
+    reaches several hundred and multiplies c's relative error.
+
+    converged: 1/2 ln((lam + a^2)/(lam + b^2)).
     """
-    if sigma <= 0:
+    case, lam, q, eta, tau = phi
+    if sigma_a <= 0 or sigma_b <= 0:
         raise ValueError("sigma must be positive")
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    if tau == 0.0:
-        return sigma ** (1.0 - q)
-    x_noise = 2.0 * eta * tau * sigma**2
-    if ei_memo is None:
-        ei_noise = expint_ei(-x_noise)
-    elif (ei_noise := ei_memo.get(x_noise)) is None:
-        ei_noise = ei_memo[x_noise] = expint_ei(-x_noise)
-    expo = 0.5 * (1.0 - q) * ei_noise * math.exp(-2.0 * eta * tau * lam) - 0.5 * expint_ei(
-        -(x_noise + 2.0 * eta * tau * lam)
+    if case == "two-layer":
+        if q <= 0:
+            raise ValueError("two-layer Phi needs Q > 0 (Q = 0 never converges)")
+        rate = 8.0 * eta * tau
+        decay = math.exp(-rate * lam)
+        grown = -math.expm1(-rate * lam) / lam if lam else rate
+        c = (1.0 - q) * decay / (q * lam * grown + decay)
+        b_a, b_b = (decay + q * grown * (lam + s * s) for s in (sigma_a, sigma_b))
+        return c * math.log(sigma_a / sigma_b) + 0.5 * (1.0 - c) * math.log(b_a / b_b)
+    if case == "one-layer" and tau == 0.0:
+        return (1.0 - q) * math.log(sigma_a / sigma_b)
+    log_ratio = 0.5 * math.log((lam + sigma_a**2) / (lam + sigma_b**2))
+    if case == "converged":
+        return log_ratio
+    memo = {} if ei_memo is None else ei_memo
+    x_a, x_b = 2.0 * eta * tau * sigma_a**2, 2.0 * eta * tau * sigma_b**2
+    for x in (x_a, x_b):
+        if x not in memo:
+            memo[x] = expint_ei(-x)
+    u = 2.0 * eta * tau * lam
+    return (
+        log_ratio
+        + 0.5 * (1.0 - q) * math.exp(-u) * (memo[x_a] - memo[x_b])
+        - 0.5 * (expint_ei(-(x_a + u)) - expint_ei(-(x_b + u)))
     )
-    return math.sqrt(lam + sigma**2) * math.exp(expo)
-
-
-def phi_two_layer(sigma: float, tau: float, lam: float, q: float, eta: float) -> float:
-    """Integrating factor for the symmetric two-layer trajectory.
-
-    With E = e^(-8 eta tau lam) and c = (1-Q) E / (Q + (1-Q) E):
-    Phi = sigma^c * [lam E + Q (1 - E)(lam + sigma^2)]^((1-c)/2).
-    """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if q <= 0:
-        raise ValueError("two-layer Phi needs Q > 0 (Q = 0 never converges)")
-    decay = math.exp(-8.0 * eta * tau * lam)
-    c = (1.0 - q) * decay / (q + (1.0 - q) * decay)
-    bracket = lam * decay + q * (1.0 - decay) * (lam + sigma**2)
-    return sigma**c * bracket ** (0.5 * (1.0 - c))
-
-
-def _two_layer_log_ratio(phi: PhiFactor, s0: float, s_t: float) -> float:
-    """ln Phi(s0)/Phi(s_t) of ``phi_two_layer``, c ln(s0/s_t) + (1-c)/2 ln(B(s0)/B(s_t)):
-    finite where sigma^c or B^((1-c)/2) alone over- or underflows.  No sum
-    cancels (1 - E by ``expm1``, Q + (1-Q) E as Q (1 - E) + E), because
-    |c ln(s0/s_t)| reaches several hundred and multiplies c's relative error."""
-    lam, q = phi.lam, phi.q
-    decay = math.exp(-8.0 * phi.eta * phi.tau * lam)
-    grown = -math.expm1(-8.0 * phi.eta * phi.tau * lam)  # 1 - E
-    c = (1.0 - q) * decay / (q * grown + decay)
-    b0, b_t = (lam * decay + q * grown * (lam + s * s) for s in (s0, s_t))
-    return c * math.log(s0 / s_t) + 0.5 * (1.0 - c) * math.log(b0 / b_t)
-
-
-def phi_value(phi: PhiFactor, sigma: float) -> float:
-    """Evaluate a PhiFactor at one noise scale."""
-    if phi.case == "one-layer":
-        return phi_one_layer(sigma, phi.tau, phi.lam, phi.q, phi.eta)
-    if phi.case == "two-layer":
-        return phi_two_layer(sigma, phi.tau, phi.lam, phi.q, phi.eta)
-    return math.sqrt(phi.lam + sigma**2)  # converged
 
 
 def generated_variance(phi: PhiFactor, schedule: NoiseSchedule, ei_memo: dict | None = None) -> float:
     """Generated mode variance sigma_T^2 Phi^2(sigma_min) / Phi^2(sigma_max).
 
     The Ei-based one-layer case dispatches to its closed asymptotic forms
-    at the extremes of training time (see module docstring thresholds),
-    and passes ``ei_memo`` on to ``phi_one_layer``.  The two-layer case
-    takes the ratio in logs where the direct one over- or underflows.
+    at the extremes of training time (``_EARLY_THRESHOLD``,
+    ``_LATE_THRESHOLD``); every other cell is ``log_phi_ratio``, which
+    receives ``ei_memo``.
     """
     s0, s_t = schedule.sigma_min, schedule.sigma_max
     if phi.case == "one-layer":
-        lam, q, eta, tau = phi.lam, phi.q, phi.eta, phi.tau
-        if 2.0 * eta * tau * s_t**2 < _EARLY_THRESHOLD:
-            return s_t**2 * (s0 / s_t) ** (2.0 * (1.0 - q))
-        if 2.0 * eta * tau * s0**2 > _LATE_THRESHOLD:
-            return s_t**2 * (lam + s0**2) / (lam + s_t**2)
-        ratio = phi_one_layer(s0, tau, lam, q, eta, ei_memo) / phi_one_layer(s_t, tau, lam, q, eta, ei_memo)
-        return s_t**2 * ratio**2
-    if phi.case == "two-layer":
-        try:  # the direct ratio wherever both factors and it are finite and nonzero
-            ratio = phi_value(phi, s0) / phi_value(phi, s_t)
-            lam_gen = s_t**2 * ratio**2
-        except (OverflowError, ZeroDivisionError):  # sigma^c or B^((1-c)/2) out of range
-            lam_gen = 0.0
-        if 0.0 < lam_gen < math.inf:
-            return lam_gen
-        return math.exp(2.0 * (math.log(s_t) + _two_layer_log_ratio(phi, s0, s_t)))
-    return s_t**2 * (phi.lam + s0**2) / (phi.lam + s_t**2)  # converged
+        if 2.0 * phi.eta * phi.tau * s_t**2 < _EARLY_THRESHOLD:
+            return s_t**2 * (s0 / s_t) ** (2.0 * (1.0 - phi.q))
+        if 2.0 * phi.eta * phi.tau * s0**2 > _LATE_THRESHOLD:
+            return s_t**2 * (phi.lam + s0**2) / (phi.lam + s_t**2)
+    return s_t**2 * math.exp(2.0 * log_phi_ratio(phi, s0, s_t, ei_memo))
 
 
 def pf_mode_scaling(psi_fn, schedule: NoiseSchedule) -> np.ndarray:
@@ -258,14 +231,13 @@ def mean_transport(bias_fn, phi: PhiFactor, schedule: NoiseSchedule, tol: float 
     64-panel value; raises if the two differ by ``tol`` or more.
     """
     s0, s_t = schedule.sigma_min, schedule.sigma_max
-    phi0 = phi_value(phi, s0)
     lo, hi = math.log(s0), math.log(s_t)
     # numpy.polynomial loads on first use; at import time it would add about 2 MiB to every command
     nodes, weights = np.polynomial.legendre.leggauss(_GL_POINTS)
 
     def integrand(u):
         s = math.exp(u)
-        return phi0 / phi_value(phi, s) * np.asarray(bias_fn(s), dtype=float)
+        return math.exp(log_phi_ratio(phi, s0, s)) * np.asarray(bias_fn(s), dtype=float)
 
     def rule(panels: int) -> np.ndarray:
         half = 0.5 * (hi - lo) / panels

@@ -1,21 +1,23 @@
 """Exponential integral Ei at double precision.
 
 The closed-form sampling trajectories need Ei on the negative real axis
-(arguments of the form -2*eta*tau*sigma^2).  Target accuracy is a
-combined absolute/relative tolerance of 1e-12, which is what the
-downstream formulas require.
+(arguments of the form -2*eta*tau*sigma^2).  Target accuracy is 1e-12
+relative on the negative axis, which is what the downstream formulas
+require, and a combined absolute/relative 1e-12 on the positive axis.
 
 Ei is evaluated by the standard three-regime split:
 
 * power series  Ei(x) = gamma + ln|x| + sum_n x^n / (n * n!)
-  on -6 <= x < 0 and 0 < x <= 40 (all-positive terms for x > 0, mild
+  on -2 <= x < 0 and 0 < x <= 40 (all-positive terms for x > 0, mild
   alternating cancellation on the negative side, summed with fsum);
-* continued fraction for E1(-x) (modified Lentz) for x < -6, using
+* continued fraction for E1(-x) (modified Lentz) for x < -2, using
   Ei(x) = -E1(-x);
 * divergent asymptotic series e^x/x * sum_n n!/x^n, truncated at the
   smallest term, for x > 40 (no continued fraction exists on the
-  positive axis; the series/CF crossover at |x| = 6 applies to the
+  positive axis; the series/CF crossover at |x| = 2 applies to the
   negative axis only).
+The alternating series cancels to about 1e-11 relative on [-6, -3]; past
+|x| = 2 the continued fraction converges in at most 53 steps.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ _REL_TOL = 1e-16
 _MAX_TERMS = 500
 
 # Negative-axis series/continued-fraction crossover.
-_CF_CROSSOVER = 6.0
+_CF_CROSSOVER = 2.0
 # Positive-axis series/asymptotic crossover.
 _ASYMPTOTIC_CROSSOVER = 40.0
 

@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from lindiff import cli, experiment, sampler
 from lindiff.cli import build_parser, main
@@ -678,6 +679,24 @@ class TestCliEntry:
             assert not out.exists()
         else:
             assert proc.stderr == ""
+
+    def test_two_layer_zero_eigenvalue_has_the_finite_limit(self, tmp_path):
+        # a rank-deficient data file has one zero eigenvalue; at lam = 0 the two-layer
+        # ratio is (s0/s_t)^(1-Q) ((1 + 8 eta tau Q s0^2) / (1 + 8 eta tau Q s_t^2))^(Q/2)
+        data, out = tmp_path / "x.csv", tmp_path / "o"
+        data.write_text("1,2,3\n2,4,6\n1,1,1\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "lindiff.cli", "emergence", "--arch", "two-layer", "--data", str(data), "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        rows = np.genfromtxt(out / "trajectories.csv", delimiter=",", names=True)
+        zero = rows[rows["lambda_target"] == 0.0]
+        assert zero.size
+        tau, q, s0, s_t = zero["tau"], 0.1, 0.002, 80.0
+        limit = s_t**2 * (s0 / s_t) ** (2 * (1 - q)) * ((1 + 8 * tau * q * s0**2) / (1 + 8 * tau * q * s_t**2)) ** q
+        assert_allclose(zero["lambda_gen"], limit, rtol=1e-12)
 
     @pytest.mark.parametrize("command", ["simulate", "kl"])
     def test_infinite_eigenvalue_exits_1_before_writing(self, tmp_path, command):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,11 +12,10 @@ from lindiff.sampler import (
     NoiseSchedule,
     PhiFactor,
     generated_variance,
+    log_phi_ratio,
     mean_transport,
     pf_mode_scaling,
     pf_ode_numeric,
-    phi_one_layer,
-    phi_two_layer,
 )
 
 SCHED = NoiseSchedule(0.002, 80.0, 7.0, 81)  # 80 integration steps
@@ -36,49 +37,54 @@ class TestNoiseSchedule:
             NoiseSchedule(rho=0.0)
 
 
+def _one_layer(lam, tau, q=0.1):
+    return PhiFactor("one-layer", lam=lam, q=q, eta=1.0, tau=tau)
+
+
 class TestPhiOneLayer:
     def test_late_training_limit(self):
         # Phi -> sqrt(lambda + sigma^2) once the Ei arguments are deep
         for sigma in (0.01, 1.0, 50.0):
-            val = phi_one_layer(sigma, 1e8, 0.7, 0.1, 1.0)
-            assert_allclose(val, np.sqrt(0.7 + sigma**2), rtol=1e-12)
+            val = math.exp(log_phi_ratio(_one_layer(0.7, 1e8), sigma, 80.0))
+            assert_allclose(val, np.sqrt((0.7 + sigma**2) / (0.7 + 80.0**2)), rtol=1e-12)
 
     def test_tau_zero_regularized_power(self):
-        assert phi_one_layer(2.0, 0.0, 0.7, 0.1, 1.0) == 2.0**0.9
+        assert log_phi_ratio(_one_layer(0.7, 0.0), 2.0, 1.0) == 0.9 * math.log(2.0)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            phi_one_layer(-1.0, 1.0, 1.0, 0.1, 1.0)
+            log_phi_ratio(_one_layer(1.0, 1.0), -1.0, 1.0)
         with pytest.raises(ValueError):
-            phi_one_layer(1.0, -1.0, 1.0, 0.1, 1.0)
+            log_phi_ratio(_one_layer(1.0, -1.0), 1.0, 2.0)
 
     def test_ei_memo_keeps_the_lambda_free_term_bit_for_bit(self):
         memo = {}
         for lam in (1e-3, 0.5, 7.0):
-            for sigma in (0.002, 80.0):
-                assert phi_one_layer(sigma, 2.0, lam, 0.1, 1.0, memo) == phi_one_layer(sigma, 2.0, lam, 0.1, 1.0)
+            phi = _one_layer(lam, 2.0)
+            assert log_phi_ratio(phi, 0.002, 80.0, memo) == log_phi_ratio(phi, 0.002, 80.0)
         assert len(memo) == 2  # one entry per (tau, sigma)
 
     def test_positive_everywhere(self):
+        # Phi > 0 wherever its log ratio is finite
         rng = np.random.default_rng(0)
         for _ in range(50):
             sigma = float(rng.uniform(0.002, 80))
             tau = float(rng.uniform(0, 20))
             lam = float(rng.uniform(1e-3, 10))
-            assert phi_one_layer(sigma, tau, lam, 0.1, 1.0) > 0
+            assert math.isfinite(log_phi_ratio(_one_layer(lam, tau), sigma, 1.0))
 
 
 class TestPhiTwoLayer:
     def test_ratio_asymptotics(self):
         s0, s_t, lam, q = 0.002, 80.0, 1.0, 0.1
-        late = phi_two_layer(s0, 1e6, lam, q, 1.0) / phi_two_layer(s_t, 1e6, lam, q, 1.0)
+        late = math.exp(log_phi_ratio(PhiFactor("two-layer", lam, q, 1.0, 1e6), s0, s_t))
         assert_allclose(late, np.sqrt((lam + s0**2) / (lam + s_t**2)), rtol=1e-10)
-        early = phi_two_layer(s0, 0.0, lam, q, 1.0) / phi_two_layer(s_t, 0.0, lam, q, 1.0)
+        early = math.exp(log_phi_ratio(PhiFactor("two-layer", lam, q, 1.0, 0.0), s0, s_t))
         assert_allclose(early, (s0 / s_t) ** (1 - q), rtol=1e-12)
 
     def test_zero_q_rejected(self):
         with pytest.raises(ValueError):
-            phi_two_layer(1.0, 1.0, 1.0, 0.0, 1.0)
+            log_phi_ratio(PhiFactor("two-layer", 1.0, 0.0, 1.0, 1.0), 1.0, 2.0)
 
     def test_converged_variance_reference_value(self):
         # sigma_T=80, sigma_0=0.002, lambda=1: 6400 * 1.000004 / 6401
@@ -128,6 +134,46 @@ class TestGeneratedVariance:
         sched = NoiseSchedule(1e-8, 2.0, 7.0, 16)
         val = generated_variance(PhiFactor("converged", lam=4.0), sched)
         assert_allclose(val, 2.0, rtol=1e-12)
+
+    def test_two_layer_matches_mpmath_on_random_cells(self):
+        # log-uniform cells over the config's range, many with 8 eta tau lam below
+        # the rounding of e^0, where 1 - E cancels in the direct factor
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 60
+        rng = np.random.default_rng(7)
+        n = 600
+        s0 = 10 ** rng.uniform(-3, 3, n)
+        s_t = s0 * 10 ** rng.uniform(0.5, 4, n)
+        q, tau, lam = 10 ** rng.uniform(-3, 1.5, n), 10 ** rng.uniform(-20, 6, n), 10 ** rng.uniform(-12, 3, n)
+        assert np.count_nonzero(np.exp(-8 * tau * lam) == 1.0) > 50
+        worst = 0.0
+        for cell in zip(s0.tolist(), s_t.tolist(), q.tolist(), tau.tolist(), lam.tolist()):
+            a, b, qq, t, l = map(mp.mpf, cell)
+            decay = mp.exp(-8 * t * l)
+            c = (1 - qq) * decay / (qq + (1 - qq) * decay)
+            phi = lambda s: s**c * (l * decay + qq * (1 - decay) * (l + s**2)) ** ((1 - c) / 2)
+            ref = b**2 * (phi(a) / phi(b)) ** 2
+            got = generated_variance(PhiFactor("two-layer", cell[4], cell[2], 1.0, cell[3]), NoiseSchedule(cell[0], cell[1]))
+            worst = max(worst, float(abs(got / ref - 1)))
+        assert worst < 1e-12
+
+
+class TestQuadratureOracle:
+    """lambda_gen = sigma_T^2 exp(2 int (psi - 1) d ln sigma) from the weights alone,
+    by 16-point Gauss-Legendre on 120 equal panels in ln sigma."""
+
+    @pytest.mark.parametrize("case, psi", [("one-layer", one_layer_psi), ("two-layer", two_layer_psi)])
+    def test_closed_form_matches_gauss_legendre_in_log_sigma(self, case, psi):
+        lam, taus, q, panels = np.geomspace(1e-3, 10, 16), np.geomspace(1e-4, 1e6, 41), 0.1, 120
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        lo, hi = math.log(SCHED.sigma_min), math.log(SCHED.sigma_max)
+        half = 0.5 * (hi - lo) / panels
+        sigma = np.exp(lo + half * (2 * np.arange(panels)[:, None] + 1 + nodes)).ravel()
+        weight = psi(lam[:, None, None], sigma, q, 1.0, taus[:, None])
+        numeric = SCHED.sigma_max**2 * np.exp(2.0 * half * ((weight - 1.0) @ np.tile(weights, panels)))
+        closed = [[generated_variance(PhiFactor(case, l, q, 1.0, t), SCHED) for t in taus.tolist()] for l in lam.tolist()]
+        assert np.max(np.abs(np.array(closed) / numeric - 1.0)) < 1e-10
+
 
 class TestAnalyticVsNumericInvariant:
     """Generated variance vs the Monte-Carlo-free Heun route, 16 modes."""

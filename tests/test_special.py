@@ -53,6 +53,13 @@ class TestExpintEi:
         for x in xs:
             assert combined_close(expint_ei(float(x)), ei_series_oracle(float(x)))
 
+    def test_negative_axis_relative_to_mpmath(self):
+        # |Ei| < 1 past x = -0.38, so the combined tolerance above is absolute
+        # there; the sampler needs Ei to 1e-12 of its own size
+        xs = -np.geomspace(1e-6, 700.0, 400)
+        worst = max(abs(expint_ei(float(x)) / float(mp.ei(x)) - 1.0) for x in xs)
+        assert worst < 1e-12
+
     def test_reference_values(self):
         assert combined_close(expint_ei(-1.0), -0.21938393439552026)
         assert combined_close(expint_ei(1.0), 1.8951178163559368)
@@ -79,8 +86,8 @@ class TestExpintEi:
             assert abs(fd - exact) <= 1e-6 * abs(exact)
 
     def test_continued_fraction_matches_series_at_crossover(self):
-        # both representations are accurate near |x| = 6
-        for x in (-5.999, -6.001, -6.5, -7.0):
+        # both representations are accurate near the crossover |x| = 2 and beyond
+        for x in (2.0, -1.999, -2.0, -2.001, -5.999, -6.001, -6.5, -7.0):
             assert combined_close(expint_ei(x), ei_series_oracle(x))
 
 
