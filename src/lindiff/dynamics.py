@@ -215,30 +215,30 @@ def mean_coupled_trajectory(moments: DataMoments, s, eta: float, w0, b0, tau_gri
 
 
 def two_layer_psi(lam, sigma, q, eta, tau):
-    """Logistic trajectory of |q_k|^2 for the symmetric product W = P P^T.
+    """|q_k|^2 for the symmetric product W = P P^T: Q / (E + Q g (lambda + sigma^2)).
 
-    Q = 0 stays at the saddle; lambda = 0 modes are frozen at Q (the
-    formula's rate 8 eta lambda vanishes); both conventions documented.
-    Takes floats or broadcast arrays; sigma^2 is ``sigma * sigma`` as in
-    ``one_layer_psi``.
+    E = exp(-8 eta tau lambda) and g = (1 - E)/lambda from ``expm1``, or
+    8 eta tau at lambda = 0: the bracket of ``log_phi_ratio``'s two-layer
+    form.  It is the logistic sigmoid toward w* = lambda/(sigma^2 + lambda),
+    and at lambda = 0 the decay Q/(1 + 8 eta tau Q sigma^2) of the gradient
+    flow.  Q = 0 stays at the saddle.  Takes floats or broadcast arrays;
+    sigma^2 is ``sigma * sigma`` as in ``one_layer_psi``.
     """
     s2 = sigma * sigma
-    decay = np.exp(-8.0 * eta * lam * tau)
+    rate = 8.0 * eta * tau
+    decay = np.exp(-rate * lam)
     if not isinstance(s2, np.ndarray) and not isinstance(q, np.ndarray) and not isinstance(decay, np.ndarray):
         # every input is a scalar: plain arithmetic, no 0-d arrays
         if q < 0:
             raise ValueError("Q_k is a squared norm and must be nonnegative")
-        if lam == 0.0:
-            return q
-        w_star = lam / (s2 + lam)
-        den = (w_star - q) * decay + q
-        return 0.0 if q == 0.0 or den == 0.0 else w_star * q / den
+        grown = -np.expm1(-rate * lam) / lam if lam else rate
+        return 0.0 if q == 0.0 else q / (decay + q * grown * (lam + s2))
     if np.any(q < 0):
         raise ValueError("Q_k is a squared norm and must be nonnegative")
-    w_star = lam / (s2 + lam)
-    den = (w_star - q) * decay + q
-    out = np.where(q == 0.0, 0.0, np.divide(w_star * q, den, out=np.zeros_like(den), where=den != 0))
-    return np.where(lam == 0.0, q, out)
+    grown = np.where(lam == 0.0, rate, -np.expm1(-rate * lam) / np.where(lam == 0.0, 1.0, lam))
+    den = decay + q * grown * (lam + s2)
+    # den is 0 only where Q = 0 and E underflows
+    return np.divide(q, den, out=np.zeros_like(den), where=den != 0)
 
 
 # ---------------------------------------------------------------------------

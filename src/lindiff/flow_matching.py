@@ -5,13 +5,14 @@ per-mode rate 2 eta (t^2 lam + (1-t)^2) and optimum
 (t lam - (1-t)) / (t^2 lam + (1-t)^2).  Sampling t: 0 -> 1 with the
 converged field scales mode k by sqrt(t^2 lam + (1-t)^2); during training
 the scaling integral evaluates to exponential integrals plus an erf
-bracket.  The two-layer product can only reach optima that are positive,
-which splits the time axis at t = 1/(lam + 1).
+bracket at every tau > 0.  The two-layer product can only reach optima
+that are positive, which splits the time axis at t = 1/(lam + 1).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,12 +27,6 @@ __all__ = [
     "fm_generated_variance_ratio",
     "fm_two_layer_weight",
 ]
-
-# Below this value of 2 eta tau / (lam + 1) the erf bracket is evaluated
-# by its small-argument limit (the tau^-1/2 prefactor times erf ~ tau^1/2
-# is finite; the series avoids 0 * inf at tau -> 0).
-_SERIES_CROSSOVER = 1e-8
-
 
 def fm_one_layer_weight(tau, t, lam, q, eta):
     """psi(tau) = w* + (Q - w*) exp(-2 eta tau (t^2 lam + (1-t)^2))."""
@@ -61,15 +56,16 @@ def fm_generated_variance_ratio(tau: float, lam: float, q: float, eta: float) ->
                  + sqrt(pi / (2 eta tau (lam+1))) Q e^(-2 eta tau lam/(lam+1))
                    (erf(sqrt(2 eta tau/(lam+1))) + erf(lam sqrt(2 eta tau/(lam+1)))) ]
 
-    Approaches e^(2Q)/lam as tau -> 0 and 1 as tau -> infinity.
+    Approaches 1 as tau -> infinity.  Where 2 eta tau/(lam+1) is below the
+    smallest normal double (tau = 0, or underflow) it returns the limit
+    e^(2Q)/lam: there the tau^-1/2 prefactor overflows against erf ~ tau^1/2.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     x = 2.0 * eta * tau
-    if x / (lam + 1.0) < _SERIES_CROSSOVER:
-        # erf bracket -> 2Q, Ei difference -> -log(lam)
+    if x / (lam + 1.0) < sys.float_info.min:
         return math.exp(2.0 * q) / lam
     ei_term = expint_ei(-x) - expint_ei(-x * lam)
     arg = math.sqrt(x / (lam + 1.0))
@@ -90,12 +86,14 @@ class FmTwoLayerState:
 def fm_two_layer_weight(tau: float, t: float, lam: float, q: float, eta: float) -> FmTwoLayerState:
     """Two-layer flow-matching mode weight |q_k|^2 at training time tau.
 
-    psi(tau) = Q* Q / (Q + (Q* - Q) e^(-4 eta tau (t lam - (1-t)))) with
-    Q* = (t lam - (1-t)) / (t^2 lam + (1-t)^2).  For t > 1/(lam+1) the
-    trajectory converges to Q*; for t < 1/(lam+1) the optimum is negative
-    and unreachable by a squared norm, so the weight decays to 0 (reported
-    via ``attainable``).  At t = 1/(lam+1) the limit is the algebraic
-    decay Q / (1 + B Q tau).
+    With a = 4 eta (t lam - (1-t)) and b = 4 eta (t^2 lam + (1-t)^2) the
+    weight solves dpsi/dtau = (a - b psi) psi.  With E = e^(-|a| tau) and
+    g = (1 - E)/|a| (tau at a = 0) it is Q / (E + Q b g) for a >= 0 and
+    Q E / (1 + Q b g) for a < 0, so nothing overflows.  For t > 1/(lam+1)
+    the trajectory converges to Q* = a/b; for t < 1/(lam+1) the optimum is
+    negative and unreachable by a squared norm, so the weight decays to 0
+    (reported via ``attainable``).  At t = 1/(lam+1) it is the algebraic
+    decay Q / (1 + b Q tau).
     """
     if q <= 0:
         raise ValueError("Q must be positive (zero is a fixed point)")
@@ -105,10 +103,7 @@ def fm_two_layer_weight(tau: float, t: float, lam: float, q: float, eta: float) 
     b = 4.0 * eta * (t * t * lam + (1.0 - t) ** 2)
     q_star = a / b
     attainable = a > 0
-    if abs(a) * max(tau, 1.0) < 1e-14:
-        value = q / (1.0 + b * q * tau)
-    elif -a * tau > 700.0:
-        value = 0.0  # exponential blow-down underflows
-    else:
-        value = q_star * q / (q + (q_star - q) * math.exp(-a * tau))
+    decay = math.exp(-abs(a) * tau)
+    grown = -math.expm1(-abs(a) * tau) / abs(a) if a else tau
+    value = q / (decay + q * b * grown) if a >= 0 else q * decay / (1.0 + q * b * grown)
     return FmTwoLayerState(value, attainable, q_star if attainable else 0.0)

@@ -10,11 +10,10 @@ evaluated at the two endpoints.  The generated variance starting from
 N(0, sigma_T^2 I) is then lambda_gen = sigma_T^2 Phi(sigma_0)^2/Phi(sigma_T)^2.
 ``log_phi_ratio`` gives ln Phi(sigma_a)/Phi(sigma_b) in closed form for the
 one-layer trajectory (exponential integrals), the two-layer trajectory
-(elementary logs) and the converged denoiser; ``generated_variance`` is
-sigma_T^2 exp(2 ln Phi(sigma_0)/Phi(sigma_T)), with the one-layer early and
-late asymptotes as exact shortcuts.  Reparameterized architectures reuse
-the one-layer factor: the full-width convolution is
-``PhiFactor("one-layer", lam=S_kk, eta=N * eta)``.  A Heun integrator on
+(elementary logs) and the converged denoiser, each valid from tau = 0 to
+convergence; ``generated_variance`` is sigma_T^2 exp(2 ln Phi(sigma_0)/Phi(sigma_T))
+in every case.  Reparameterized architectures reuse the one-layer factor:
+the full-width convolution is ``PhiFactor("one-layer", lam=S_kk, eta=N * eta)``.  A Heun integrator on
 the EDM rho-schedule provides the independent numeric route.
 
 Phi is defined up to a sigma-independent normalization, so only ratios
@@ -25,6 +24,7 @@ are computed; at tau = 0 the one-layer ratio is the regularized limit
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -42,12 +42,6 @@ __all__ = [
     "pf_mode_scaling",
     "mean_transport",
 ]
-
-# Dispatch thresholds for the Ei-based factors: below/above these the
-# closed asymptotic forms are exact to double precision and avoid the
-# logarithmic blow-up / underflow of Ei near its limits.
-_EARLY_THRESHOLD = 1e-12  # on 2 eta tau sigma_max^2
-_LATE_THRESHOLD = 50.0  # on 2 eta tau sigma_min^2
 
 # mean_transport's rule: 16-point Gauss-Legendre on _GL_PANELS and on twice
 # as many equal panels in ln sigma.
@@ -113,9 +107,10 @@ def log_phi_ratio(phi: PhiFactor, sigma_a: float, sigma_b: float, ei_memo: dict 
     one-layer, with x = 2 eta tau sigma^2 and u = 2 eta tau lam:
         1/2 ln((lam + a^2)/(lam + b^2)) + (1-Q)/2 e^(-u) [Ei(-x_a) - Ei(-x_b)]
         - 1/2 [Ei(-x_a - u) - Ei(-x_b - u)],
-    and (1-Q) ln(a/b) at tau = 0.  The Ei(-x) terms do not depend on lam: a
-    caller that evaluates many modes at the same (tau, sigma) passes a dict
-    it owns as ``ei_memo``, which keeps them by their argument.
+    and its x -> 0 limit (1-Q) e^(-u) ln(a/b) where x_a is below the smallest
+    normal double (tau = 0, or underflow).  The Ei(-x) terms do not depend on
+    lam: a caller that evaluates many modes at the same (tau, sigma) passes a
+    dict it owns as ``ei_memo``, which keeps them by their argument.
 
     two-layer, with E = e^(-8 eta tau lam), g = (1-E)/lam (8 eta tau at
     lam = 0) and c = (1-Q) E / (Q lam g + E):
@@ -139,17 +134,16 @@ def log_phi_ratio(phi: PhiFactor, sigma_a: float, sigma_b: float, ei_memo: dict 
         c = (1.0 - q) * decay / (q * lam * grown + decay)
         b_a, b_b = (decay + q * grown * (lam + s * s) for s in (sigma_a, sigma_b))
         return c * math.log(sigma_a / sigma_b) + 0.5 * (1.0 - c) * math.log(b_a / b_b)
-    if case == "one-layer" and tau == 0.0:
-        return (1.0 - q) * math.log(sigma_a / sigma_b)
     log_ratio = 0.5 * math.log((lam + sigma_a**2) / (lam + sigma_b**2))
     if case == "converged":
         return log_ratio
+    x_a, x_b, u = 2.0 * eta * tau * sigma_a**2, 2.0 * eta * tau * sigma_b**2, 2.0 * eta * tau * lam
+    if x_a < sys.float_info.min:
+        return (1.0 - q) * math.exp(-u) * math.log(sigma_a / sigma_b)
     memo = {} if ei_memo is None else ei_memo
-    x_a, x_b = 2.0 * eta * tau * sigma_a**2, 2.0 * eta * tau * sigma_b**2
     for x in (x_a, x_b):
         if x not in memo:
             memo[x] = expint_ei(-x)
-    u = 2.0 * eta * tau * lam
     return (
         log_ratio
         + 0.5 * (1.0 - q) * math.exp(-u) * (memo[x_a] - memo[x_b])
@@ -160,17 +154,10 @@ def log_phi_ratio(phi: PhiFactor, sigma_a: float, sigma_b: float, ei_memo: dict 
 def generated_variance(phi: PhiFactor, schedule: NoiseSchedule, ei_memo: dict | None = None) -> float:
     """Generated mode variance sigma_T^2 Phi^2(sigma_min) / Phi^2(sigma_max).
 
-    The Ei-based one-layer case dispatches to its closed asymptotic forms
-    at the extremes of training time (``_EARLY_THRESHOLD``,
-    ``_LATE_THRESHOLD``); every other cell is ``log_phi_ratio``, which
-    receives ``ei_memo``.
+    One expression for every case and every tau; ``ei_memo`` goes to
+    ``log_phi_ratio``.
     """
     s0, s_t = schedule.sigma_min, schedule.sigma_max
-    if phi.case == "one-layer":
-        if 2.0 * phi.eta * phi.tau * s_t**2 < _EARLY_THRESHOLD:
-            return s_t**2 * (s0 / s_t) ** (2.0 * (1.0 - phi.q))
-        if 2.0 * phi.eta * phi.tau * s0**2 > _LATE_THRESHOLD:
-            return s_t**2 * (phi.lam + s0**2) / (phi.lam + s_t**2)
     return s_t**2 * math.exp(2.0 * log_phi_ratio(phi, s0, s_t, ei_memo))
 
 

@@ -698,6 +698,24 @@ class TestCliEntry:
         limit = s_t**2 * (s0 / s_t) ** (2 * (1 - q)) * ((1 + 8 * tau * q * s0**2) / (1 + 8 * tau * q * s_t**2)) ** q
         assert_allclose(zero["lambda_gen"], limit, rtol=1e-12)
 
+    def test_two_layer_oracle_check_passes_on_rank_deficient_data(self, tmp_path):
+        # the lambda = 0 mode follows df/dtau = -8 eta sigma^2 f^2: psi = Q / (1 + 8 eta tau Q sigma^2)
+        data, out = tmp_path / "x.csv", tmp_path / "o"
+        data.write_text("1,2,3\n2,4,6\n1,1,1\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "lindiff.cli", "emergence", "--arch", "two-layer", "--validate-with-oracle",
+             "--data", str(data), "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stdout
+        assert proc.stderr == ""
+        assert json.loads((out / "manifest.json").read_text())["oracle"]["max_rel_deviation"] < 1e-9
+        rows = np.genfromtxt(out / "trajectories.csv", delimiter=",", names=True)
+        zero = rows[rows["lambda_target"] == 0.0]
+        assert zero.size
+        q = 0.1
+        assert_allclose(zero["psi"], q / (1 + 8 * zero["tau"] * q * zero["sigma"] ** 2), rtol=1e-12)
+
     @pytest.mark.parametrize("command", ["simulate", "kl"])
     def test_infinite_eigenvalue_exits_1_before_writing(self, tmp_path, command):
         # exp(800 + N(0, 1)) overflows to inf: every table cell would be inf or nan

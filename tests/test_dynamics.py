@@ -246,8 +246,24 @@ class TestTwoLayer:
         taus = np.geomspace(1e-3, 100, 9)
         assert_allclose(two_layer_psi(lam, sigma, q, 1.0, taus), q, rtol=1e-14)
 
-    def test_zero_eigenvalue_frozen_convention(self):
-        assert np.all(two_layer_psi(0.0, 1.0, 0.2, 1.0, np.array([0.0, 1.0, 5.0])) == 0.2)
+    def test_zero_eigenvalue_decays_like_its_gradient_flow(self):
+        # df/dtau = -8 eta sigma^2 f^2 at lambda = 0: f = Q / (1 + 8 eta tau Q sigma^2)
+        taus, q, eta = np.array([0.0, 1e-3, 1.0, 5.0, 1e3]), 0.2, 1.5
+        for sigma in (0.1, 1.0, 3.0):
+            want = q / (1.0 + 8.0 * eta * taus * q * sigma**2)
+            assert_allclose(two_layer_psi(0.0, sigma, q, eta, taus), want, rtol=1e-15)
+            assert [two_layer_psi(0.0, sigma, q, eta, t) for t in taus.tolist()] == pytest.approx(want, rel=1e-15)
+        # a rank-deficient covariance: the dense flow of W = P P^T agrees mode by mode
+        basis = np.linalg.qr(np.array([[1.0, 2.0, 0.5], [2.0, -1.0, 1.0], [0.3, 1.0, -2.0]]))[0]
+        spectrum = np.array([2.0, 0.7, 0.0])
+        moments = DataMoments(np.zeros(3), (basis * spectrum) @ basis.T)
+        sigmas, taus = np.array([0.5, 2.0]), np.geomspace(1e-2, 10.0, 6)
+        _, ws, _ = gradient_flow_full(
+            moments, sigmas, 1.0, basis * np.sqrt(q), np.zeros(3), taus, parametrization="two-layer-symmetric"
+        )
+        numeric = np.einsum("ik,tsij,jk->tsk", basis, ws, basis)
+        closed = two_layer_psi(spectrum, sigmas[:, None], q, 1.0, taus[:, None, None])
+        assert np.max(np.abs(numeric / closed - 1.0)) < 1e-9  # about 4e-12; psi = Q read 0.98 off
 
     def test_scalars_and_arrays_match_the_broadcast_arrays_formula(self):
         def reference(lam, sigma, q, eta, tau):
@@ -256,11 +272,10 @@ class TestTwoLayer:
             )
             if np.any(q < 0):
                 raise ValueError("Q_k is a squared norm and must be nonnegative")
-            w_star = lam / (sigma**2 + lam)
-            decay = np.exp(-8.0 * eta * lam * tau)
-            den = (w_star - q) * decay + q
-            out = np.where(q == 0.0, 0.0, np.divide(w_star * q, den, out=np.zeros_like(den), where=den != 0))
-            return np.where(lam == 0.0, q, out)
+            rate = 8.0 * eta * tau
+            grown = np.array([-np.expm1(-r * l) / l if l else r for r, l in zip(rate.ravel(), lam.ravel())])
+            den = np.exp(-rate * lam) + q * grown.reshape(lam.shape) * (lam + sigma**2)
+            return np.where(q == 0.0, 0.0, q / np.where(q == 0.0, 1.0, den))
 
         spectrum = np.concatenate([[0.0], np.geomspace(1e-3, 10.0, 12)])
         taus = np.geomspace(1e-4, 1e6, 21)
@@ -273,7 +288,7 @@ class TestTwoLayer:
                 (spectrum[:, None, None], np.array([sigma, 1.0])[:, None], q, 1.0, taus),
                 (spectrum, sigma, 0.0, np.float64(0.5), 1e-2),
                 (float(spectrum[5]), sigma, np.float64(0.3), 1.0, 2.5),
-                (0.0, sigma, 0.2, 1.0, 3.0),  # lambda = 0 stays at Q
+                (0.0, sigma, 0.2, 1.0, 3.0),  # lambda = 0 decays as Q / (1 + 8 eta tau Q sigma^2)
                 (1.0, sigma, 0.0, 1.0, 3.0),  # Q = 0 stays at the saddle
                 (0.0, sigma, 0.0, 1.0, 3.0),
             ]

@@ -112,7 +112,7 @@ class TestGeneratedVariance:
             )
 
     def test_limits_continuous_at_dispatch_boundaries(self):
-        # values just inside the Ei-evaluated region approach the asymptotes
+        # at both ends of training the Ei form approaches the tau = 0 and converged limits
         lam, q = 1.0, 0.1
         tau_early = 1.2e-12 / (2 * SCHED.sigma_max**2)
         v_early = generated_variance(PhiFactor("one-layer", lam=lam, q=q, eta=1.0, tau=tau_early), SCHED)
@@ -164,7 +164,9 @@ class TestQuadratureOracle:
 
     @pytest.mark.parametrize("case, psi", [("one-layer", one_layer_psi), ("two-layer", two_layer_psi)])
     def test_closed_form_matches_gauss_legendre_in_log_sigma(self, case, psi):
-        lam, taus, q, panels = np.geomspace(1e-3, 10, 16), np.geomspace(1e-4, 1e6, 41), 0.1, 120
+        # lambda = 0 and 1e-18 are the zero and round-off eigenvalues of rank-deficient data
+        lam = np.concatenate([[0.0, 1e-18], np.geomspace(1e-3, 10, 16)])
+        taus, q, panels = np.geomspace(1e-4, 1e6, 41), 0.1, 120
         nodes, weights = np.polynomial.legendre.leggauss(16)
         lo, hi = math.log(SCHED.sigma_min), math.log(SCHED.sigma_max)
         half = 0.5 * (hi - lo) / panels
