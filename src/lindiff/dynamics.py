@@ -149,10 +149,9 @@ def one_layer_psi(lam, sigma, q, eta, tau):
 
 
 def one_layer_bias(b0: np.ndarray, eta: float, tau) -> np.ndarray:
-    """Bias decays as b0 exp(-2 eta tau), independent of sigma and lambda."""
-    b0 = np.asarray(b0, float)
-    tau = np.asarray(tau, float)
-    return b0[..., None] * np.exp(-2.0 * eta * tau) if tau.ndim else b0 * np.exp(-2.0 * eta * tau)
+    """Bias decays as b0 exp(-2 eta tau), independent of sigma and lambda;
+    shape b0.shape + tau.shape."""
+    return np.multiply.outer(b0, np.exp(-2.0 * eta * np.asarray(tau, float)))
 
 
 # ---------------------------------------------------------------------------
@@ -221,24 +220,21 @@ def two_layer_psi(lam, sigma, q, eta, tau):
     8 eta tau at lambda = 0: the bracket of ``log_phi_ratio``'s two-layer
     form.  It is the logistic sigmoid toward w* = lambda/(sigma^2 + lambda),
     and at lambda = 0 the decay Q/(1 + 8 eta tau Q sigma^2) of the gradient
-    flow.  Q = 0 stays at the saddle.  Takes floats or broadcast arrays;
-    sigma^2 is ``sigma * sigma`` as in ``one_layer_psi``.
+    flow.  Q = 0 stays at the saddle.  One broadcast expression for floats
+    and arrays: all-scalar inputs give a NumPy scalar.  Its masks are
+    arithmetic, not ``np.where``, because the table writer calls it once
+    per cell.  sigma^2 is ``sigma * sigma`` as in ``one_layer_psi``.
     """
+    if np.count_nonzero(q < 0):
+        raise ValueError("Q_k is a squared norm and must be nonnegative")
     s2 = sigma * sigma
     rate = 8.0 * eta * tau
-    decay = np.exp(-rate * lam)
-    if not isinstance(s2, np.ndarray) and not isinstance(q, np.ndarray) and not isinstance(decay, np.ndarray):
-        # every input is a scalar: plain arithmetic, no 0-d arrays
-        if q < 0:
-            raise ValueError("Q_k is a squared norm and must be nonnegative")
-        grown = -np.expm1(-rate * lam) / lam if lam else rate
-        return 0.0 if q == 0.0 else q / (decay + q * grown * (lam + s2))
-    if np.any(q < 0):
-        raise ValueError("Q_k is a squared norm and must be nonnegative")
-    grown = np.where(lam == 0.0, rate, -np.expm1(-rate * lam) / np.where(lam == 0.0, 1.0, lam))
-    den = decay + q * grown * (lam + s2)
-    # den is 0 only where Q = 0 and E underflows
-    return np.divide(q, den, out=np.zeros_like(den), where=den != 0)
+    # where lambda = 0 the quotient is 0/1 and the mask adds its limit 8 eta tau
+    zero = lam == 0.0
+    grown = -np.expm1(-rate * lam) / (lam + zero) + zero * rate
+    den = np.exp(-rate * lam) + q * grown * (lam + s2)
+    # den is 0 only where Q = 0 and E underflows, and there psi is 0/1
+    return q / (den + (den == 0))
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from .sampler import NoiseSchedule, PhiFactor, generated_variance
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config_text", "run_experiment", "oracle_deviation"]
 
+# Relative tolerance of --validate-with-oracle and of validate's flow suites.
 ORACLE_TOLERANCE = 1e-6
 # --validate-with-oracle integrates over this part of the tau window only.
 ORACLE_TAU_WINDOW = (1e-3, 10.0)
@@ -158,6 +159,8 @@ class ExperimentConfig:
                 f"arch.q_init: need Q in [{q_lo:.4g}, {q_hi:.4g}] for this schedule, so that the tau = 0 generated "
                 f"variance sigma_max^2 (sigma_min/sigma_max)^(2(1-Q)) lies in [1e-{V0_LOG10_BOUND}, 1e{V0_LOG10_BOUND}]"
             )
+        if self.seed < 0:
+            raise ConfigError("run.seed: must be a nonnegative integer")
         if self.eta <= 0:
             raise ConfigError("dynamics.eta: must be positive")
         if not 0 < self.tau_min < self.tau_max:
@@ -280,12 +283,6 @@ def _spectrum_keys(cfg: ExperimentConfig) -> str:
     return "/".join(f"model.{key}" for key in _SPECTRUM_KEYS[cfg.model_kind])
 
 
-def _lambda_gen(cfg: ExperimentConfig, lam: float, tau: float, ei_memo: dict) -> float:
-    case = "one-layer" if cfg.arch == "one-layer" else "two-layer"
-    phi = PhiFactor(case, lam, cfg.q_init, cfg.eta, tau)
-    return generated_variance(phi, cfg.schedule, ei_memo=ei_memo)
-
-
 def oracle_deviation(
     model: CovarianceModel, arch: str, sigmas, q: float, eta: float, taus, adaptive: bool = False
 ) -> float:
@@ -341,11 +338,13 @@ def run_experiment(cfg: ExperimentConfig, stages: frozenset = frozenset({"trajec
     s0, s_t = cfg.schedule.sigma_min, cfg.schedule.sigma_max
     lap("spectrum")
 
-    tau_list = taus.tolist()
     # The lambda-free Ei term of each (tau, sigma), shared by every mode.  The
     # run owns it, so each run makes the same Ei calls (perfbench counts them).
     ei_memo: dict = {}
-    lam_gen = np.array([[_lambda_gen(cfg, l, t, ei_memo) for t in tau_list] for l in lam.tolist()])
+    arch, q, eta, tau_list = cfg.arch, cfg.q_init, cfg.eta, taus.tolist()  # arch.kind names the Phi case
+    lam_gen = np.array(
+        [[generated_variance(PhiFactor(arch, l, q, eta, t), cfg.schedule, ei_memo) for t in tau_list] for l in lam.tolist()]
+    )
     v0 = s_t**2 * (s0 / s_t) ** (2.0 * (1.0 - cfg.q_init))
     targets = s_t**2 * (lam + s0**2) / (lam + s_t**2)
     lap("lambda_gen")

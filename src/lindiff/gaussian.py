@@ -208,8 +208,9 @@ def read_samples(path: str) -> np.ndarray:
         head = fh.readline()
         try:
             meta = json.loads(head.decode("ascii"))
+            # TypeError unless meta is an object: a one-column CSV's "1" is JSON too
             rows, cols = int(meta["rows"]), int(meta["cols"])
-        except (ValueError, KeyError, UnicodeDecodeError):
+        except (ValueError, KeyError, TypeError, UnicodeDecodeError):
             with warnings.catch_warnings():
                 # an empty file reads as zero samples, which empirical_moments rejects
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")

@@ -77,28 +77,19 @@ class NoiseSchedule:
         return (self.sigma_max**inv + i * (self.sigma_min**inv - self.sigma_max**inv)) ** self.rho
 
 
-class _PhiFields(NamedTuple):
-    case: str
-    lam: float
-    q: float
-    eta: float
-    tau: float
-
-
-class PhiFactor(_PhiFields):
+class PhiFactor(NamedTuple):
     """Which closed-form integrating factor to use, and its parameters.
 
-    case: 'one-layer' | 'two-layer' | 'converged'.  A tuple, not a frozen
+    case: 'one-layer' | 'two-layer' | 'converged'; ``log_phi_ratio``
+    dispatches on it and rejects any other.  A tuple, not a frozen
     dataclass: the sweep builds one per (mode, tau) cell.
     """
 
-    __slots__ = ()
-    _CASES = ("one-layer", "two-layer", "converged")
-
-    def __new__(cls, case: str, lam: float = 0.0, q: float = 0.0, eta: float = 1.0, tau: float = 0.0):
-        if case not in cls._CASES:
-            raise ValueError(f"unknown Phi case {case!r}")
-        return tuple.__new__(cls, (case, lam, q, eta, tau))
+    case: str
+    lam: float = 0.0
+    q: float = 0.0
+    eta: float = 1.0
+    tau: float = 0.0
 
 
 def log_phi_ratio(phi: PhiFactor, sigma_a: float, sigma_b: float, ei_memo: dict | None = None) -> float:
@@ -118,9 +109,12 @@ def log_phi_ratio(phi: PhiFactor, sigma_a: float, sigma_b: float, ei_memo: dict 
     1 - E comes from ``expm1`` and no sum cancels, because |c ln(a/b)|
     reaches several hundred and multiplies c's relative error.
 
-    converged: 1/2 ln((lam + a^2)/(lam + b^2)).
+    converged: 1/2 ln((lam + a^2)/(lam + b^2)).  Any other case raises
+    ValueError.
     """
     case, lam, q, eta, tau = phi
+    if case not in ("one-layer", "two-layer", "converged"):
+        raise ValueError(f"unknown Phi case {case!r}")
     if sigma_a <= 0 or sigma_b <= 0:
         raise ValueError("sigma must be positive")
     if tau < 0:

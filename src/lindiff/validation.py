@@ -13,7 +13,7 @@ import numpy as np
 
 from .convolution import circulant_matrix, patch_covariance, patch_filter_trajectory
 from .dynamics import LossVariant, convergence_rate, mean_coupled_trajectory, optimal_mode_weight
-from .experiment import oracle_deviation
+from .experiment import ORACLE_TOLERANCE, oracle_deviation
 from .gaussian import DataMoments, SpectrumSpec, make_covariance
 from .oracle import gradient_flow_full, loss_gradients, variant_moments
 
@@ -38,7 +38,7 @@ def _test_model(dim=8, lo=1e-3, hi=10.0, seed=7):
 def _flow_suite(arch: str) -> SuiteResult:
     """Closed-form one- or two-layer mode weights against RK45 gradient flow."""
     dev = oracle_deviation(_test_model(), arch, (0.1, 1.0, 10.0), 0.1, 1.0, np.geomspace(1e-3, 10.0, 12), adaptive=True)
-    return SuiteResult(arch, dev, 1e-6)
+    return SuiteResult(arch, dev, ORACLE_TOLERANCE)
 
 
 def suite_mean_cov() -> SuiteResult:
@@ -54,7 +54,7 @@ def suite_mean_cov() -> SuiteResult:
     _, ws, bs = gradient_flow_full(moments, sigmas, 1.0, w0, np.zeros(6), taus, adaptive=True)
     scale = np.maximum(1.0, np.max(np.abs(ws), axis=(-2, -1)))
     gap = np.maximum(np.max(np.abs(ws - closed_w), axis=(-2, -1)), np.max(np.abs(bs - closed_b), axis=-1))
-    return SuiteResult("mean-cov", float(np.max(gap / scale)), 1e-6)
+    return SuiteResult("mean-cov", float(np.max(gap / scale)), ORACLE_TOLERANCE)
 
 
 def suite_conv() -> SuiteResult:
@@ -83,7 +83,7 @@ def suite_conv() -> SuiteResult:
     w1 = circulant_matrix(rng.normal(size=5), np.arange(-2, 3), n)
     w2 = circulant_matrix(rng.normal(size=5), np.arange(-2, 3), n)
     worst = max(worst, float(np.max(np.abs(w1 @ w2 - w2 @ w1))))
-    return SuiteResult("conv", worst, 1e-6)
+    return SuiteResult("conv", worst, ORACLE_TOLERANCE)
 
 
 def suite_variants() -> SuiteResult:

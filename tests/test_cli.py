@@ -651,6 +651,27 @@ class TestCliEntry:
         assert proc.stderr.count("\n") == 1  # no NumPy warning either
         assert not out.exists()
 
+    def test_one_column_csv_is_one_mode(self, tmp_path):
+        # its first line "1" parses as JSON, but only a JSON object is a binary header
+        data, out = tmp_path / "x.csv", tmp_path / "o"
+        data.write_text("1\n2\n4\n7\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "lindiff.cli", "emergence", "--data", str(data), "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        rows = np.genfromtxt(out / "emergence.csv", delimiter=",", names=True, dtype=None, encoding="ascii")
+        assert rows.shape == () and rows["mode_index"] == 0
+        assert rows["lambda_target"] == pytest.approx(7.0, rel=1e-15)  # the sample variance
+
+    @pytest.mark.parametrize("args", [["--seed", "-1"], ["--set", "run.seed=-3"]])
+    def test_negative_seed_exits_1_naming_the_key(self, tmp_path, capsys, args):
+        rc = main(["simulate", "--out", str(tmp_path / "o"), *args])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("config error: run.seed: ")
+        assert not (tmp_path / "o").exists()
+
     def test_equal_eigenvalues_fail_the_fit_without_lapack_noise(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "lindiff.cli", "emergence", "--out", str(tmp_path),

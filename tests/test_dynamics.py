@@ -302,6 +302,18 @@ class TestTwoLayer:
         with pytest.raises(ValueError, match="nonnegative"):
             two_layer_psi(spectrum, 1.0, np.array([0.1, -0.1])[:, None], 1.0, 1.0)
 
+    def test_float_calls_are_numpy_scalars_equal_to_one_broadcast_call(self):
+        lam = np.array([0.0, 1e-3, 1.0, 10.0])
+        q = np.array([0.0, 0.1, 0.9])
+        taus = np.array([0.0, 1e-3, 1.0, 1e3])
+        sigma, eta = 0.6931253941269515, 1.0
+        assert np.exp(-8.0 * eta * taus[-1] * lam[-1]) == 0.0  # E underflows, and with Q = 0 so does den
+        grid = two_layer_psi(lam[:, None, None], sigma, q[:, None], eta, taus)
+        for (i, j, k), want in np.ndenumerate(grid):
+            got = two_layer_psi(float(lam[i]), sigma, float(q[j]), eta, float(taus[k]))
+            assert type(got) is np.float64  # a NumPy scalar, not a 0-d array
+            assert got.tobytes() == want.tobytes()
+
 
 class TestDeepLinear:
     def test_depth_one_matches_one_layer_after_rate_mapping(self):

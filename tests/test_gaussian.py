@@ -174,6 +174,13 @@ class TestReadSamples:
             fh.write(data.astype("<f8").tobytes())
         assert_allclose(read_samples(str(path)), data)
 
+    @pytest.mark.parametrize("first", ["1", "-2.5", "1e3"])
+    def test_one_column_csv_is_not_a_binary_header(self, tmp_path, first):
+        # each first line is also a JSON number; only a JSON object is a header
+        path = tmp_path / "one.csv"
+        path.write_text(f"{first}\n2\n4\n")
+        assert_allclose(read_samples(str(path)), [[float(first)], [2.0], [4.0]])
+
     def test_empty_csv_reads_as_no_samples_without_warnings(self, tmp_path, recwarn):
         path = tmp_path / "empty.csv"
         path.write_text("")

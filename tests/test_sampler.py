@@ -124,8 +124,11 @@ class TestGeneratedVariance:
         assert abs(v_late - v_inf) / v_inf < 1e-6
 
     def test_unknown_case_rejected(self):
+        unknown = PhiFactor("full-width-conv", lam=1.0)
         with pytest.raises(ValueError, match="unknown Phi case 'full-width-conv'"):
-            PhiFactor("full-width-conv", lam=1.0)
+            generated_variance(unknown, SCHED)
+        with pytest.raises(ValueError, match="unknown Phi case 'full-width-conv'"):
+            mean_transport(lambda s: np.ones(2), unknown, SCHED)
         phi = PhiFactor("one-layer", 2.0, tau=3.0)
         assert (phi.case, phi.lam, phi.q, phi.eta, phi.tau) == ("one-layer", 2.0, 0.0, 1.0, 3.0)
 
