@@ -138,14 +138,15 @@ class Residual:
 
 
 def one_layer_psi(lam, sigma, q, eta, tau):
-    """w* + (Q - w*) exp(-2 eta tau (sigma^2 + lambda)); floats or broadcast arrays.
+    """w* + (Q - w*) e^z with z = -2 eta tau (sigma^2 + lambda); floats or broadcast arrays.
 
+    Formed as Q e^z - w* expm1(z), which does not cancel where psi ~ Q << w*.
     sigma^2 is ``sigma * sigma``: ``**`` on a Python float calls C ``pow``,
     which rounds about 1 square in 1000 differently from NumPy's array square.
     """
     s2 = sigma * sigma
-    w_star = lam / (lam + s2)
-    return w_star + (q - w_star) * np.exp(-2.0 * eta * tau * (s2 + lam))
+    z = -2.0 * eta * tau * (s2 + lam)
+    return q * np.exp(z) - lam / (lam + s2) * np.expm1(z)
 
 
 def one_layer_bias(b0: np.ndarray, eta: float, tau) -> np.ndarray:

@@ -338,8 +338,8 @@ def run_experiment(cfg: ExperimentConfig, stages: frozenset = frozenset({"trajec
     s0, s_t = cfg.schedule.sigma_min, cfg.schedule.sigma_max
     lap("spectrum")
 
-    # The lambda-free Ei term of each (tau, sigma), shared by every mode.  The
-    # run owns it, so each run makes the same Ei calls (perfbench counts them).
+    # Ein(2 eta tau sigma^2), the lambda-free term of each (tau, sigma), shared by
+    # every mode.  The run owns it, so each run makes the same calls.
     ei_memo: dict = {}
     arch, q, eta, tau_list = cfg.arch, cfg.q_init, cfg.eta, taus.tolist()  # arch.kind names the Phi case
     lam_gen = np.array(

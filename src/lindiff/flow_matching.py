@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import LossVariant, convergence_rate, optimal_mode_weight
-from .special import expint_ei
+from .special import ein
 
 __all__ = [
     "FmTwoLayerState",
@@ -67,7 +67,7 @@ def fm_generated_variance_ratio(tau: float, lam: float, q: float, eta: float) ->
     x = 2.0 * eta * tau
     if x / (lam + 1.0) < sys.float_info.min:
         return math.exp(2.0 * q) / lam
-    ei_term = expint_ei(-x) - expint_ei(-x * lam)
+    ei_term = ein(x * lam) - ein(x) - math.log(lam)  # Ei(-x) - Ei(-x lam), without gamma + ln x
     arg = math.sqrt(x / (lam + 1.0))
     bracket = math.erf(arg) + math.erf(lam * arg)
     pref = math.sqrt(math.pi / (x * (lam + 1.0))) * q * math.exp(-x * lam / (lam + 1.0))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import json
+import os
 import warnings
 
 import numpy as np
@@ -201,21 +202,25 @@ def read_samples(path: str) -> np.ndarray:
     """Read a sample matrix from CSV or the raw binary format.
 
     Binary files start with a one-line JSON header {"rows": n, "cols": d}
-    terminated by a newline, followed by rows*cols little-endian float64
-    values.  Anything else is parsed as headerless CSV, one sample per row.
+    terminated by a newline, followed by exactly rows*cols little-endian
+    float64 values; n and d must be JSON integers.  Anything else is parsed
+    as headerless CSV, one sample per row.
     """
     with open(path, "rb") as fh:
         head = fh.readline()
         try:
             meta = json.loads(head.decode("ascii"))
             # TypeError unless meta is an object: a one-column CSV's "1" is JSON too
-            rows, cols = int(meta["rows"]), int(meta["cols"])
+            rows, cols = meta["rows"], meta["cols"]
         except (ValueError, KeyError, TypeError, UnicodeDecodeError):
             with warnings.catch_warnings():
                 # an empty file reads as zero samples, which empirical_moments rejects
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 return np.loadtxt(path, delimiter=",", ndmin=2)
-        data = np.fromfile(fh, dtype="<f8", count=rows * cols)
-        if data.size != rows * cols:
-            raise ValueError(f"binary payload truncated in {path}")
-        return data.reshape(rows, cols)
+        # bool is an int subclass, so JSON true would pass isinstance(_, int)
+        if not all(type(n) is int and n >= 0 for n in (rows, cols)):
+            raise ValueError(f"binary header needs integer rows and cols >= 0, got {rows!r} and {cols!r} in {path}")
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != 8 * rows * cols:
+            raise ValueError(f"binary payload holds {size} bytes, header says {rows}*{cols} float64 values in {path}")
+        return np.fromfile(fh, dtype="<f8", count=rows * cols).reshape(rows, cols)

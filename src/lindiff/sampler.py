@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .integrate import IntegrationError
-from .special import expint_ei
+from .special import ein, expint_ei
 
 __all__ = [
     "NoiseSchedule",
@@ -99,9 +99,12 @@ def log_phi_ratio(phi: PhiFactor, sigma_a: float, sigma_b: float, ei_memo: dict 
         1/2 ln((lam + a^2)/(lam + b^2)) + (1-Q)/2 e^(-u) [Ei(-x_a) - Ei(-x_b)]
         - 1/2 [Ei(-x_a - u) - Ei(-x_b - u)],
     and its x -> 0 limit (1-Q) e^(-u) ln(a/b) where x_a is below the smallest
-    normal double (tau = 0, or underflow).  The Ei(-x) terms do not depend on
-    lam: a caller that evaluates many modes at the same (tau, sigma) passes a
-    dict it owns as ``ei_memo``, which keeps them by their argument.
+    normal double (tau = 0, or underflow).  Ei(-x_a) - Ei(-x_b) is taken as
+    2 ln(a/b) - Ein(x_a) + Ein(x_b): both Ei values approach gamma + ln x, and
+    their difference would carry |ln x_a| eps of rounding.  The Ein terms do
+    not depend on lam: a caller that evaluates many modes at the same
+    (tau, sigma) passes a dict it owns as ``ei_memo``, which keeps them by
+    their argument.
 
     two-layer, with E = e^(-8 eta tau lam), g = (1-E)/lam (8 eta tau at
     lam = 0) and c = (1-Q) E / (Q lam g + E):
@@ -137,10 +140,10 @@ def log_phi_ratio(phi: PhiFactor, sigma_a: float, sigma_b: float, ei_memo: dict 
     memo = {} if ei_memo is None else ei_memo
     for x in (x_a, x_b):
         if x not in memo:
-            memo[x] = expint_ei(-x)
+            memo[x] = ein(x)
     return (
         log_ratio
-        + 0.5 * (1.0 - q) * math.exp(-u) * (memo[x_a] - memo[x_b])
+        + 0.5 * (1.0 - q) * math.exp(-u) * (2.0 * math.log(sigma_a / sigma_b) - memo[x_a] + memo[x_b])
         - 0.5 * (expint_ei(-(x_a + u)) - expint_ei(-(x_b + u)))
     )
 

@@ -23,7 +23,7 @@ from lindiff.experiment import (
 )
 from lindiff.gaussian import SpectrumSpec, make_covariance
 from lindiff.sampler import NoiseSchedule
-from lindiff.special import expint_ei
+from lindiff.special import ein, expint_ei
 
 
 class TestConfigParsing:
@@ -187,20 +187,25 @@ class TestRunExperiment:
     def test_each_run_computes_the_lambda_free_ei_terms_again(self, tmp_path, monkeypatch):
         # Every cell takes the Ei branch: 2 eta tau sigma_max^2 >= 128 and
         # 2 eta tau sigma_min^2 <= 8e-4.  Each cell makes two lambda-dependent
-        # Ei calls; each (tau, sigma) one lambda-free call, in each run.
-        calls = []
+        # Ei calls; each (tau, sigma) one lambda-free Ein call, in each run.
+        calls = {"ein": [], "expint_ei": []}
 
-        def counted(x):
-            calls.append(x)
-            return expint_ei(x)
+        def counted(name, fn):
+            def wrapped(x):
+                calls[name].append(x)
+                return fn(x)
+            return wrapped
 
-        monkeypatch.setattr(sampler, "expint_ei", counted)
+        monkeypatch.setattr(sampler, "ein", counted("ein", ein))
+        monkeypatch.setattr(sampler, "expint_ei", counted("expint_ei", expint_ei))
         dim, taus = 6, (1e-2, 1.0, 100.0)
         tables = []
         for run in ("a", "b"):
-            calls.clear()
+            for made in calls.values():
+                made.clear()
             run_experiment(ExperimentConfig(dim=dim, tau_override=taus, out_dir=str(tmp_path / run)))
-            assert len(calls) == 2 * dim * len(taus) + 2 * len(taus)
+            assert len(calls["ein"]) == 2 * len(taus)
+            assert len(calls["expint_ei"]) == 2 * dim * len(taus)
             tables.append({name: (tmp_path / run / name).read_bytes() for name in ("trajectories.csv", "emergence.csv")})
         assert tables[0] == tables[1]
 
@@ -649,6 +654,24 @@ class TestCliEntry:
         assert proc.stderr.startswith(f"config error: model.data:{detail}")
         assert "Traceback" not in proc.stderr
         assert proc.stderr.count("\n") == 1  # no NumPy warning either
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "header, values",
+        [(b'{"rows": 2.9, "cols": 2}', 4), (b'{"rows": true, "cols": 4}', 4),
+         (b'{"rows": 2, "cols": 2}', 6), (b'{"rows": 4, "cols": 4}', 3)],
+        ids=["fractional-rows", "boolean-rows", "extra-values", "truncated"],
+    )
+    def test_bad_binary_file_exits_1_naming_the_key(self, tmp_path, header, values):
+        data, out = tmp_path / "x.bin", tmp_path / "o"
+        data.write_bytes(header + b"\n" + np.arange(values, dtype="<f8").tobytes())
+        proc = subprocess.run(
+            [sys.executable, "-m", "lindiff.cli", "emergence", "--data", str(data), "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("config error: model.data: binary ")
+        assert proc.stderr.count("\n") == 1
         assert not out.exists()
 
     def test_one_column_csv_is_one_mode(self, tmp_path):

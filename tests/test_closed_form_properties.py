@@ -163,10 +163,20 @@ def test_fm_two_layer_weight_matches_mpmath(lam, offset, near, t_any, eta, q, ta
         assert float(abs(got - ref) / max(ref, TINY)) < 1e-11, (got, ref)
 
 
-@pytest.mark.xfail(strict=True, reason="one_layer_psi forms w* + (Q - w*) e^(-z), which cancels where psi ~ Q << w*")
 def test_one_layer_psi_is_relative_to_mpmath_at_small_q():
     q, tau = 1e-8, 1e-12
     with mp.workdps(DPS):
         decay = mp.exp(-2 * mp.mpf(tau) * 2)
         ref = 0.5 + (mp.mpf(q) - 0.5) * decay
         assert float(abs(one_layer_psi(1.0, 1.0, q, 1.0, tau) / ref - 1)) < 1e-12
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1.0, 10.0])
+def test_one_layer_lambda_gen_is_flat_in_ln_x(lam):
+    # x_a = 2 eta tau sigma_min^2 ~ 1e-136: Ei(-x_a) - Ei(-x_b) as a difference of
+    # two values near gamma + ln x carries |1 - Q| |ln x| eps, about 1.2e-11 here
+    q, tau, s0, s_t = 326.0, 1e-64, 8.1e-37, 1.4e-36
+    got = generated_variance(PhiFactor("one-layer", lam, q, 1.0, tau), NoiseSchedule(s0, s_t))
+    with mp.workdps(60):
+        ref = mp.mpf(s_t) ** 2 * mp.exp(2 * log_phi_ratio_mp("one-layer", lam, q, 1.0, tau, s0, s_t))
+        assert float(abs(got / ref - 1)) < 1e-12, (got, ref)

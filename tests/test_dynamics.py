@@ -83,8 +83,8 @@ class TestOneLayer:
             lam, sigma, q, tau = np.broadcast_arrays(
                 np.asarray(lam, float), np.asarray(sigma, float), np.asarray(q, float), np.asarray(tau, float)
             )
-            w_star = lam / (lam + sigma**2)
-            return w_star + (q - w_star) * np.exp(-2.0 * eta * tau * (sigma**2 + lam))
+            z = -2.0 * eta * tau * (sigma**2 + lam)
+            return q * np.exp(z) - lam / (lam + sigma**2) * np.expm1(z)
 
         spectrum = np.geomspace(1e-3, 10.0, 37)
         taus = np.geomspace(1e-4, 1e6, 61)

@@ -187,6 +187,17 @@ class TestReadSamples:
         assert read_samples(str(path)).size == 0
         assert not recwarn.list
 
+    @pytest.mark.parametrize(
+        "header, values",
+        [(b'{"rows": 2.9, "cols": 2}', 4), (b'{"rows": 2, "cols": false}', 0), (b'{"rows": 2, "cols": 2}', 6)],
+        ids=["fractional-rows", "boolean-cols", "extra-values"],
+    )
+    def test_binary_header_must_count_the_payload_exactly(self, tmp_path, header, values):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(header + b"\n" + np.zeros(values).astype("<f8").tobytes())
+        with pytest.raises(ValueError):
+            read_samples(str(path))
+
     def test_truncated_binary_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
         with open(path, "wb") as fh:
