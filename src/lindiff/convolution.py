@@ -81,6 +81,8 @@ def patch_covariance(sigma_mat: np.ndarray, r: int) -> PatchCovariance:
     sigma_mat = np.asarray(sigma_mat, dtype=float)
     n = sigma_mat.shape[0]
     k = 2 * r + 1
+    if r < 0:
+        raise ValueError("patch half_width must be >= 0")
     if k > n:
         raise ValueError("patch must fit in the signal (2r+1 <= N)")
     idx = np.arange(n)

@@ -244,33 +244,35 @@ def two_layer_psi(lam, sigma, q, eta, tau):
 
 
 def deep_linear_mode(depth, lam, sigma, c0, eta, tau_grid):
-    """Integrate dc/dtau = eta L [lambda - (sigma^2+lambda) c] c^(2-2/L).
+    """Depth-L mode c(tau) of dc/dtau = eta L [lambda - (sigma^2+lambda) c] c^(2-2/L) from c0.
 
-    The constants follow the depth-L convention, which differs from the
-    dedicated closed forms: deep_linear_mode(L=1) matches the one-layer
-    solution after eta -> 2 eta, and L=2 matches the symmetric two-layer
-    solution after eta -> 4 eta.  Returns c at every tau grid point;
-    raises if the trajectory stalls at the c = 0 saddle for L > 2.
+    L=1 is the one-layer solution at 2 eta and L=2 the symmetric two-layer one
+    at 4 eta.  In v = ln((c* - c0)/(c* - c)), c* = lambda/(sigma^2 + lambda), the
+    flow dv/dtau = eta L (sigma^2 + lambda) c(v)^(2-2/L) from v = 0 is not stiff
+    and c(v) stays between c0 and c* (DECISIONS.md).  One RK45 flow carries the
+    broadcast (lambda, sigma, c0); returns c at every tau, tau first.
     """
     depth = int(depth)
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if c0 <= 0 and depth >= 2:
+    lam, sigma, c0 = np.broadcast_arrays(*(np.asarray(x, float) for x in (lam, sigma, c0)))
+    if depth >= 2 and np.any(c0 <= 0):
         raise ValueError("c0 must be positive for depth >= 2 (zero is a saddle)")
-    tau_grid = np.asarray(tau_grid, float)
-    expo = 2.0 - 2.0 / depth
-    lam, sigma = float(lam), float(sigma)
+    rate = sigma * sigma + lam
+    c_star = lam / (rate + (rate == 0))  # lambda = sigma = 0: v stays 0 and c at c0
+    grow = c0 < c_star  # c moves from its nearer end by a term of one sign: no cancellation
+    base, gap = np.where(grow, c0, c_star), np.abs(c_star - c0)
 
-    def rhs(_t, c):
-        c_safe = np.maximum(c, 0.0)
-        return eta * depth * (lam - (sigma**2 + lam) * c) * c_safe**expo
+    def c_of(v):
+        return base + gap * np.where(grow, -np.expm1(-v), np.exp(-v))
 
-    grid = tau_grid if tau_grid[0] == 0 else np.concatenate([[0.0], tau_grid])
-    path = rk45_path(rhs, np.array([c0]), grid)
-    vals = path[:, 0] if tau_grid[0] == 0 else path[1:, 0]
-    if depth > 2 and c0 > 0 and np.any(vals < 1e-13 * c0):
-        raise RuntimeError("trajectory stalled at the c = 0 saddle")
-    return vals
+    def rhs(_t, v):
+        return eta * depth * rate * c_of(v) ** (2.0 - 2.0 / depth)
+
+    # an error dv is a relative error (c* - c) dv / c, so rtol alone sets the steps;
+    # a trial stage below v = 0 gives NaN, and rk45_path rejects it
+    with np.errstate(invalid="ignore"):
+        return c_of(rk45_path(rhs, np.zeros(rate.shape), tau_grid, atol=np.finfo(float).tiny))
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +346,6 @@ def two_layer_overlap_simulation(
         grad = -4.0 * lam[:, None] * qm + 2.0 * (coef * gram) @ qm
         return -eta * grad
 
-    grid = tau_grid if tau_grid[0] == 0 else np.concatenate([[0.0], tau_grid])
-    path = rk45_path(rhs, q0, grid)
-    if tau_grid[0] != 0:
-        path = path[1:]
+    path = rk45_path(rhs, q0, tau_grid)
     overlaps = np.einsum("tij,tkj->tik", path, path)
     return OverlapResult(tau_grid, overlaps)

@@ -29,15 +29,15 @@ __all__ = [
 ]
 
 def fm_one_layer_weight(tau, t, lam, q, eta):
-    """psi(tau) = w* + (Q - w*) exp(-2 eta tau (t^2 lam + (1-t)^2))."""
-    tau, t, lam, q = np.broadcast_arrays(
-        np.asarray(tau, float), np.asarray(t, float), np.asarray(lam, float), np.asarray(q, float)
-    )
+    """psi(tau) = w* + (Q - w*) e^z with z = -2 eta tau (t^2 lam + (1-t)^2), formed as
+    Q e^z - w* expm1(z), as in ``dynamics.one_layer_psi``: no cancellation where psi ~ Q << w*."""
+    tau, t, lam, q = np.broadcast_arrays(*(np.asarray(x, float) for x in (tau, t, lam, q)))
     if np.any((t <= 0) | (t > 1)):
         raise ValueError("t must lie in (0, 1]")
     variant = LossVariant.flow_match()
     rate, w_star = convergence_rate(variant, lam, t), optimal_mode_weight(variant, lam, t)
-    return w_star + (q - w_star) * np.exp(-2.0 * eta * tau * rate)
+    z = -2.0 * eta * tau * rate
+    return q * np.exp(z) - w_star * np.expm1(z)
 
 
 def fm_sampling_converged(lam, t):

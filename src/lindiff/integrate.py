@@ -18,35 +18,34 @@ class IntegrationError(RuntimeError):
     """Raised when a step-size underflow or non-finite state is detected."""
 
 
-def _rk4_step(f, t, y, h):
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _segments(t_grid):
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or not np.all(np.diff(t_grid, prepend=0.0) >= 0):
+        raise ValueError("t_grid must be a nonnegative, nondecreasing 1-D sequence")
+    return zip(np.append(0.0, t_grid[:-1]), t_grid)
 
 
 def rk4_path(f, y0, t_grid, max_rate=None, substeps=64):
-    """Fixed-step RK4, returning the state at every point of ``t_grid``.
+    """Fixed-step RK4 from ``y0`` at t = 0 to every point of a nonnegative, nondecreasing ``t_grid``.
 
-    Each grid segment is subdivided into ``substeps`` pieces, further
-    refined so that ``h * max_rate <= 0.08`` when a stiffness bound is
-    given (keeps the stability polynomial well inside the accuracy
+    Each segment of nonzero length is subdivided into ``substeps`` pieces,
+    further refined so that ``h * max_rate <= 0.08`` when a stiffness bound
+    is given (keeps the stability polynomial well inside the accuracy
     region for contraction rates up to ``max_rate``).
     """
-    t_grid = np.asarray(t_grid, dtype=float)
     y = np.array(y0, dtype=float)
-    out = [y.copy()]
-    for i in range(len(t_grid) - 1):
-        t0, t1 = t_grid[i], t_grid[i + 1]
-        span = t1 - t0
-        n = substeps
+    out = []
+    for t0, t1 in _segments(t_grid):
+        n = substeps if t1 > t0 else 0
         if max_rate is not None and max_rate > 0:
-            n = max(n, int(math.ceil(abs(span) * max_rate / 0.08)))
-        h = span / n
-        t = t0
+            n = max(n, int(math.ceil((t1 - t0) * max_rate / 0.08)))
+        h, t = (t1 - t0) / max(n, 1), t0
         for _ in range(n):
-            y = _rk4_step(f, t, y, h)
+            k1 = f(t, y)
+            k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+            k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+            k4 = f(t + h, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t += h
         if not np.all(np.isfinite(y)):
             raise IntegrationError(f"non-finite state at t={t1}")
@@ -70,21 +69,19 @@ _CK_E = _CK_B5 - _CK_B4
 
 
 def rk45_path(f, y0, t_grid, rtol=1e-10, atol=1e-12, max_steps=2_000_000):
-    """Adaptive Cash-Karp RK45 hitting every ``t_grid`` point exactly.
+    """Adaptive Cash-Karp RK45 on the segments of ``rk4_path``, hitting every ``t_grid`` point exactly.
 
-    The six stage values sit in one (6, n) array, so each stage state,
-    the fifth-order update and the error estimate are one tableau product.
-    The error norm is the largest scaled error over every entry of the state.
+    The six stage values sit in one (6, n) array, so each stage state, the
+    fifth-order update and the error estimate are one tableau product.  The
+    error norm is the largest scaled error over every entry of the state.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
     y = np.array(y0, dtype=float)
     shape = y.shape
     y = y.ravel()
     k = np.empty((6, y.size))
-    out = [y.reshape(shape)]
+    out = []
     nsteps = 0
-    for i in range(len(t_grid) - 1):
-        t, t_end = t_grid[i], t_grid[i + 1]
+    for t, t_end in _segments(t_grid):
         h = (t_end - t) / 16.0
         while t < t_end:
             h = min(h, t_end - t)
@@ -97,6 +94,8 @@ def rk45_path(f, y0, t_grid, rtol=1e-10, atol=1e-12, max_steps=2_000_000):
             y5 = y + (h * _CK_B5) @ k
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
             err = float(np.max(np.abs((h * _CK_E) @ k) / scale))
+            if math.isnan(err):  # a trial stage left the domain of f: reject and shrink
+                err = math.inf
             if err <= 1.0:
                 t += h
                 y = y5

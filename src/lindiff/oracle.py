@@ -187,12 +187,9 @@ def gradient_flow_full(
 
 def _solve(rhs, y0, tau_grid, rate: float | None):
     """Fixed-step RK4 at the stiffness bound ``rate``, or RK45 when it is None."""
-    grid = tau_grid if tau_grid[0] == 0 else np.concatenate([[0.0], tau_grid])
     if rate is None:
-        path = rk45_path(rhs, y0, grid, rtol=_RTOL, atol=_ATOL)
-    else:
-        path = rk4_path(rhs, y0, grid, max_rate=rate)
-    return path if tau_grid[0] == 0 else path[1:]
+        return rk45_path(rhs, y0, tau_grid, rtol=_RTOL, atol=_ATOL)
+    return rk4_path(rhs, y0, tau_grid, max_rate=rate)
 
 
 def discrete_gd_full(

@@ -15,9 +15,9 @@ import mpmath as mp
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from lindiff.dynamics import one_layer_psi, two_layer_psi
+from lindiff.dynamics import LossVariant, convergence_rate, one_layer_psi, optimal_mode_weight, two_layer_psi
 from lindiff.experiment import SIGMA_LOG10_BOUND, V0_LOG10_BOUND
-from lindiff.flow_matching import fm_generated_variance_ratio, fm_two_layer_weight
+from lindiff.flow_matching import fm_generated_variance_ratio, fm_one_layer_weight, fm_two_layer_weight
 from lindiff.sampler import NoiseSchedule, PhiFactor, generated_variance
 
 SETTINGS = settings(max_examples=150, derandomize=True, deadline=None)
@@ -161,6 +161,32 @@ def test_fm_two_layer_weight_matches_mpmath(lam, offset, near, t_any, eta, q, ta
         grown = mp.expm1(a_m * tau_m) / a_m if a else tau_m
         ref = q_m * mp.exp(a_m * tau_m) / (1 + q_m * b * grown)
         assert float(abs(got - ref) / max(ref, TINY)) < 1e-11, (got, ref)
+
+
+@SETTINGS
+@given(
+    st.one_of(st.just(0.0), st.floats(-14, 6).map(lambda e: 10.0**e)),
+    st.floats(1e-3, 1.0),
+    st.floats(-6, 6).map(lambda e: 10.0**e),
+    st.one_of(st.just(0.0), st.floats(-12, 2).map(lambda e: 10.0**e), st.floats(-12, 2).map(lambda e: -(10.0**e))),
+    st.floats(-3, 3).map(lambda e: 10.0**e),
+)
+@example(1e-12, 1.0, 1.0, 1e-8, 1.0)  # 6.0e-10 off as w* + (Q - w*) e^z
+@example(1e-9, 0.9, 2.0, 1e-6, 1.0)  # 8.8e-11 off as w* + (Q - w*) e^z
+def test_fm_one_layer_weight_matches_mpmath(tau, t, lam, q, eta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = float(fm_one_layer_weight(tau, t, lam, q, eta))
+    # the reference takes the rate and w* as rounded in double, as the two-layer test takes a and b:
+    # near t = 1/(lam + 1) the rounding of w* moves psi far more than the closed form's own error
+    variant = LossVariant.flow_match()
+    rate, w_star = convergence_rate(variant, lam, t), optimal_mode_weight(variant, lam, t)
+    with mp.workdps(DPS):
+        z = -2 * mp.mpf(eta) * mp.mpf(tau) * mp.mpf(rate)
+        decay, grown = mp.mpf(q) * mp.exp(z), -mp.mpf(w_star) * mp.expm1(z)
+        # relative to the size of the two terms, which is |psi| where Q and w* share a sign
+        scale = max(abs(decay) + abs(grown), TINY)
+        assert float(abs(got - (decay + grown)) / scale) < 1e-12, (got, decay + grown)
 
 
 def test_one_layer_psi_is_relative_to_mpmath_at_small_q():

@@ -110,6 +110,10 @@ class TestPatchCovariance:
         with pytest.raises(ValueError):
             patch_covariance(np.eye(5), 3)
 
+    def test_negative_half_width_rejected(self):
+        with pytest.raises(ValueError, match="patch half_width must be >= 0"):
+            patch_covariance(np.eye(5), -1)
+
 
 class TestPatchFilterTrajectory:
     def test_identity_patch_closed_form(self):

@@ -214,7 +214,7 @@ class TestTwoLayer:
         def rhs(_t, f):
             return 8.0 * eta * (lam - (sigma**2 + lam) * f) * f
 
-        num = rk4_path(rhs, np.array([q]), np.concatenate([[0.0], taus]), substeps=400)[1:, 0]
+        num = rk4_path(rhs, np.array([q]), taus, substeps=400)[:, 0]
         closed = two_layer_psi(lam, sigma, q, eta, taus)
         assert np.max(np.abs(num - closed)) < 1e-8
 
@@ -316,16 +316,21 @@ class TestTwoLayer:
 
 
 class TestDeepLinear:
+    # 12 modes x 192 noise levels x 61 training times, as one flow
+    LAM = np.geomspace(1e-3, 10, 12)[:, None]
+    SIGMA = np.geomspace(2e-3, 80, 192)
+    TAUS = np.geomspace(1e-4, 1e6, 61)
+
     def test_depth_one_matches_one_layer_after_rate_mapping(self):
         taus = np.geomspace(1e-3, 5, 12)
         deep = deep_linear_mode(1, 1.0, 1.0, 0.1, 2.0, taus)  # eta -> 2 eta
-        assert np.max(np.abs(deep - one_layer_psi(1.0, 1.0, 0.1, 1.0, taus))) < 1e-8
+        assert np.max(np.abs(deep - one_layer_psi(1.0, 1.0, 0.1, 1.0, taus))) < 6e-16
 
     def test_depth_two_matches_two_layer_closed_form(self):
         taus = np.geomspace(1e-3, 5, 15)
         deep = deep_linear_mode(2, 1.0, 1.0, 0.01, 4.0, taus)  # eta -> 4 eta
         closed = two_layer_psi(1.0, 1.0, 0.01, 1.0, taus)
-        assert np.max(np.abs(deep - closed)) < 1e-6
+        assert np.max(np.abs(deep - closed)) < 7e-11
 
     def test_fixed_point_constant(self):
         taus = np.geomspace(1e-2, 20, 8)
@@ -341,6 +346,37 @@ class TestDeepLinear:
     def test_saddle_guard(self):
         with pytest.raises(ValueError):
             deep_linear_mode(3, 1.0, 1.0, 0.0, 1.0, [1.0])
+
+    def test_broadcast_grid_matches_the_closed_forms(self):
+        deep = deep_linear_mode(1, self.LAM, self.SIGMA, 0.1, 1.0, self.TAUS)
+        assert deep.shape == (61, 12, 192)
+        closed = one_layer_psi(self.LAM, self.SIGMA, 0.1, 0.5, self.TAUS[:, None, None])  # eta -> eta / 2
+        assert np.max(np.abs(deep / closed - 1)) < 1e-12
+        deep = deep_linear_mode(2, self.LAM, self.SIGMA, 0.1, 1.0, self.TAUS)
+        closed = two_layer_psi(self.LAM, self.SIGMA, 0.1, 0.25, self.TAUS[:, None, None])  # eta -> eta / 4
+        assert np.max(np.abs(deep / closed - 1)) < 1e-9
+
+    @pytest.mark.parametrize("depth", range(1, 7))
+    def test_broadcast_grid_is_finite_and_monotone(self, depth):
+        deep = deep_linear_mode(depth, self.LAM, self.SIGMA, 0.1, 1.0, self.TAUS)
+        toward = np.sign(self.LAM / (self.LAM + self.SIGMA**2) - 0.1)
+        assert np.all(np.isfinite(deep))
+        assert np.all(np.diff(deep, axis=0) * toward >= 0)
+
+    @pytest.mark.parametrize("c0", [1e-12, 0.1, 5.0])
+    def test_large_lambda_small_sigma_is_finite_and_monotone(self, c0):
+        # c0 below, near and above c* = 1 - 4e-7, where the flow in c is stiff
+        deep = deep_linear_mode(3, 10.0, 0.002, c0, 1.0, self.TAUS)
+        assert deep.shape == (61,)
+        assert np.all(np.isfinite(deep))
+        assert np.all(np.diff(deep) * np.sign(10.0 / (10.0 + 0.002**2) - c0) >= 0)
+        assert abs(deep[-1] / (10.0 / (10.0 + 0.002**2)) - 1) < 1e-12
+
+    def test_zero_lambda_and_sigma_stay_at_c0(self):
+        c0 = np.array([1e-3, 0.5, 2.0])
+        for depth in (1, 2, 3):
+            deep = deep_linear_mode(depth, 0.0, 0.0, c0, 1.0, [0.0, 1.0, 1e6])
+            assert np.all(deep == c0)
 
 
 class TestResidual:
@@ -375,11 +411,11 @@ class TestResidual:
             return -eta * c_out * gw
 
         w_prime0 = (model6.basis * q0) @ model6.basis.T
-        path = rk4_path(rhs, w_prime0, np.concatenate([[0.0], taus]), max_rate=2 * eta * c_out**2 * 5.0)
+        path = rk4_path(rhs, w_prime0, taus, max_rate=2 * eta * c_out**2 * 5.0)
         q_eff, eta_eff = Residual(c_skip, c_out).one_layer(q0, eta)
         closed = one_layer_psi(model6.spectrum[None, :], sigma, q_eff, eta_eff, taus[:, None])
         for i, tau in enumerate(taus):
-            w_full = c_skip * np.eye(6) + c_out * path[i + 1]
+            w_full = c_skip * np.eye(6) + c_out * path[i]
             diag = np.einsum("ik,ij,jk->k", model6.basis, w_full, model6.basis)
             assert np.max(np.abs(diag - closed[i])) < 1e-7
 

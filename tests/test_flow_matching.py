@@ -32,7 +32,7 @@ class TestFmOneLayerWeight:
         def rhs(_tau, w):
             return -2.0 * eta * (w * rate - (t * lam - (1 - t)))
 
-        num = rk4_path(rhs, np.array([q]), np.concatenate([[0.0], taus]), substeps=400)[1:, 0]
+        num = rk4_path(rhs, np.array([q]), taus, substeps=400)[:, 0]
         closed = fm_one_layer_weight(taus, t, lam, q, eta)
         assert np.max(np.abs(num - closed)) < 1e-6
 
@@ -140,7 +140,7 @@ class TestFmTwoLayer:
         def rhs(_tau, h):
             return 4.0 * eta * ((t * lam - (1 - t)) - (t * t * lam + (1 - t) ** 2) * h) * h
 
-        num = rk4_path(rhs, np.array([q]), np.concatenate([[0.0], taus]), substeps=200)[1:, 0]
+        num = rk4_path(rhs, np.array([q]), taus, substeps=200)[:, 0]
         closed = np.array([fm_two_layer_weight(tt, t, lam, q, eta).value for tt in taus])
         assert np.max(np.abs(num - closed)) < 1e-6
 

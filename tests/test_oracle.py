@@ -281,6 +281,20 @@ class TestDenseDftDiag:
 
 
 class TestIntegrators:
+    @pytest.mark.parametrize("path", [rk4_path, rk45_path])
+    @pytest.mark.parametrize("grid", [[0.0, 2.0, 1.0], [-1.0, 1.0]])
+    def test_decreasing_or_negative_grid_rejected(self, path, grid):
+        with pytest.raises(ValueError, match="nonnegative, nondecreasing"):
+            path(lambda _t, y: -y, np.array([1.0]), grid)
+
+    @pytest.mark.parametrize("path", [rk4_path, rk45_path])
+    def test_starts_from_y0_at_t_zero(self, path):
+        got = path(lambda _t, y: -y, np.array([1.0]), [0.0, 0.0, 1.0])
+        assert got.shape == (3, 1)
+        assert got[0, 0] == got[1, 0] == 1.0  # zero-length segments take no step
+        assert abs(got[2, 0] - np.exp(-1.0)) < 1e-9
+        assert path(lambda _t, y: -y, np.array([1.0]), [1.0])[0, 0] == got[2, 0]
+
     def test_rk4_and_rk45_agree_on_nonlinear_ode(self):
         def rhs(_t, y):
             return np.array([y[1], -np.sin(y[0])])
