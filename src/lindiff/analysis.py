@@ -30,7 +30,8 @@ class InsufficientDataError(ValueError):
 
 @dataclass(frozen=True)
 class EmergenceCriterion:
-    """Threshold between initial and target value: geometric or harmonic mean."""
+    """Threshold between initial and target values (scalars or broadcasting
+    arrays): their geometric or harmonic mean."""
 
     kind: str = "geometric"
 
@@ -38,17 +39,18 @@ class EmergenceCriterion:
         if self.kind not in ("geometric", "harmonic"):
             raise ValueError("criterion kind must be 'geometric' or 'harmonic'")
 
-    def threshold(self, v0: float, v_inf: float) -> float:
-        if v0 <= 0 or v_inf <= 0:
+    def threshold(self, v0, v_inf):
+        if np.any(v0 <= 0) or np.any(v_inf <= 0):
             raise ValueError("criterion values must be positive")
         if self.kind == "geometric":
-            return float(np.sqrt(v0 * v_inf))
+            return np.sqrt(v0 * v_inf)
         return 2.0 * v0 * v_inf / (v0 + v_inf)
 
 
 @dataclass(frozen=True)
 class GrayZone:
-    """Ratio band around the target within which tau* is unreliable."""
+    """Ratio band around the target within which tau* is unreliable; ``excludes``
+    takes scalars or broadcasting arrays."""
 
     lower: float = 0.5
     upper: float = 2.0
@@ -57,9 +59,9 @@ class GrayZone:
         if not (0 < self.lower < 1 < self.upper):
             raise ValueError("need 0 < lower < 1 < upper")
 
-    def excludes(self, v0: float, target: float) -> bool:
+    def excludes(self, v0, target):
         r = v0 / target
-        return self.lower <= r <= self.upper
+        return (self.lower <= r) & (r <= self.upper)
 
 
 @dataclass(frozen=True)
@@ -73,51 +75,53 @@ class PowerLawFit:
     branch: str  # 'increasing' | 'decreasing' | 'pooled'
 
 
-def emergence_time(taus, values, v0: float, v_inf: float, crit: EmergenceCriterion):
-    """First passage of the series through the criterion threshold.
+def emergence_time(taus, values, v0, v_inf, crit: EmergenceCriterion):
+    """First passage of each series through its criterion threshold.
 
-    Returns the interpolated tau, or None when the threshold is never
-    crossed or v0 == v_inf (degenerate).  A series that starts beyond the
-    threshold returns the first grid tau.  Multi-crossing series return
-    the FIRST crossing (first-passage semantics).
+    ``values`` is (..., n_tau) over the 1-D ``taus``, and ``v0`` and
+    ``v_inf`` broadcast over its leading axes.  Returns the interpolated
+    tau of each series (a scalar for one series), or NaN where the
+    threshold is never crossed or v0 == v_inf (degenerate).  A series that
+    starts beyond the threshold gives the first grid tau; a multi-crossing
+    series gives its FIRST crossing (first-passage semantics).
     """
     taus = np.asarray(taus, float)
     values = np.asarray(values, float)
-    if taus.shape != values.shape or taus.size < 2:
+    if values.shape[-1:] != taus.shape or taus.size < 2:
         raise ValueError("need matching tau/value series of length >= 2")
-    if v0 == v_inf:
-        return None
+    v0, v_inf = np.asarray(v0, float)[..., None], np.asarray(v_inf, float)[..., None]
     theta = crit.threshold(v0, v_inf)
-    rising = v_inf > v0
-    crossed = values >= theta if rising else values <= theta
-    if not crossed.any():
-        return None
-    i = int(np.argmax(crossed))
-    if i == 0:
-        return float(taus[0])
-    lo, hi = values[i - 1], values[i]
-    # interpolate in (ln tau, ln v); fall back to linear if signs prevent logs
-    if lo > 0 and hi > 0 and taus[i - 1] > 0:
+    values = np.broadcast_to(values, np.broadcast_shapes(values.shape, theta.shape))
+    crossed = np.where(v_inf > v0, values >= theta, values <= theta) & (v0 != v_inf)
+    i = np.argmax(crossed, axis=-1)[..., None]  # the first crossing, or 0 for none
+    prev = np.maximum(i - 1, 0)
+    lo, hi = np.take_along_axis(values, prev, -1), np.take_along_axis(values, i, -1)
+    tau0, tau1 = taus[prev], taus[i]
+    # interpolate in (ln tau, ln v); fall back to linear where signs prevent logs
+    with np.errstate(all="ignore"):
         t = (np.log(theta) - np.log(lo)) / (np.log(hi) - np.log(lo))
-        return float(np.exp(np.log(taus[i - 1]) + t * (np.log(taus[i]) - np.log(taus[i - 1]))))
-    t = (theta - lo) / (hi - lo)
-    return float(taus[i - 1] + t * (taus[i] - taus[i - 1]))
+        log_tau = np.exp(np.log(tau0) + t * (np.log(tau1) - np.log(tau0)))
+        t = (theta - lo) / (hi - lo)
+        tau = np.where((lo > 0) & (hi > 0) & (tau0 > 0), log_tau, tau0 + t * (tau1 - tau0))
+    tau = np.where(i == 0, taus[0], tau)
+    return np.where(crossed.any(axis=-1, keepdims=True), tau, np.nan)[..., 0][()]
 
 
 def power_law_fit(lambdas, taus, gz: GrayZone, v0s, targets) -> dict[str, PowerLawFit]:
     """Per-branch OLS of ln tau* on ln lambda with gray-zone exclusion.
 
     Modes with v0/target inside the gray zone, or without a crossing
-    (tau* None/nan), are dropped.  Branches are split by the sign of
-    target - v0; a branch whose survivors hold fewer than two distinct
-    eigenvalues raises InsufficientDataError naming it.
+    (tau* NaN or None), are dropped.  ``v0s`` is one value per mode or one
+    for all.  Branches are split by the sign of target - v0; a branch whose
+    survivors hold fewer than two distinct eigenvalues raises
+    InsufficientDataError naming it.
     """
     lambdas = np.asarray(lambdas, float)
-    taus = np.array([np.nan if t is None else float(t) for t in taus])
+    taus = np.array(taus, float)  # None reads as NaN
     v0s = np.asarray(v0s, float)
     targets = np.asarray(targets, float)
 
-    keep = ~np.array([gz.excludes(v, t) for v, t in zip(v0s, targets)])
+    keep = ~gz.excludes(v0s, targets)
     keep &= np.isfinite(taus) & (taus > 0) & (lambdas > 0)
     if not keep.any():
         raise InsufficientDataError("all modes excluded (branches increasing, decreasing)")

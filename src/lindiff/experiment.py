@@ -349,7 +349,7 @@ def run_experiment(cfg: ExperimentConfig, stages: frozenset = frozenset({"trajec
     targets = s_t**2 * (lam + s0**2) / (lam + s_t**2)
     lap("lambda_gen")
 
-    written = []
+    written, diagnostics = [], {}
     fit_payload = None
     if "trajectories" in stages:
         written.append(_emit_trajectories(cfg, out, lam, taus, lam_gen))
@@ -357,14 +357,14 @@ def run_experiment(cfg: ExperimentConfig, stages: frozenset = frozenset({"trajec
     if "emergence" in stages:
         crit = EmergenceCriterion(cfg.criterion)
         gz = GrayZone(cfg.gray_lower, cfg.gray_upper)
-        tau_stars, branches, excluded = [], [], []
-        for k in range(len(lam)):
-            tau_stars.append(emergence_time(taus, lam_gen[k], v0, targets[k], crit))
-            branches.append("increasing" if targets[k] > v0 else "decreasing")
-            excluded.append(gz.excludes(v0, targets[k]))
+        tau_stars = emergence_time(taus, lam_gen, v0, targets, crit)
+        branches = np.where(targets > v0, "increasing", "decreasing")
+        excluded = gz.excludes(v0, targets)
+        diagnostics["no_crossing_modes"] = int(np.count_nonzero(np.isnan(tau_stars)))
+        diagnostics["gray_zone_modes"] = int(np.count_nonzero(excluded))
         fits, fit_error = {}, None
         try:
-            fits = power_law_fit(lam, tau_stars, gz, np.full(len(lam), v0), targets)
+            fits = power_law_fit(lam, tau_stars, gz, v0, targets)
         except ValueError as exc:
             fit_error = str(exc)
         written.append(_emit_emergence(cfg, out, lam, tau_stars, branches, excluded))
@@ -386,7 +386,6 @@ def run_experiment(cfg: ExperimentConfig, stages: frozenset = frozenset({"trajec
         _write_json(out / "fit.json", fit_payload)
         written.append("fit.json")
         lap("emergence")
-    diagnostics = {}
     if "kl" in stages:
         name, diagnostics["kl_clamped_modes"] = _emit_kl(cfg, out, model, taus, lam_gen)
         written.append(name)
@@ -444,7 +443,7 @@ def _emit_emergence(cfg, out: Path, spectrum, tau_stars, branches, excluded) -> 
     table = np.empty(len(spectrum), dtype={"names": header, "formats": [int, float, object, object, int]})
     table["mode_index"] = np.arange(len(spectrum))
     table["lambda_target"] = spectrum
-    table["tau_star"] = tau_stars  # None where a mode never crosses
+    table["tau_star"] = np.where(np.isnan(tau_stars), None, tau_stars)  # None where a mode never crosses
     table["branch"] = branches
     table["excluded_flag"] = excluded
     return _emit_table(cfg, out, "emergence", header, table)

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-__all__ = ["rk4_path", "rk45_path", "IntegrationError"]
+__all__ = ["heun", "rk4_path", "rk45_path", "IntegrationError"]
 
 
 class IntegrationError(RuntimeError):
@@ -51,6 +51,18 @@ def rk4_path(f, y0, t_grid, max_rate=None, substeps=64):
             raise IntegrationError(f"non-finite state at t={t1}")
         out.append(y.copy())
     return np.stack(out)
+
+
+def heun(f, y0, grid):
+    """Heun (explicit trapezoid) steps from ``y0`` at ``grid[0]`` along ``grid``,
+    in either direction; returns y at ``grid[-1]``."""
+    grid = np.asarray(grid, dtype=float)
+    y = np.array(y0, dtype=float)
+    for t0, t1 in zip(grid[:-1], grid[1:]):
+        d0 = f(t0, y)
+        d1 = f(t1, y + (t1 - t0) * d0)
+        y = y + 0.5 * (t1 - t0) * (d0 + d1)
+    return y
 
 
 # Cash-Karp embedded 4(5) tableau; row s of _CK_A weights the first s stages.

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dynamics import LossVariant
 from .gaussian import DataMoments
-from .integrate import rk4_path, rk45_path
+from .integrate import heun, rk4_path, rk45_path
 
 __all__ = [
     "variant_moments",
@@ -246,19 +246,11 @@ def dense_dft_diag(sigma_mat: np.ndarray) -> np.ndarray:
 
 def heun_affine_dense(weight_matrix_fn, bias_fn, sigma_grid, x_start: np.ndarray):
     """Heun integration of dx/dsigma = -[(W(s) - I) x + b(s)] / s on dense W."""
-    sigma_grid = np.asarray(sigma_grid, float)
-    x = np.asarray(x_start, float).copy()
-    eye = np.eye(x.shape[-1])
+    eye = np.eye(np.shape(x_start)[-1])
 
-    def drift(xv, s):
+    def drift(s, xv):
         w = weight_matrix_fn(s)
         b = bias_fn(s) if bias_fn is not None else 0.0
         return -((w - eye) @ xv + b) / s
 
-    for i in range(len(sigma_grid) - 1):
-        s0, s1 = sigma_grid[i], sigma_grid[i + 1]
-        d0 = drift(x, s0)
-        x_pred = x + (s1 - s0) * d0
-        d1 = drift(x_pred, s1)
-        x = x + 0.5 * (s1 - s0) * (d0 + d1)
-    return x
+    return heun(drift, x_start, sigma_grid)

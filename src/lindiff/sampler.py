@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .integrate import IntegrationError
+from .integrate import IntegrationError, heun
 from .special import ein, expint_ei
 
 __all__ = [
@@ -187,23 +187,14 @@ def pf_ode_numeric(psi_fn, bias_fn, schedule: NoiseSchedule, x_start: np.ndarray
     ``x_start`` holds the mode coordinates at sigma_max.  Returns the
     coordinates at sigma_min.
     """
-    x = np.array(x_start, dtype=float)
-    grid = schedule.grid()
-
-    def drift(xv, s):
+    def drift(s, xv):
         psi = np.asarray(psi_fn(s), dtype=float)
         if not np.all(np.isfinite(psi)):
             raise IntegrationError(f"non-finite weight evaluation at sigma={s}")
         b = np.asarray(bias_fn(s), dtype=float) if bias_fn is not None else 0.0
         return -((psi - 1.0) * xv + b) / s
 
-    for i in range(len(grid) - 1):
-        s0, s1 = grid[i], grid[i + 1]
-        d0 = drift(x, s0)
-        x_pred = x + (s1 - s0) * d0
-        d1 = drift(x_pred, s1)
-        x = x + 0.5 * (s1 - s0) * (d0 + d1)
-    return x
+    return heun(drift, x_start, schedule.grid())
 
 
 def mean_transport(bias_fn, phi: PhiFactor, schedule: NoiseSchedule, tol: float = 1e-9) -> np.ndarray:

@@ -306,10 +306,8 @@ def test_criterion_09_flow_matching():
     v0 = math.exp(2 * q * 2)  # Q=0.1 pipeline below
     q_pipe = 0.1
     v0 = math.exp(2 * q_pipe)
-    stars = []
-    for lam_i in lams:
-        vals = np.array([fm_generated_variance_ratio(t, lam_i, q_pipe, 1.0) * lam_i for t in taus])
-        stars.append(emergence_time(taus, vals, v0, lam_i, EmergenceCriterion("harmonic")))
+    vals = np.array([[fm_generated_variance_ratio(t, lam_i, q_pipe, 1.0) * lam_i for t in taus] for lam_i in lams])
+    stars = emergence_time(taus, vals, v0, lams, EmergenceCriterion("harmonic"))
     fits = power_law_fit(lams, stars, GrayZone(), np.full(24, v0), lams)
     alphas = {b: f.alpha for b, f in fits.items()}
     law_ok = all(0.8 <= a <= 1.2 for a in alphas.values())

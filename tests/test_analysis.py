@@ -24,14 +24,38 @@ class TestEmergenceTime:
             est = emergence_time(taus, vals, v0, v_inf, crit)
             assert abs(est - exact) / exact < 0.01
 
-    def test_degenerate_levels_return_none(self):
+    def test_degenerate_levels_return_nan(self):
         taus = np.array([0.1, 1.0])
-        assert emergence_time(taus, np.array([1.0, 1.0]), 1.0, 1.0, EmergenceCriterion()) is None
+        assert np.isnan(emergence_time(taus, np.array([1.0, 1.0]), 1.0, 1.0, EmergenceCriterion()))
 
-    def test_never_crossed_returns_none(self):
+    def test_never_crossed_returns_nan(self):
         taus = np.geomspace(0.1, 1, 8)
         vals = np.full(8, 1e-3)
-        assert emergence_time(taus, vals, 1e-3, 1.0, EmergenceCriterion()) is None
+        assert np.isnan(emergence_time(taus, vals, 1e-3, 1.0, EmergenceCriterion()))
+
+    @pytest.mark.parametrize("kind", ["geometric", "harmonic"])
+    @pytest.mark.parametrize("start", [1e-3, 0.0], ids=["geomspace", "from-zero"])
+    def test_one_call_on_modes_matches_a_call_per_mode(self, kind, start):
+        """Rising and decaying rows, one never crossing, one crossed at grid[0],
+        one with v0 == v_inf, and a per-mode v0, in one call and row by row."""
+        taus = np.concatenate([[start], np.geomspace(2e-3, 1e3, 40)])
+        rates = np.geomspace(1e-3, 1e2, 12)[:, None]
+        v0 = np.geomspace(1e-3, 1e3, 12)
+        v_inf = np.where(np.arange(12) % 2, 1e-2, 1e2)  # rising and decaying rows
+        values = v_inf[:, None] + (v0 - v_inf)[:, None] * np.exp(-rates * taus)
+        values[3] = v0[3]  # never crosses
+        values[4, 0] = v_inf[4]  # crossed at grid[0]
+        v_inf[5] = v0[5]  # degenerate
+        values[7, 1] = -1.0  # a decaying row crossed at a nonpositive value: linear interpolation
+        crit = EmergenceCriterion(kind)
+        got = emergence_time(taus, values, v0, v_inf, crit)
+        rows = np.array([emergence_time(taus, values[k], v0[k], v_inf[k], crit) for k in range(12)])
+        assert got.shape == (12,)
+        assert np.array_equal(got, rows, equal_nan=True)
+        assert np.isnan(got[[3, 5]]).all() and np.isfinite(np.delete(got, [3, 5])).all()
+        assert got[4] == taus[0]
+        assert taus[0] < got[7] < taus[1]
+        assert np.array_equal(emergence_time(taus, values[None], v0, v_inf, crit), got[None], equal_nan=True)
 
     def test_decreasing_trajectories_supported(self):
         taus = np.geomspace(1e-2, 10, 128)
@@ -101,6 +125,21 @@ class TestPowerLawFit:
         taus = list(1.0 / lams)
         taus[3] = None
         fits = power_law_fit(lams, taus, GrayZone(), np.full(8, 1e-3), np.ones(8))
+        assert fits["increasing"].n_used == 7
+
+    def test_gray_zone_excludes_arrays(self):
+        gz = GrayZone()
+        v0 = np.array([0.1, 0.5, 1.0, 2.0, 2.5])
+        assert gz.excludes(v0, 1.0).tolist() == [False, True, True, True, False]
+        assert gz.excludes(1.0, 1.0 / v0).tolist() == [False, True, True, True, False]
+        assert gz.excludes(v0[:, None], v0).shape == (5, 5)
+        assert gz.excludes(1.0, 0.5) and not gz.excludes(1.0, 0.4)
+
+    def test_scalar_v0_and_nan_crossings(self):
+        lams = np.geomspace(0.1, 10, 8)
+        taus = 1.0 / lams
+        taus[3] = np.nan
+        fits = power_law_fit(lams, taus, GrayZone(), 1e-3, np.ones(8))
         assert fits["increasing"].n_used == 7
 
     def test_gray_zone_validation(self):

@@ -546,6 +546,22 @@ class TestCliEntry:
         assert json.loads((tmp_path / "manifest.json").read_text())["diagnostics"] == manifest["diagnostics"]
         assert "diagnostics" not in run_experiment(cfg, stages=frozenset({"trajectories"}))
 
+    @pytest.mark.parametrize(
+        "args, no_crossing, gray_zone",
+        [
+            (["--validate-with-oracle", "--arch", "one-layer", "--set", "dynamics.tau_max=1"], 10, 0),
+            (["--set", "arch.q_init=0.59"], 0, 2),
+        ],
+        ids=["oracle-workload", "gray-zone"],
+    )
+    def test_emergence_manifest_counts_exclusions_by_reason(self, tmp_path, capsys, args, no_crossing, gray_zone):
+        assert main(["emergence", "--out", str(tmp_path), "--set", "model.dim=16", *args]) == 0
+        diagnostics = json.loads((tmp_path / "manifest.json").read_text())["diagnostics"]
+        assert diagnostics == {"no_crossing_modes": no_crossing, "gray_zone_modes": gray_zone}
+        rows = (tmp_path / "emergence.csv").read_text().splitlines()[1:]
+        assert sum(row.split(",")[2] == "" for row in rows) == no_crossing
+        assert sum(row.split(",")[4] == "1" for row in rows) == gray_zone
+
     def test_validation_error_exit_code(self, tmp_path, capsys):
         rc = main(["emergence", "--out", str(tmp_path), "--set", "analysis.gray_zone.lower=1.5"])
         assert rc == 1

@@ -171,10 +171,8 @@ class TestFmEmergencePowerLaw:
         taus = np.geomspace(1e-4, 1e5, 400)
         v0 = np.exp(2 * q)
         crit = EmergenceCriterion("harmonic")
-        stars = []
-        for lam in lams:
-            vals = np.array([fm_generated_variance_ratio(t, lam, q, eta) * lam for t in taus])
-            stars.append(emergence_time(taus, vals, v0, lam, crit))
+        vals = np.array([[fm_generated_variance_ratio(t, lam, q, eta) * lam for t in taus] for lam in lams])
+        stars = emergence_time(taus, vals, v0, lams, crit)
         fits = power_law_fit(lams, stars, GrayZone(), np.full(len(lams), v0), lams)
         assert set(fits) == {"increasing", "decreasing"}
         for fit in fits.values():

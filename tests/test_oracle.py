@@ -7,7 +7,7 @@ import lindiff.oracle as oracle
 from lindiff.dynamics import LossVariant
 from lindiff.experiment import ORACLE_TOLERANCE, ExperimentConfig, oracle_deviation
 from lindiff.gaussian import DataMoments, SpectrumSpec, make_covariance
-from lindiff.integrate import rk4_path, rk45_path
+from lindiff.integrate import heun, rk4_path, rk45_path
 from lindiff.oracle import (
     dense_dft_diag,
     gradient_flow_full,
@@ -294,6 +294,25 @@ class TestIntegrators:
         assert got[0, 0] == got[1, 0] == 1.0  # zero-length segments take no step
         assert abs(got[2, 0] - np.exp(-1.0)) < 1e-9
         assert path(lambda _t, y: -y, np.array([1.0]), [1.0])[0, 0] == got[2, 0]
+
+    @pytest.mark.parametrize("start, end", [(0.0, 1.0), (1.0, 0.0)], ids=["forward", "backward"])
+    def test_heun_steps_along_the_grid_in_either_direction(self, start, end):
+        """On y' = a(t) y each Heun step multiplies y by 1 + h/2 (a0 + a1 (1 + h a0)),
+        and halving the step cuts the error about fourfold (second order)."""
+
+        def rate(t):
+            return -1.0 - t
+
+        exact = np.exp(-(end - start) - 0.5 * (end**2 - start**2))
+        errors = []
+        for n in (41, 81):
+            grid = np.linspace(start, end, n)
+            got = heun(lambda t, y: rate(t) * y, np.array([1.0, 2.0]), grid)
+            steps = [1.0 + 0.5 * (b - a) * (rate(a) + rate(b) * (1.0 + (b - a) * rate(a))) for a, b in zip(grid[:-1], grid[1:])]
+            assert_allclose(got, [np.prod(steps), 2.0 * np.prod(steps)], rtol=1e-14)
+            errors.append(abs(got[0] / exact - 1.0))
+        assert errors[0] < 5e-4
+        assert 3.5 < errors[0] / errors[1] < 4.5
 
     def test_rk4_and_rk45_agree_on_nonlinear_ode(self):
         def rhs(_t, y):
