@@ -115,6 +115,7 @@ def _run_validate(args) -> int:
         status = "PASS" if r.passed else "FAIL"
         print(f"{r.name:<12} max deviation {r.deviation:.3e}  (tolerance {r.tolerance:.1e})  {status}")
         failed |= not r.passed
+    print("seconds: " + ", ".join(f"{r.name} {r.seconds:.3f}" for r in results))
     return 1 if failed else 0
 
 

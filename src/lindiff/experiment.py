@@ -171,10 +171,17 @@ class ExperimentConfig:
             raise ConfigError("dynamics.tau: values must be strictly increasing")
         if self.tau_override is None and self.tau_points < 1:
             raise ConfigError("dynamics.tau_points: must be >= 1")
+        explicit = self.tau_override is not None
+        # the one-layer Ein argument 2 eta tau sigma_max^2 and the two-layer rate 8 eta tau, at the largest tau
+        tau_key, tau_top = ("dynamics.tau", max(self.tau_override)) if explicit else ("dynamics.tau_max", self.tau_max)
+        if not (math.isfinite(2.0 * self.eta * tau_top * s_t**2) and math.isfinite(8.0 * self.eta * tau_top)):
+            raise ConfigError(
+                f"dynamics.eta/{tau_key}: need eta tau <= {sys.float_info.max / max(2.0 * s_t**2, 8.0):.4g} at the "
+                f"largest tau, so that 2 eta tau sigma_max^2 and 8 eta tau are finite"
+            )
         if not self.report_sigmas or min(self.report_sigmas) <= 0:
             raise ConfigError("report.sigmas: need one or more positive values")
         lo, hi = ORACLE_TAU_WINDOW
-        explicit = self.tau_override is not None
         if self.validate_with_oracle and explicit and not len(self.oracle_taus()):
             raise ConfigError(f"dynamics.tau: the oracle check needs a value in [{lo:g}, {hi:g}]")
         if self.validate_with_oracle and not explicit and max(self.tau_min, lo) > min(self.tau_max, hi):
@@ -467,11 +474,14 @@ def _emit_kl(cfg, out: Path, model, taus, lam_gen) -> tuple[str, int]:
 
 
 def _cell(value) -> str:
+    """The CSV text of one value: empty for None, ``str`` for a string or an
+    integer, and otherwise ``repr`` of the float, the shortest text that
+    parses back to its bits (the digits JSON writes)."""
     if value is None:
         return ""
     if isinstance(value, (str, int, np.integer)):
         return str(value)
-    return f"{float(value):.17g}"
+    return repr(float(value))
 
 
 def _distinct_cells(column, encode) -> list[str]:
@@ -489,18 +499,20 @@ def _distinct_cells(column, encode) -> list[str]:
 
 def _csv_cells(column: np.ndarray):
     """The text ``_cell`` writes for each value of ``column``: a float column's
-    from its distinct values, an int or bool column's by ``str``, and any
-    other dtype's by ``_cell``; the last two lazily, as the rows are joined."""
+    by ``repr`` of its distinct values, an int or bool column's by ``str``,
+    and any other dtype's by ``_cell``; the last two lazily, as the rows are
+    joined."""
     kind = column.dtype.kind
     if kind == "f":
-        return _distinct_cells(column, lambda values: ["%.17g" % v for v in values])
+        return _distinct_cells(column, lambda values: list(map(repr, values)))
     return map(str if kind in "biu" else _cell, column.tolist())
 
 
 def _csv_text(header, chunk) -> str:
     """CSV text of the ``header`` columns of ``chunk``, byte for byte one
-    ``",".join(map(_cell, row)) + "\n"`` per row, built one column at a time;
-    ``chunk`` is not empty."""
+    ``",".join(map(_cell, row)) + "\n"`` per row, so each float as its
+    shortest round-trip text, built one column at a time; ``chunk`` is not
+    empty."""
     # One expression: the cells are freed before `+ "\n"` copies the text (a
     # local holding them raised a dim-16 emergence's peak RSS by 0.85 MiB).
     return "\n".join(map(",".join, zip(*(_csv_cells(chunk[key]) for key in header)))) + "\n"
@@ -548,7 +560,8 @@ def _emit_table(cfg, out: Path, name: str, header, table) -> str:
     rows are written _CHUNK_ROWS at a time through one open file, each
     column formatted by its dtype's kind (float, int or bool as a whole,
     object one value at a time) into the text ``_cell`` (CSV) or
-    ``json.dumps`` (JSON) writes for each value.
+    ``json.dumps`` (JSON) writes for each value.  Both write a finite float as
+    ``repr`` does, so the two formats carry the same digits.
     """
     path = out / f"{name}.{cfg.fmt}"
     chunks = (table[i : i + _CHUNK_ROWS] for i in range(0, len(table), _CHUNK_ROWS))

@@ -6,7 +6,8 @@ brute-force route and reports the worst deviation against its tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -25,6 +26,7 @@ class SuiteResult:
     name: str
     deviation: float
     tolerance: float
+    seconds: float = 0.0  # the suite's wall time, set by run_suite
 
     @property
     def passed(self) -> bool:
@@ -117,8 +119,12 @@ SUITES = {
 
 
 def run_suite(name: str) -> list[SuiteResult]:
-    if name == "all":
-        return [fn() for fn in SUITES.values()]
-    if name not in SUITES:
+    """Run one suite, or every suite for 'all', each timed around its ``SUITES`` call."""
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r} (choose from {sorted(SUITES)} or 'all')")
-    return [SUITES[name]()]
+    results = []
+    for key in SUITES if name == "all" else [name]:
+        t0 = time.perf_counter()
+        result = SUITES[key]()
+        results.append(replace(result, seconds=time.perf_counter() - t0))
+    return results

@@ -1,8 +1,10 @@
 import argparse
 import json
+import math
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -318,7 +320,7 @@ class TestCsvWriter:
         want = "\n".join([",".join(header)] + [",".join(map(_cell, row)) for row in rows]) + "\n"
         assert (tmp_path / "t.csv").read_bytes() == want.encode()
         first = (tmp_path / "t.csv").read_text().splitlines()[1].split(",")
-        assert first[2] == "True" and first[4] == "-0" and first[6] == ""
+        assert first[2] == "True" and first[4] == "-0.0" and first[6] == ""
         assert _emit_table(cfg, tmp_path, "empty", header, table[:0]) == "empty.csv"
         assert (tmp_path / "empty.csv").read_text() == ",".join(header) + "\n"
 
@@ -328,7 +330,43 @@ class TestCsvWriter:
         _emit_table(cfg, tmp_path, "t", ["x"], _table({"x": (float, values)}))
         want = "\n".join(["x"] + [_cell(v) for v in values]) + "\n"
         assert (tmp_path / "t.csv").read_bytes() == want.encode()
-        assert (tmp_path / "t.csv").read_text().splitlines()[1 + _CHUNK_ROWS : 3 + _CHUNK_ROWS] == ["-0", "0"]
+        assert (tmp_path / "t.csv").read_text().splitlines()[1 + _CHUNK_ROWS : 3 + _CHUNK_ROWS] == ["-0.0", "0.0"]
+
+    def test_every_float_cell_is_the_shortest_text_of_its_bits(self, tmp_path):
+        specials = [-0.0, 0.0, 5e-324, 1e308, -2.5e-300, 0.1, 1 / 3, 100.0, float("nan"), float("inf"), -float("inf")]
+        bits = np.random.default_rng(0).integers(0, 2**64, 2000, dtype=np.uint64, endpoint=False)
+        drawn = bits.view(float)[np.isfinite(bits.view(float))]  # every exponent, both signs
+        values = np.concatenate([specials, drawn, np.random.default_rng(1).lognormal(size=500)])
+        n = len(values)
+        columns = {"float": (float, values), "none": (object, [None if k % 7 == 0 else v for k, v in enumerate(values.tolist())])}
+        _emit_table(ExperimentConfig(out_dir=str(tmp_path)), tmp_path, "t", list(columns), _table(columns))
+        header, *lines = (tmp_path / "t.csv").read_text().splitlines()
+        assert header == "float,none" and len(lines) == n
+        for j, (_, column) in enumerate(columns.values()):
+            for line, value in zip(lines, column):
+                cell = line.split(",")[j]
+                if value is None:
+                    assert cell == ""
+                    continue
+                assert np.float64(cell).tobytes() == np.float64(value).tobytes(), cell
+                if math.isfinite(value):  # no text with fewer significant digits parses back to these bits
+                    digits = len(cell.split("e")[0].lstrip("-").replace(".", "").strip("0")) or 1
+                    fewest = next(k for k in range(1, 18) if np.float64(f"{value:.{k}g}").tobytes() == np.float64(value).tobytes())
+                    assert digits == fewest, cell
+
+    def test_simulate_csv_and_json_write_the_same_float_text(self, tmp_path):
+        tables = {}
+        for fmt in ("csv", "json"):
+            rc = main(["simulate", "--format", fmt, "--out", str(tmp_path / fmt), "--set", "model.dim=3",
+                       "--set", "dynamics.tau=0,1e-3,1,1e3", "--set", "report.sigmas=0.1,1,80"])
+            assert rc == 0
+            tables[fmt] = (tmp_path / fmt / f"trajectories.{fmt}").read_text()
+        header, *lines = tables["csv"].splitlines()
+        rows = json.loads(tables["json"], parse_float=str)  # each float as the text the file holds
+        assert len(rows) == len(lines) == 3 * 4 * 3
+        for line, row in zip(lines, rows):
+            assert line.split(",") == [str(row[key]) for key in header.split(",")]
+        assert "0.1" in tables["csv"].split(",") and "0.0" in tables["csv"].split(",")
 
 
 def _repeated_floats(n: int) -> list:
@@ -615,6 +653,46 @@ class TestCliEntry:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, args, key",
+        [
+            ("emergence", ["--set", "dynamics.tau_max=2e304"], "dynamics.eta/dynamics.tau_max"),  # Ein(2 eta tau sigma_max^2) = inf
+            ("emergence", ["--set", "dynamics.eta=1e300"], "dynamics.eta/dynamics.tau_max"),
+            ("kl", ["--set", "dynamics.eta=1e300"], "dynamics.eta/dynamics.tau_max"),
+            ("simulate", ["--set", "dynamics.tau=0,1,2e304"], "dynamics.eta/dynamics.tau"),
+            # the lambda = 0 mode's 8 eta tau is inf
+            ("emergence", ["--arch", "two-layer", "--data", "rank-deficient", "--set", "dynamics.eta=1e303"],
+             "dynamics.eta/dynamics.tau_max"),
+        ],
+        ids=["emergence-tau-max", "emergence-eta", "kl-eta", "simulate-tau", "two-layer-rank-deficient"],
+    )
+    def test_overflowing_eta_tau_exits_1_before_writing(self, tmp_path, capsys, command, args, key):
+        data, out = tmp_path / "x.csv", tmp_path / "o"
+        data.write_text("1,2,3\n2,4,6\n1,1,1\n")
+        args = [str(data) if a == "rank-deficient" else a for a in args]
+        rc = main([command, "--out", str(out), "--set", "model.dim=4", "--set", "dynamics.tau_points=5", *args])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: need eta tau <= ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["emergence", "kl"])
+    @pytest.mark.parametrize("arch", ["one-layer", "two-layer"])
+    def test_largest_accepted_tau_writes_finite_tables(self, tmp_path, capsys, command, arch):
+        top = 1.404447761611184e304  # the largest tau with 2 tau sigma_max^2 finite at eta = 1, sigma_max = 80
+        assert math.isfinite(2.0 * top * 80.0**2) and not math.isfinite(2.0 * math.nextafter(top, math.inf) * 80.0**2)
+        out = tmp_path / "o"
+        base = [command, "--arch", arch, "--out", str(out), "--set", "model.dim=4", "--set", "dynamics.tau_points=5"]
+        assert main([*base, "--set", f"dynamics.tau_max={math.nextafter(top, math.inf)!r}"]) == 1
+        assert main([*base, "--set", f"dynamics.tau_max={top!r}"]) == 0
+        assert capsys.readouterr().err.startswith("config error: dynamics.eta/dynamics.tau_max: ")
+        table, rows_per_cell = ("kl.csv", 1) if command == "kl" else ("trajectories.csv", 3)  # 3 report.sigmas
+        rows = np.genfromtxt(out / table, delimiter=",", names=True)
+        assert len(rows) == 4 * 5 * rows_per_cell
+        assert all(np.all(np.isfinite(rows[key])) for key in rows.dtype.names)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "command, sigma_min, sigma_max, q, extra, table",
@@ -830,6 +908,21 @@ class TestValidateSubcommand:
     def test_validate_all_suites_pass(self):
         rc = main(["validate", "--suite", "all"])
         assert rc == 0
+
+    def test_validate_prints_each_suite_seconds(self, capsys, monkeypatch):
+        from lindiff import validation
+
+        suite = validation.SUITES["variants"]
+        # a suite slowed through the SUITES dict is timed at its slowed length
+        monkeypatch.setitem(validation.SUITES, "variants", lambda: (time.sleep(0.05), suite())[1])
+        [result] = validation.run_suite("variants")
+        assert result.name == "variants" and result.passed and result.seconds >= 0.05
+        assert main(["validate", "--suite", "variants"]) == 0
+        *suites, last = capsys.readouterr().out.splitlines()
+        assert len(suites) == 1
+        assert re.fullmatch(r"variants\s+max deviation \S+\s+\(tolerance \S+\)\s+PASS", suites[0])
+        seconds = re.fullmatch(r"seconds: variants (\d+\.\d{3})", last)
+        assert seconds and float(seconds.group(1)) >= 0.05
 
     def test_unknown_suite_exit_2(self, capsys):
         rc = main(["validate", "--suite", "bogus"])

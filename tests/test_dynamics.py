@@ -372,6 +372,31 @@ class TestDeepLinear:
         assert np.all(np.diff(deep) * np.sign(10.0 / (10.0 + 0.002**2) - c0) >= 0)
         assert abs(deep[-1] / (10.0 / (10.0 + 0.002**2)) - 1) < 1e-12
 
+    @pytest.mark.parametrize(
+        "depth, lam, c0, sigmas, taus",
+        [
+            (3, 1.0, 1e-3, (0.1, 0.5, 2.0), np.geomspace(1e-2, 1e3, 11)),
+            (4, 0.3, 0.05, (0.2, 1.0), np.geomspace(1e-2, 1e3, 11)),
+            (6, 1e-3, 5.0, (55.0, 64.0), np.geomspace(1e-6, 1e-2, 9)),  # c0 above c*: c decays
+        ],
+        ids=["L3", "L4", "L6-decaying"],
+    )
+    def test_deep_modes_match_the_quadrature_of_their_time(self, depth, lam, c0, sigmas, taus):
+        # tau(c) = int_{c0}^{c} dc' / (eta L (lambda - (sigma^2 + lambda) c') c'^p), p = 2 - 2/L, at 30 digits
+        deep = deep_linear_mode(depth, lam, np.array(sigmas), c0, 1.0, taus)
+        worst, cells = 0.0, 0
+        with mp.workdps(30):
+            p = 2 - mp.mpf(2) / depth
+            for j, sigma in enumerate(sigmas):
+                rate, c_star = mp.mpf(sigma) ** 2 + lam, lam / (sigma**2 + lam)
+                for tau, c in zip(taus, deep[:, j]):
+                    if abs(c / c0 - 1) < 1e-6 or abs(c / c_star - 1) < 1e-6:  # tau(c) is ill-conditioned at either end
+                        continue
+                    tau_c = mp.quad(lambda x: 1 / (depth * (lam - rate * x) * x**p), [mp.mpf(c0), mp.mpf(c)])
+                    worst, cells = max(worst, float(abs(tau_c / tau - 1))), cells + 1
+        assert cells >= 2 * len(sigmas)
+        assert worst < 1e-8
+
     def test_zero_lambda_and_sigma_stay_at_c0(self):
         c0 = np.array([1e-3, 0.5, 2.0])
         for depth in (1, 2, 3):
