@@ -28,7 +28,7 @@ form and is integrated numerically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "LossVariant",
     "Residual",
     "DiscreteGDResult",
-    "OverlapResult",
     "optimal_mode_weight",
     "convergence_rate",
     "one_layer_psi",
@@ -49,7 +48,6 @@ __all__ = [
     "mean_coupled_trajectory",
     "deep_linear_mode",
     "discrete_gd_trajectory",
-    "two_layer_overlap_simulation",
 ]
 
 
@@ -307,45 +305,3 @@ def discrete_gd_trajectory(
     iterates = w_star[:, None] + (q - w_star)[:, None] * factor[:, None] ** t[None, :]
     bias = None if b0 is None else b0 * (1.0 - 2.0 * step) ** t
     return DiscreteGDResult(iterates, np.abs(factor) >= 1.0, factor, bias)
-
-
-# ---------------------------------------------------------------------------
-# General (non-aligned) two-layer overlap dynamics
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OverlapResult:
-    taus: np.ndarray
-    overlaps: np.ndarray  # (n_tau, d, d); [t, k, m] = q_k . q_m
-
-
-def two_layer_overlap_simulation(
-    model: CovarianceModel,
-    sigma: float,
-    eta: float,
-    q_init: np.ndarray,
-    tau_grid: Sequence[float],
-) -> OverlapResult:
-    """Numerically integrate the full two-layer flow from any initialization.
-
-    State is the matrix of row vectors q_k = P^T u_k; the gradient of the
-    clean-target loss in these coordinates is
-    -4 lambda_k q_k + 2 sum_m (2 sigma^2 + lambda_k + lambda_m)(q_k.q_m) q_m.
-    Returns the Gram matrix q_k . q_m along the trajectory.
-    """
-    lam = model.spectrum
-    q0 = np.asarray(q_init, float)
-    if q0.shape != (model.dim, model.dim):
-        raise ValueError("q_init must be d x d (rows q_k)")
-    tau_grid = np.asarray(tau_grid, float)
-    coef = 2.0 * sigma**2 + lam[:, None] + lam[None, :]
-
-    def rhs(_t, qm):
-        gram = qm @ qm.T
-        grad = -4.0 * lam[:, None] * qm + 2.0 * (coef * gram) @ qm
-        return -eta * grad
-
-    path = rk45_path(rhs, q0, tau_grid)
-    overlaps = np.einsum("tij,tkj->tik", path, path)
-    return OverlapResult(tau_grid, overlaps)

@@ -44,6 +44,8 @@ ORACLE_TAU_WINDOW = (1e-3, 10.0)
 # Bounds on |log10| of the schedule endpoints and of the tau = 0 generated
 # variance v0: targets lie in [sigma_min^2, sigma_max^2], so every product
 # or ratio of v0 and a target that the sweep forms stays within 1e+-250.
+# The report sigmas share the first bound, so that psi's sigma^2 neither
+# overflows nor underflows next to an eigenvalue.
 SIGMA_LOG10_BOUND = 50
 V0_LOG10_BOUND = 150
 
@@ -181,6 +183,8 @@ class ExperimentConfig:
             )
         if not self.report_sigmas or min(self.report_sigmas) <= 0:
             raise ConfigError("report.sigmas: need one or more positive values")
+        if max(abs(math.log10(s)) for s in self.report_sigmas) > SIGMA_LOG10_BOUND:
+            raise ConfigError(f"report.sigmas: must lie in [1e-{SIGMA_LOG10_BOUND}, 1e{SIGMA_LOG10_BOUND}]")
         lo, hi = ORACLE_TAU_WINDOW
         if self.validate_with_oracle and explicit and not len(self.oracle_taus()):
             raise ConfigError(f"dynamics.tau: the oracle check needs a value in [{lo:g}, {hi:g}]")
@@ -527,20 +531,20 @@ def _json_cells(column: np.ndarray) -> list[str]:
 
     An int or bool column, or a float column's distinct values, is encoded
     by one ``json.dumps`` call without indent, which runs in the C encoder;
-    any other dtype one value at a time.
+    an object column's scalars (None, str or float) one value at a time.
     """
     kind = column.dtype.kind
     if kind in "biu":
         return _json_list(column.tolist())
     if kind == "f":
         return _distinct_cells(column, _json_list)
-    return [json.dumps(v, indent=2, sort_keys=True, cls=_NumpyEncoder).replace("\n", "\n    ") for v in column.tolist()]
+    return list(map(json.dumps, column.tolist()))
 
 
 def _json_rows(header, chunk) -> str:
     """The objects of ``json.dumps([dict(zip(header, row)) for row in chunk],
-    indent=2, sort_keys=True, cls=_NumpyEncoder)``, the text between its
-    brackets' newlines, built one column at a time; ``chunk`` is not empty."""
+    indent=2, sort_keys=True)``, the text between its brackets' newlines,
+    built one column at a time; ``chunk`` is not empty."""
     keys = sorted(header)
     row = "  {\n" + ",\n".join(f"    {json.dumps(key).replace('%', '%%')}: %s" for key in keys) + "\n  }"
     cells = zip(*(_json_cells(chunk[key]) for key in keys))
@@ -580,18 +584,5 @@ def _emit_table(cfg, out: Path, name: str, header, table) -> str:
     return path.name
 
 
-class _NumpyEncoder(json.JSONEncoder):
-    """Writes NumPy integers, floats and arrays as the Python values they hold."""
-
-    def default(self, o):
-        if isinstance(o, np.integer):
-            return int(o)
-        if isinstance(o, np.floating):
-            return float(o)
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        return super().default(o)
-
-
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, cls=_NumpyEncoder) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -80,7 +80,11 @@ _CK_B4 = np.array([2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336,
 _CK_E = _CK_B5 - _CK_B4
 
 
-def rk45_path(f, y0, t_grid, rtol=1e-10, atol=1e-12, max_steps=2_000_000):
+# Steps, accepted or rejected, after which rk45_path gives up.
+_RK45_MAX_STEPS = 2_000_000
+
+
+def rk45_path(f, y0, t_grid, rtol=1e-10, atol=1e-12):
     """Adaptive Cash-Karp RK45 on the segments of ``rk4_path``, hitting every ``t_grid`` point exactly.
 
     The six stage values sit in one (6, n) array, so each stage state, the
@@ -114,7 +118,7 @@ def rk45_path(f, y0, t_grid, rtol=1e-10, atol=1e-12, max_steps=2_000_000):
             factor = 0.9 * (1.0 / err) ** 0.2 if err > 0 else 5.0
             h *= min(5.0, max(0.2, factor))
             nsteps += 1
-            if nsteps > max_steps:
+            if nsteps > _RK45_MAX_STEPS:
                 raise IntegrationError("max step count exceeded")
         if not np.all(np.isfinite(y)):
             raise IntegrationError(f"non-finite state at t={t_end}")

@@ -19,7 +19,6 @@ from lindiff.experiment import (
     ExperimentConfig,
     _cell,
     _emit_table,
-    _NumpyEncoder,
     parse_config_text,
     run_experiment,
 )
@@ -386,25 +385,21 @@ class TestJsonWriter:
         texts = ['say "hi"', "back\\slash", "100% sure", "caf\u00e9 \u03c4*", "", "tab\tnew\nline", "%s", "a", "z"]
         columns = {
             "int": (int, [k - 3 for k in range(n)]),
-            "int64": (np.int64, [np.int64(-(2**62) + k) for k in range(n)]),
-            "bool": (bool, [k % 2 == 0 for k in range(n)]),
             "str": (object, texts),
             "float": (float, specials),
             "float64": (float, [np.float64(v) for v in reversed(specials)]),
             "none": (object, [None if k % 3 == 0 else specials[k] for k in range(n)]),
-            "mixed": (object, [k if k % 2 else specials[k] for k in range(n)]),
-            "list": (object, [[k, specials[k], None] for k in range(n)]),
-            "%d \"key\" \u00e9": (np.float32, [np.float32(k / 7) for k in range(n)]),
+            "%d \"key\" \u00e9": (float, [k / 7 for k in range(n)]),
         }
         header = list(columns)
         table, rows = _table(columns), _rows(columns)
         cfg = ExperimentConfig(out_dir=str(tmp_path), fmt="json")
         assert _emit_table(cfg, tmp_path, "t", header, table) == "t.json"
         payload = [dict(zip(header, row)) for row in rows]
-        want = json.dumps(payload, indent=2, sort_keys=True, cls=_NumpyEncoder) + "\n"
+        want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert (tmp_path / "t.json").read_bytes() == want.encode()
         first = json.loads((tmp_path / "t.json").read_text())[0]
-        assert first["bool"] is True and first["none"] is None and first["str"] == 'say "hi"'
+        assert first["int"] == -3 and first["none"] is None and first["str"] == 'say "hi"'
         assert _emit_table(cfg, tmp_path, "empty", header, table[:0]) == "empty.json"
         assert (tmp_path / "empty.json").read_text() == "[]\n"
 
@@ -412,23 +407,22 @@ class TestJsonWriter:
         values = _repeated_floats(_CHUNK_ROWS + 5)
         cfg = ExperimentConfig(out_dir=str(tmp_path), fmt="json")
         _emit_table(cfg, tmp_path, "t", ["x"], _table({"x": (float, values)}))
-        want = json.dumps([{"x": v} for v in values], indent=2, sort_keys=True, cls=_NumpyEncoder) + "\n"
+        want = json.dumps([{"x": v} for v in values], indent=2, sort_keys=True) + "\n"
         assert (tmp_path / "t.json").read_bytes() == want.encode()
 
 
 def _boundary_columns(n: int) -> dict:
-    """n rows of the writer tests' cell kinds; "late-float" holds ints in the
-    first chunk and floats after it, "late-none" a None in the last row only,
-    so that a later chunk of an object column holds other kinds than the first."""
+    """n rows of the cell kinds the program writes: int, float64, and object
+    cells holding None, str or float.  "late-float" holds strs in the first
+    chunk and floats after it, "late-none" a None in the last row only, so
+    that a later chunk of an object column holds other kinds than the first."""
     specials = [-0.0, 5e-324, 1e308, float("nan"), float("inf"), -float("inf"), 0.1, 1 / 3, -2.5e-300]
     return {
         "int": (int, [k - 3 for k in range(n)]),
-        "int64": (np.int64, [np.int64(-(2**62) + k) for k in range(n)]),
-        "bool": (bool, [k % 2 == 0 for k in range(n)]),
         "float": (float, [specials[k % 9] for k in range(n)]),
         "float64": (float, [np.float64(specials[-1 - k % 9]) for k in range(n)]),
         "none": (object, [None if k % 3 == 0 else specials[k % 9] for k in range(n)]),
-        "late-float": (object, [k if k < _CHUNK_ROWS else specials[k % 9] for k in range(n)]),
+        "late-float": (object, [str(k) if k < _CHUNK_ROWS else specials[k % 9] for k in range(n)]),
         "late-none": (object, [None if k == n - 1 else k / 7 for k in range(n)]),
     }
 
@@ -452,13 +446,12 @@ class TestChunkedTables:
         texts = ['say "hi"', "back\\slash", "100% sure", "caf\u00e9 \u03c4*", "", "tab\tnew\nline", "%s", "a", "z"]
         columns = _boundary_columns(n)
         columns["str"] = (object, [texts[k % 9] for k in range(n)])
-        columns["list"] = (object, [[k, 1 / (k + 1), None] for k in range(n)])
-        columns["%d \"key\" \u00e9"] = (np.float32, [np.float32(k / 7) for k in range(n)])
+        columns["%d \"key\" \u00e9"] = (float, [k / 7 for k in range(n)])
         header = list(columns)
         cfg = ExperimentConfig(out_dir=str(tmp_path), fmt="json")
         assert _emit_table(cfg, tmp_path, "t", header, _table(columns)) == "t.json"
         payload = [dict(zip(header, row)) for row in _rows(columns)]
-        want = json.dumps(payload, indent=2, sort_keys=True, cls=_NumpyEncoder) + "\n"
+        want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert (tmp_path / "t.json").read_bytes() == want.encode()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -676,6 +669,28 @@ class TestCliEntry:
         assert err.startswith(f"config error: {key}: need eta tau <= ")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "args, edge",
+        [
+            (["--set", "model.dim=2", "--set", "report.sigmas=1e160"], "1e50"),  # sigma^2 = inf: psi = 0 * inf at tau = 0
+            (["--data", "rank-deficient", "--set", "report.sigmas=1e-200"], "1e-50"),  # sigma^2 = 0 at the lambda = 0 mode
+        ],
+        ids=["overflow", "underflow"],
+    )
+    def test_out_of_range_report_sigma_exits_1_before_writing(self, tmp_path, capsys, args, edge):
+        data, out = tmp_path / "x.csv", tmp_path / "o"
+        data.write_text("1,2,3\n2,4,6\n1,1,1\n")
+        args = ["simulate", "--out", str(out), "--set", "dynamics.tau=0,1", *(str(data) if a == "rank-deficient" else a for a in args)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: report.sigmas: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+        assert main([*args, "--set", f"report.sigmas={edge}"]) == 0  # the bound itself is accepted
+        psi = [float(row.split(",")[4]) for row in (out / "trajectories.csv").read_text().splitlines()[1:]]
+        assert psi and all(map(math.isfinite, psi))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["emergence", "kl"])

@@ -14,7 +14,6 @@ from lindiff.dynamics import (
     one_layer_bias,
     one_layer_psi,
     optimal_mode_weight,
-    two_layer_overlap_simulation,
     two_layer_psi,
 )
 from lindiff.gaussian import CovarianceModel, DataMoments
@@ -481,19 +480,28 @@ class TestDiscreteGD:
         assert res.diverged.any()
 
 
+def _overlaps(model, sigma, eta, q_init, taus):
+    """q_k . q_m along the two-layer flow from rows q_k = P0^T u_k: the
+    overlaps U^T W U of gradient_flow_full's W = P P^T, from P0 = U q_init."""
+    moments = DataMoments(np.zeros(model.dim), model.covariance())
+    _, ws, _ = gradient_flow_full(
+        moments, sigma, eta, model.basis @ q_init, np.zeros(model.dim), taus, parametrization="two-layer-symmetric"
+    )
+    return np.einsum("ik,tij,jm->tkm", model.basis, ws, model.basis)
+
+
 class TestOverlapSimulation:
     def test_orthogonal_initialization_stays_aligned(self):
         model = CovarianceModel(2, np.eye(2), np.array([1.0, 0.1]))
         taus = np.linspace(0, 6, 200)
-        res = two_layer_overlap_simulation(model, 0.5, 1.0, np.diag([0.1, 0.1]), taus)
-        assert np.max(np.abs(res.overlaps[:, 0, 1])) < 1e-9
+        overlaps = _overlaps(model, 0.5, 1.0, np.diag([0.1, 0.1]), taus)
+        assert np.max(np.abs(overlaps[:, 0, 1])) < 1e-9
 
     def test_rise_then_fall_single_interior_maximum(self):
         model = CovarianceModel(2, np.eye(2), np.array([1.0, 0.1]))
         taus = np.linspace(0, 40, 2000)
         q0 = np.array([[0.1, 0.004], [0.0, 0.1]])
-        res = two_layer_overlap_simulation(model, 0.5, 1.0, q0, taus)
-        off = np.abs(res.overlaps[:, 0, 1])
+        off = np.abs(_overlaps(model, 0.5, 1.0, q0, taus)[:, 0, 1])
         # exclude the tail where the overlap has decayed to roundoff noise
         live = off > 1e-6 * off.max()
         interior = [
@@ -504,13 +512,14 @@ class TestOverlapSimulation:
         assert len(interior) == 1
         assert off[interior[0]] > off[0]
 
-    def test_diagonals_converge_to_targets(self):
-        model = CovarianceModel(2, np.eye(2), np.array([1.0, 0.1]))
+    def test_diagonals_converge_to_targets(self, model6):
+        # a random basis: the overlaps are read in the rotated coordinates
         taus = np.linspace(0, 80, 400)
-        q0 = np.array([[0.1, 0.004], [0.0, 0.1]])
-        res = two_layer_overlap_simulation(model, 0.5, 1.0, q0, taus)
-        targets = model.spectrum / (0.25 + model.spectrum)
-        assert np.max(np.abs(np.diagonal(res.overlaps[-1]) - targets)) < 1e-6
+        q0 = 0.1 * np.eye(6)
+        q0[0, 1] = 0.004
+        overlaps = _overlaps(model6, 0.5, 1.0, q0, taus)
+        targets = model6.spectrum / (0.25 + model6.spectrum)
+        assert np.max(np.abs(np.diagonal(overlaps[-1]) - targets)) < 1e-6
 
 
 class TestClosedFormVsOracleInvariant:
