@@ -132,7 +132,9 @@ def power_law_fit(lambdas, taus, gz: GrayZone, v0s, targets) -> dict[str, PowerL
         n = int(mask.sum())
         if n == 0:
             continue
-        distinct = np.unique(lambdas[mask]).size
+        # counted on the sorted values: np.unique would import numpy.ma
+        used = np.sort(lambdas[mask])
+        distinct = 1 + np.count_nonzero(used[1:] != used[:-1])
         if distinct < 2:
             raise InsufficientDataError(
                 f"branch {branch!r} has {distinct} distinct eigenvalue(s) among {n} usable mode(s), need >= 2"

@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from .experiment import ConfigError, ExperimentConfig, parse_config_text, run_experiment
+from .integrate import IntegrationError
 from .validation import run_suite
 
 _STAGES = {
@@ -127,7 +128,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,6 +17,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from itertools import product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from .gaussian import (
     make_covariance,
     read_samples,
 )
+from .integrate import rk4_steps
 from .oracle import gradient_flow_full
 from .sampler import NoiseSchedule, PhiFactor, generated_variance
 
@@ -48,6 +50,15 @@ ORACLE_TAU_WINDOW = (1e-3, 10.0)
 # overflows nor underflows next to an eigenvalue.
 SIGMA_LOG10_BOUND = 50
 V0_LOG10_BOUND = 150
+# --validate-with-oracle refuses a flow whose estimated work exceeds ORACLE_MAX_WORK
+# multiply-adds; each right-hand-side call counts _ORACLE_CALL_WORK more for its
+# Python and NumPy dispatch (2-7 us).  On a 2-vCPU VM at about 3e10 multiply-adds
+# per second the bound is 30-40 s.
+ORACLE_MAX_WORK = 1e12
+_ORACLE_CALL_WORK = 1e5
+# The stable step of the two-layer flow's RK45 times its largest rate 8 eta
+# lambda_max, from its step counts at lambda_max = 1e2, 1e3 and 1e4.
+_RK45_STABLE_STEP = 3.2
 
 
 class ConfigError(ValueError):
@@ -282,7 +293,9 @@ def _load_spectrum(cfg: ExperimentConfig, need_basis: bool) -> tuple[np.ndarray,
             model = make_covariance(spec, cfg.dim, cfg.seed)
             lam = model.spectrum
         else:
-            lam, model = spec.generate(cfg.dim, np.random.default_rng(cfg.seed)), None
+            # only a log-normal spectrum draws, so other kinds never import numpy.random
+            rng = np.random.default_rng(cfg.seed) if cfg.model_kind == "log-normal" else None
+            lam, model = spec.generate(cfg.dim, rng), None
     bad = lam.size - np.count_nonzero(np.isfinite(lam))
     if bad:
         raise ConfigError(f"{_spectrum_keys(cfg)}: {bad} of {lam.size} eigenvalues are not finite")
@@ -292,6 +305,26 @@ def _load_spectrum(cfg: ExperimentConfig, need_basis: bool) -> tuple[np.ndarray,
 def _spectrum_keys(cfg: ExperimentConfig) -> str:
     """The dotted keys that draw the spectrum of the run's model.kind, for error messages."""
     return "/".join(f"model.{key}" for key in _SPECTRUM_KEYS[cfg.model_kind])
+
+
+def _oracle_work(cfg: ExperimentConfig, lam_max: float, dim: int) -> tuple[int, float]:
+    """Estimated right-hand-side calls and multiply-adds of the run's oracle check.
+
+    One-layer: RK4 takes ``rk4_steps`` over ``oracle_taus()`` at the rate
+    2 eta (lambda_max + max sigma^2), four calls a step, each the (S, d, d+1)
+    by (d+1, d+1) moment product.  Two-layer: RK45 is held to a step of
+    _RK45_STABLE_STEP / (8 eta lambda_max) by stability, six calls a step,
+    each about three such products (P P^T, the moment product, (G + G^T) P);
+    its accuracy-limited steps, a few hundred, are not counted.
+    """
+    taus, sigmas = cfg.oracle_taus(), cfg.report_sigmas
+    product_work = len(sigmas) * dim * (dim + 1) ** 2
+    if cfg.arch == "one-layer":
+        calls = 4 * rk4_steps(taus, 2.0 * cfg.eta * (lam_max + max(sigmas) ** 2))
+    else:
+        calls = 6 * math.ceil(float(taus.max()) * 8.0 * cfg.eta * lam_max / _RK45_STABLE_STEP)
+        product_work *= 3
+    return calls, calls * (product_work + _ORACLE_CALL_WORK)
 
 
 def oracle_deviation(
@@ -344,6 +377,15 @@ def run_experiment(cfg: ExperimentConfig, stages: frozenset = frozenset({"trajec
     lam, model = _load_spectrum(cfg, need_basis="kl" in stages or cfg.validate_with_oracle)
     if "kl" in stages and lam.min() <= 0:  # each mode's KL divides by its eigenvalue; the fit drops zeros
         raise ConfigError(f"{_spectrum_keys(cfg)}: kl needs positive eigenvalues, {np.count_nonzero(lam <= 0)} of {lam.size} are zero")
+    if cfg.validate_with_oracle:
+        calls, work = _oracle_work(cfg, float(lam.max()), lam.size)
+        if work > ORACLE_MAX_WORK:
+            raise ConfigError(
+                f"report.sigmas/model.dim: the {cfg.arch} oracle check needs about {calls:.3g} right-hand-side evaluations on "
+                f"{len(cfg.report_sigmas)} sigma(s) at dim {lam.size}, {work:.3g} multiply-adds against a bound of "
+                f"{ORACLE_MAX_WORK:.0e}; it grows with the number of sigmas, with dim^3 and with eta lambda_max"
+                + (" + eta max sigma^2" if cfg.arch == "one-layer" else "")
+            )
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     s0, s_t = cfg.schedule.sigma_min, cfg.schedule.sigma_max
@@ -353,9 +395,9 @@ def run_experiment(cfg: ExperimentConfig, stages: frozenset = frozenset({"trajec
     # every mode.  The run owns it, so each run makes the same calls.
     ei_memo: dict = {}
     arch, q, eta, tau_list = cfg.arch, cfg.q_init, cfg.eta, taus.tolist()  # arch.kind names the Phi case
-    lam_gen = np.array(
-        [[generated_variance(PhiFactor(arch, l, q, eta, t), cfg.schedule, ei_memo) for t in tau_list] for l in lam.tolist()]
-    )
+    phis = map(PhiFactor._make, product((arch,), lam.tolist(), (q,), (eta,), tau_list))  # (mode, tau) order
+    cells = map(generated_variance, phis, repeat(cfg.schedule), repeat(ei_memo))
+    lam_gen = np.fromiter(cells, float, lam.size * len(tau_list)).reshape(lam.size, len(tau_list))
     v0 = s_t**2 * (s0 / s_t) ** (2.0 * (1.0 - cfg.q_init))
     targets = s_t**2 * (lam + s0**2) / (lam + s_t**2)
     lap("lambda_gen")

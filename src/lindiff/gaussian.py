@@ -118,7 +118,9 @@ class SpectrumSpec:
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown spectrum kind {self.kind!r}")
 
-    def generate(self, dim: int, rng: np.random.Generator) -> np.ndarray:
+    def generate(self, dim: int, rng: np.random.Generator | None) -> np.ndarray:
+        """``dim`` eigenvalues, descending; only a log-normal spectrum draws
+        from ``rng``, so the other kinds accept None."""
         if dim < 1:
             raise ValueError("dim must be >= 1")
         if self.kind == "log-normal":

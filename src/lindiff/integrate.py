@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-__all__ = ["heun", "rk4_path", "rk45_path", "IntegrationError"]
+__all__ = ["heun", "rk4_path", "rk4_steps", "rk45_path", "IntegrationError"]
 
 
 class IntegrationError(RuntimeError):
@@ -25,6 +25,18 @@ def _segments(t_grid):
     return zip(np.append(0.0, t_grid[:-1]), t_grid)
 
 
+def _rk4_substeps(t0, t1, max_rate, substeps) -> int:
+    n = substeps if t1 > t0 else 0
+    if max_rate is not None and max_rate > 0:
+        n = max(n, int(math.ceil((t1 - t0) * max_rate / 0.08)))
+    return n
+
+
+def rk4_steps(t_grid, max_rate, substeps=64) -> int:
+    """The number of steps ``rk4_path`` takes on ``t_grid``, without taking them."""
+    return sum(_rk4_substeps(t0, t1, max_rate, substeps) for t0, t1 in _segments(t_grid))
+
+
 def rk4_path(f, y0, t_grid, max_rate=None, substeps=64):
     """Fixed-step RK4 from ``y0`` at t = 0 to every point of a nonnegative, nondecreasing ``t_grid``.
 
@@ -36,9 +48,7 @@ def rk4_path(f, y0, t_grid, max_rate=None, substeps=64):
     y = np.array(y0, dtype=float)
     out = []
     for t0, t1 in _segments(t_grid):
-        n = substeps if t1 > t0 else 0
-        if max_rate is not None and max_rate > 0:
-            n = max(n, int(math.ceil((t1 - t0) * max_rate / 0.08)))
+        n = _rk4_substeps(t0, t1, max_rate, substeps)
         h, t = (t1 - t0) / max(n, 1), t0
         for _ in range(n):
             k1 = f(t, y)

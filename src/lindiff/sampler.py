@@ -47,6 +47,8 @@ __all__ = [
 # as many equal panels in ln sigma.
 _GL_POINTS = 16
 _GL_PANELS = 32
+# The smallest normal double: below it the one-layer Ei terms take their x -> 0 limit.
+_TINY = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -129,21 +131,27 @@ def log_phi_ratio(phi: PhiFactor, sigma_a: float, sigma_b: float, ei_memo: dict 
         decay = math.exp(-rate * lam)
         grown = -math.expm1(-rate * lam) / lam if lam else rate
         c = (1.0 - q) * decay / (q * lam * grown + decay)
-        b_a, b_b = (decay + q * grown * (lam + s * s) for s in (sigma_a, sigma_b))
+        b_a = decay + q * grown * (lam + sigma_a * sigma_a)
+        b_b = decay + q * grown * (lam + sigma_b * sigma_b)
         return c * math.log(sigma_a / sigma_b) + 0.5 * (1.0 - c) * math.log(b_a / b_b)
-    log_ratio = 0.5 * math.log((lam + sigma_a**2) / (lam + sigma_b**2))
+    sq_a, sq_b = sigma_a**2, sigma_b**2
+    log_ratio = 0.5 * math.log((lam + sq_a) / (lam + sq_b))
     if case == "converged":
         return log_ratio
-    x_a, x_b, u = 2.0 * eta * tau * sigma_a**2, 2.0 * eta * tau * sigma_b**2, 2.0 * eta * tau * lam
-    if x_a < sys.float_info.min:
+    rate = 2.0 * eta * tau
+    x_a, x_b, u = rate * sq_a, rate * sq_b, rate * lam
+    if x_a < _TINY:
         return (1.0 - q) * math.exp(-u) * math.log(sigma_a / sigma_b)
     memo = {} if ei_memo is None else ei_memo
-    for x in (x_a, x_b):
-        if x not in memo:
-            memo[x] = ein(x)
+    ein_a = memo.get(x_a)
+    if ein_a is None:
+        ein_a = memo[x_a] = ein(x_a)
+    ein_b = memo.get(x_b)
+    if ein_b is None:
+        ein_b = memo[x_b] = ein(x_b)
     return (
         log_ratio
-        + 0.5 * (1.0 - q) * math.exp(-u) * (2.0 * math.log(sigma_a / sigma_b) - memo[x_a] + memo[x_b])
+        + 0.5 * (1.0 - q) * math.exp(-u) * (2.0 * math.log(sigma_a / sigma_b) - ein_a + ein_b)
         - 0.5 * (expint_ei(-(x_a + u)) - expint_ei(-(x_b + u)))
     )
 

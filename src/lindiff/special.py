@@ -16,8 +16,12 @@ gamma + ln x.
   where e^-x underflows.  No sum cancels there: at x = 2 the series'
   terms add to 2.8 times Ein.
 * ``expint_ei(x)``, x < 0: gamma + ln(-x) - ein(-x) on [-2, 0), -E1(-x)
-  below (at most 53 Lentz steps), and -0.0 below -745.  Within 1e-14
-  relative of mpmath on [-700, -1e-12].
+  below, and -0.0 below -745.  Within 1e-14 relative of mpmath on
+  [-700, -1e-12].  The Lentz loop stops on the first step whose delta
+  is exactly 1.0, which rounding can put off: of 10^6 random points in
+  (2, 2.5], 19,722 took more than 53 steps and the most took 87
+  (x = 2.3709882378242617); both it and x = 2.146580129740876 (68 steps)
+  are within 1e-14 of mpmath.
 """
 
 from __future__ import annotations
@@ -28,9 +32,9 @@ __all__ = ["ein", "expint_ei", "EULER_GAMMA"]
 
 EULER_GAMMA = 0.57721566490153286060651209008240243
 
-# Continued-fraction termination.
-_REL_TOL = 1e-16
+# Continued-fraction numerators -n^2, n = 1.._MAX_TERMS.
 _MAX_TERMS = 500
+_CF_NUMERATORS = tuple(-float(n * n) for n in range(1, _MAX_TERMS + 1))
 
 # Series/continued-fraction crossover, in |x|.
 _CF_CROSSOVER = 2.0
@@ -42,20 +46,21 @@ def _e1_continued_fraction(x: float) -> float:
     """E1(x) for x > 0 via the modified Lentz continued fraction.
 
     E1(x) = e^-x / (x + 1 - 1^2/(x + 3 - 2^2/(x + 5 - ...)))
+
+    The loop stops at the first step whose delta is exactly 1.0, the only
+    double within 1e-16 of 1 (its neighbours are 1 - 2^-53 and 1 + 2^-52).
     """
-    tiny = 1e-300
     b = x + 1.0
-    c = 1.0 / tiny
+    c = 1.0 / 1e-300  # Lentz's 1/tiny
     d = 1.0 / b
     h = d
-    for i in range(1, _MAX_TERMS + 1):
-        a = -float(i * i)
+    for a in _CF_NUMERATORS:
         b += 2.0
         d = 1.0 / (a * d + b)
         c = b + a / c
         delta = c * d
         h *= delta
-        if abs(delta - 1.0) < _REL_TOL:
+        if delta == 1.0:
             break
     return math.exp(-x) * h
 

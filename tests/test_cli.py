@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lindiff import cli, experiment, sampler
+from lindiff import cli, experiment, oracle, sampler
 from lindiff.cli import build_parser, main
 from lindiff.experiment import (
     _CHUNK_ROWS,
@@ -19,10 +19,12 @@ from lindiff.experiment import (
     ExperimentConfig,
     _cell,
     _emit_table,
+    _oracle_work,
     parse_config_text,
     run_experiment,
 )
 from lindiff.gaussian import SpectrumSpec, make_covariance
+from lindiff.integrate import IntegrationError
 from lindiff.sampler import NoiseSchedule
 from lindiff.special import ein, expint_ei
 
@@ -691,6 +693,68 @@ class TestCliEntry:
         assert main([*args, "--set", f"report.sigmas={edge}"]) == 0  # the bound itself is accepted
         psi = [float(row.split(",")[4]) for row in (out / "trajectories.csv").read_text().splitlines()[1:]]
         assert psi and all(map(math.isfinite, psi))
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--set", "report.sigmas=1e3"],  # RK4 at the rate 2 (lambda_max + sigma^2): about 2.5e8 steps
+         ["--arch", "two-layer", "--set", "model.dim=512"]],  # RK45 on three 512^3 products per call
+        ids=["one-layer-sigma", "two-layer-dim"],
+    )
+    def test_oracle_check_beyond_its_work_bound_exits_1_before_writing(self, tmp_path, capsys, args):
+        out = tmp_path / "o"
+        assert main(["emergence", "--validate-with-oracle", "--out", str(out), *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: report.sigmas/model.dim: ")
+        assert "against a bound of 1e+12" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "arch, settings, low, high",
+        [("one-layer", {"tau_max": 1.0}, 1.0, 1.0),  # the oracle workload's window: rk4_path's own rule
+         ("one-layer", {}, 1.0, 1.0),
+         ("two-layer", {"hi": 300.0}, 1.0, 1.01),  # stability-limited; the accuracy-limited steps are not counted
+         ("two-layer", {"hi": 1000.0, "tau_max": 1.0}, 1.0, 1.06)],
+        ids=["one-layer-tau-max-1", "one-layer-default", "two-layer-stiff", "two-layer-stiff-short"],
+    )
+    def test_oracle_work_estimate_counts_the_flow_calls(self, monkeypatch, arch, settings, low, high):
+        calls = []
+
+        def counted(path):
+            return lambda f, *args, **kwargs: path(lambda t, y: calls.append(t) or f(t, y), *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "rk4_path", counted(oracle.rk4_path))
+        monkeypatch.setattr(oracle, "rk45_path", counted(oracle.rk45_path))
+        cfg = ExperimentConfig(arch=arch, dim=2, report_sigmas=(0.1, 1.0, 10.0), validate_with_oracle=True, **settings)
+        lam, model = experiment._load_spectrum(cfg, need_basis=True)
+        estimate, _ = _oracle_work(cfg, float(lam.max()), lam.size)
+        experiment.oracle_deviation(model, arch, cfg.report_sigmas, cfg.q_init, cfg.eta, cfg.oracle_taus())
+        assert low <= len(calls) / estimate <= high
+
+    def test_integration_error_exits_1_with_one_error_line(self, tmp_path, capsys, monkeypatch):
+        def fail(*_args, **_kwargs):
+            raise IntegrationError("max step count exceeded")
+
+        monkeypatch.setattr(experiment, "oracle_deviation", fail)
+        args = ["emergence", "--validate-with-oracle", "--set", "model.dim=2", "--out", str(tmp_path)]
+        assert main(args) == 1
+        assert capsys.readouterr().err == "error: max step count exceeded\n"
+
+    def test_sweeps_leave_numpy_random_and_numpy_ma_unimported(self, tmp_path):
+        # a log-spaced spectrum draws nothing, and the fit counts distinct eigenvalues without np.unique
+        code = "\n".join([
+            "import json, sys",
+            "from lindiff.cli import main",
+            f"main(['emergence', '--set', 'model.dim=8', '--set', 'dynamics.tau_points=11', '--out', {str(tmp_path / 'e')!r}])",
+            "after_emergence = {m: m in sys.modules for m in ('numpy.random', 'numpy.ma')}",
+            f"main(['kl', '--set', 'model.kind=log-normal', '--set', 'model.dim=8', '--set', 'dynamics.tau_points=11', "
+            f"'--out', {str(tmp_path / 'k')!r}])",
+            "print(json.dumps([after_emergence, 'numpy.ma' in sys.modules]))",
+        ])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        after_emergence, ma_after_kl = json.loads(proc.stdout.splitlines()[-1])
+        assert after_emergence == {"numpy.random": False, "numpy.ma": False}
+        assert ma_after_kl is False
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["emergence", "kl"])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lindiff.special import EULER_GAMMA, ein, expint_ei
+from lindiff.special import EULER_GAMMA, _e1_continued_fraction, ein, expint_ei
 
 mp.mp.dps = 60
 
@@ -99,6 +99,15 @@ class TestExpintEi:
             fd = (expint_ei(x + h) - expint_ei(x - h)) / (2 * h)
             exact = math.exp(x) / x
             assert abs(fd - exact) <= 1e-6 * abs(exact)
+
+    @pytest.mark.parametrize("x", [2.146580129740876, 2.3709882378242617])
+    def test_continued_fraction_past_53_steps_matches_mpmath(self, x):
+        # the Lentz loop stops on the first delta of exactly 1.0: 68 and 87 steps here
+        assert abs(_e1_continued_fraction(x) / float(mp.e1(x)) - 1.0) < 1e-14
+
+    def test_continued_fraction_stop_test_accepts_only_one(self):
+        # delta == 1.0 accepts what |delta - 1| < 1e-16 accepts: the doubles next to 1 are farther off
+        assert 1.0 - math.nextafter(1.0, 0.0) > 1e-16 and math.nextafter(1.0, 2.0) - 1.0 > 1e-16
 
     def test_continued_fraction_matches_series_at_crossover(self):
         # both representations are accurate near the crossover |x| = 2 and beyond
