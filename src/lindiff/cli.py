@@ -14,7 +14,6 @@ from pathlib import Path
 
 from .experiment import ConfigError, ExperimentConfig, parse_config_text, run_experiment
 from .integrate import IntegrationError
-from .validation import run_suite
 
 _STAGES = {
     "simulate": frozenset({"trajectories"}),
@@ -106,6 +105,8 @@ def _run_pipeline(args) -> int:
 
 
 def _run_validate(args) -> int:
+    from .validation import run_suite  # only validate compiles the suites
+
     try:
         results = run_suite(args.suite)
     except ValueError as exc:

@@ -4,8 +4,9 @@ Configs are flat ``section.key = value`` text files, overridable by
 command-line ``--set`` flags.  A run produces deterministic data files
 (trajectories, emergence table, power-law fit, manifest); plotting is
 left to downstream tooling.  Each table is a NumPy structured array,
-written a fixed number of rows at a time and formatted column by column
-from its dtypes, so a run's memory does not grow with a table's text.
+written a fixed number of rows at a time, each chunk one join of cell
+texts encoded column by column from its dtypes (a numeric column from its
+distinct values), so a run's memory does not grow with a table's text.
 The covariance eigenbasis is built only for the stages that read it (kl,
 the oracle check, and a data file's eigendecomposition).
 """
@@ -530,67 +531,40 @@ def _cell(value) -> str:
     return repr(float(value))
 
 
-def _distinct_cells(column, encode) -> list[str]:
-    """The text of each value of a float column, from one ``encode`` call
-    that maps the column's distinct values to their texts.
+def _column_texts(column: np.ndarray, encode, encode_one) -> list[str]:
+    """The text of each value of ``column``.
 
-    Values are told apart by their bits, so 0.0 and -0.0 keep their own
-    text.
+    An int, bool or float column gets its texts from one ``encode`` call on
+    its distinct values, indexed back to the rows; floats are told apart by
+    their bits, so 0.0 and -0.0 keep their own text.  An object column's
+    scalars (None, str or float) go one at a time through ``encode_one``.
     """
-    bits = np.array(column, dtype=float).view(np.uint64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    texts = np.array(encode(distinct.view(float).tolist()), dtype=object)
-    return texts[inverse].tolist()
-
-
-def _csv_cells(column: np.ndarray):
-    """The text ``_cell`` writes for each value of ``column``: a float column's
-    by ``repr`` of its distinct values, an int or bool column's by ``str``,
-    and any other dtype's by ``_cell``; the last two lazily, as the rows are
-    joined."""
     kind = column.dtype.kind
-    if kind == "f":
-        return _distinct_cells(column, lambda values: list(map(repr, values)))
-    return map(str if kind in "biu" else _cell, column.tolist())
+    if kind not in "biuf":
+        return list(map(encode_one, column.tolist()))
+    distinct, inverse = np.unique(column.view(np.uint64) if kind == "f" else column, return_inverse=True)
+    texts = encode((distinct.view(float) if kind == "f" else distinct).tolist())
+    return np.array(texts, dtype=object)[inverse].tolist()
 
 
-def _csv_text(header, chunk) -> str:
-    """CSV text of the ``header`` columns of ``chunk``, byte for byte one
-    ``",".join(map(_cell, row)) + "\n"`` per row, so each float as its
-    shortest round-trip text, built one column at a time; ``chunk`` is not
-    empty."""
-    # One expression: the cells are freed before `+ "\n"` copies the text (a
-    # local holding them raised a dim-16 emergence's peak RSS by 0.85 MiB).
-    return "\n".join(map(",".join, zip(*(_csv_cells(chunk[key]) for key in header)))) + "\n"
+def _reprs(values) -> list[str]:
+    return list(map(repr, values))
 
 
 def _json_list(values) -> list[str]:
     return json.dumps(values)[1:-1].split(", ")
 
 
-def _json_cells(column: np.ndarray) -> list[str]:
-    """The JSON text of each value of ``column``, as the indented table writes it.
-
-    An int or bool column, or a float column's distinct values, is encoded
-    by one ``json.dumps`` call without indent, which runs in the C encoder;
-    an object column's scalars (None, str or float) one value at a time.
-    """
-    kind = column.dtype.kind
-    if kind in "biu":
-        return _json_list(column.tolist())
-    if kind == "f":
-        return _distinct_cells(column, _json_list)
-    return list(map(json.dumps, column.tolist()))
-
-
-def _json_rows(header, chunk) -> str:
-    """The objects of ``json.dumps([dict(zip(header, row)) for row in chunk],
-    indent=2, sort_keys=True)``, the text between its brackets' newlines,
-    built one column at a time; ``chunk`` is not empty."""
-    keys = sorted(header)
-    row = "  {\n" + ",\n".join(f"    {json.dumps(key).replace('%', '%%')}: %s" for key in keys) + "\n  }"
-    cells = zip(*(_json_cells(chunk[key]) for key in keys))
-    return ",\n".join([row % values for values in cells])
+def _chunk_text(keys, chunk, row, lead, encode, encode_one) -> str:
+    """The text of ``chunk``'s rows from one join of a flat list: ``row``
+    once per row, its first item ``lead`` in the first row, and each None
+    slot filled with a ``keys`` column's texts as that column is encoded,
+    so one column's text list is held at a time."""
+    parts = row * len(chunk)
+    parts[0] = lead
+    for j, key in enumerate(keys):
+        parts[1 + 2 * j :: len(row)] = _column_texts(chunk[key], encode, encode_one)
+    return "".join(parts)
 
 
 # Rows formatted per write: a table's text is held one chunk at a time.
@@ -603,26 +577,30 @@ def _emit_table(cfg, out: Path, name: str, header, table) -> str:
 
     ``table`` is a NumPy structured array with a field per ``header`` name;
     ``len(table)`` is its row count, which perfbench's tracer reads.  The
-    rows are written _CHUNK_ROWS at a time through one open file, each
-    column formatted by its dtype's kind (float, int or bool as a whole,
-    object one value at a time) into the text ``_cell`` (CSV) or
-    ``json.dumps`` (JSON) writes for each value.  Both write a finite float as
-    ``repr`` does, so the two formats carry the same digits.
+    rows are written _CHUNK_ROWS at a time through one open file, each chunk
+    one join of its cells and the separators between them (``_chunk_text``).
+    A cell is the text ``_cell`` (CSV) or ``json.dumps`` (JSON) writes for its
+    value: a float, int or bool column's from its distinct values, an object
+    column's one value at a time.  Both write a finite float as ``repr``
+    does, so the two formats carry the same digits.
     """
     path = out / f"{name}.{cfg.fmt}"
-    chunks = (table[i : i + _CHUNK_ROWS] for i in range(0, len(table), _CHUNK_ROWS))
+    if cfg.fmt == "csv":
+        keys, encode, encode_one, start, end = header, _reprs, _cell, ",".join(header) + "\n", ""
+        lead, seps = "", [","] * (len(header) - 1) + ["\n"]
+    else:  # the rows of json.dumps(list_of_dicts, indent=2, sort_keys=True)
+        keys, encode, encode_one, start, end = sorted(header), _json_list, json.dumps, "[\n", "\n]\n"
+        names = [json.dumps(key) for key in keys]
+        lead, seps = f",\n  {{\n    {names[0]}: ", [f",\n    {key}: " for key in names[1:]] + ["\n  }"]
+        if not len(table):
+            start, end = "[]\n", ""
+    row = [lead] + [text for sep in seps for text in (None, sep)]
     with path.open("w") as fh:
-        if cfg.fmt == "csv":
-            fh.write(",".join(header) + "\n")
-            for chunk in chunks:
-                fh.write(_csv_text(header, chunk))
-        elif not len(table):
-            fh.write("[]\n")
-        else:
-            fh.write("[\n")
-            for i, chunk in enumerate(chunks):
-                fh.write((",\n" if i else "") + _json_rows(header, chunk))
-            fh.write("\n]\n")
+        fh.write(start)
+        for i in range(0, len(table), _CHUNK_ROWS):
+            first = lead if i else lead.removeprefix(",\n")  # no JSON row comes before the first
+            fh.write(_chunk_text(keys, table[i : i + _CHUNK_ROWS], row, first, encode, encode_one))
+        fh.write(end)
     return path.name
 
 

@@ -107,30 +107,33 @@ def rk45_path(f, y0, t_grid, rtol=1e-10, atol=1e-12):
     k = np.empty((6, y.size))
     out = []
     nsteps = 0
-    for t, t_end in _segments(t_grid):
-        h = (t_end - t) / 16.0
-        while t < t_end:
-            h = min(h, t_end - t)
-            if abs(h) < 1e-15 * max(1.0, abs(t)):
-                raise IntegrationError(f"step underflow at t={t}")
-            k[0] = f(t, y.reshape(shape)).ravel()
-            for s in range(1, 6):
-                ys = y + (h * _CK_A[s, :s]) @ k[:s]
-                k[s] = f(t + _CK_C[s] * h, ys.reshape(shape)).ravel()
-            y5 = y + (h * _CK_B5) @ k
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-            err = float(np.max(np.abs((h * _CK_E) @ k) / scale))
-            if math.isnan(err):  # a trial stage left the domain of f: reject and shrink
-                err = math.inf
-            if err <= 1.0:
-                t += h
-                y = y5
-            factor = 0.9 * (1.0 / err) ** 0.2 if err > 0 else 5.0
-            h *= min(5.0, max(0.2, factor))
-            nsteps += 1
-            if nsteps > _RK45_MAX_STEPS:
-                raise IntegrationError("max step count exceeded")
-        if not np.all(np.isfinite(y)):
-            raise IntegrationError(f"non-finite state at t={t_end}")
-        out.append(y.reshape(shape))
+    # A trial step may overflow; it is rejected through the NaN error norm, and
+    # a non-finite state at a grid point still raises.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, t_end in _segments(t_grid):
+            h = (t_end - t) / 16.0
+            while t < t_end:
+                h = min(h, t_end - t)
+                if abs(h) < 1e-15 * max(1.0, abs(t)):
+                    raise IntegrationError(f"step underflow at t={t}")
+                k[0] = f(t, y.reshape(shape)).ravel()
+                for s in range(1, 6):
+                    ys = y + (h * _CK_A[s, :s]) @ k[:s]
+                    k[s] = f(t + _CK_C[s] * h, ys.reshape(shape)).ravel()
+                y5 = y + (h * _CK_B5) @ k
+                scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+                err = float(np.max(np.abs((h * _CK_E) @ k) / scale))
+                if math.isnan(err):  # a trial stage left the domain of f: reject and shrink
+                    err = math.inf
+                if err <= 1.0:
+                    t += h
+                    y = y5
+                factor = 0.9 * (1.0 / err) ** 0.2 if err > 0 else 5.0
+                h *= min(5.0, max(0.2, factor))
+                nsteps += 1
+                if nsteps > _RK45_MAX_STEPS:
+                    raise IntegrationError("max step count exceeded")
+            if not np.all(np.isfinite(y)):
+                raise IntegrationError(f"non-finite state at t={t_end}")
+            out.append(y.reshape(shape))
     return np.stack(out)

@@ -457,6 +457,27 @@ class TestChunkedTables:
         assert (tmp_path / "t.json").read_bytes() == want.encode()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_repeated_ints_and_bools_across_a_chunk_boundary(self, tmp_path, fmt):
+        # runs of 3: rows C-2..C share one value and the rows after them hold new ones, so each
+        # chunk maps its own distinct values back to its rows
+        n = _CHUNK_ROWS + 5
+        ints = [-(2**62), 2**62, -7, 0, 1, 2**62 - 1, -1]
+        columns = {
+            "int": (int, [ints[k // 3 % len(ints)] - k // 3 for k in range(n)]),
+            "bool": (bool, [k // 3 % 2 == 0 for k in range(n)]),
+            "float": (float, [k // 3 / 7 for k in range(n)]),
+        }
+        header, rows = list(columns), _rows(columns)
+        cfg = ExperimentConfig(out_dir=str(tmp_path), fmt=fmt)
+        name = _emit_table(cfg, tmp_path, "t", header, _table(columns))
+        if fmt == "csv":
+            want = "\n".join([",".join(header)] + [",".join(map(_cell, row)) for row in rows]) + "\n"
+        else:
+            want = json.dumps([dict(zip(header, row)) for row in rows], indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / name).read_bytes() == want.encode()
+        assert rows[_CHUNK_ROWS - 1][:2] == rows[_CHUNK_ROWS][:2] != rows[_CHUNK_ROWS + 1][:2]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_emission_peaks_below_the_size_of_the_file(self, tmp_path, monkeypatch, fmt):
         # 16 chunks: a writer that held the whole table's text would peak above the file's size
         monkeypatch.setattr(experiment, "_CHUNK_ROWS", 512)
@@ -755,6 +776,35 @@ class TestCliEntry:
         after_emergence, ma_after_kl = json.loads(proc.stdout.splitlines()[-1])
         assert after_emergence == {"numpy.random": False, "numpy.ma": False}
         assert ma_after_kl is False
+
+    def test_table_commands_leave_the_validation_suites_unimported(self, tmp_path):
+        # only validate imports lindiff.validation, and with it lindiff.convolution
+        modules = ("lindiff.validation", "lindiff.convolution")
+        code = "\n".join([
+            "import json, sys",
+            "from lindiff.cli import main",
+            "seen = []",
+            f"main(['emergence', '--set', 'model.dim=8', '--set', 'dynamics.tau_points=11', '--out', {str(tmp_path / 'e')!r}])",
+            f"seen.append([m in sys.modules for m in {modules!r}])",
+            f"main(['kl', '--set', 'model.dim=8', '--set', 'dynamics.tau_points=11', '--out', {str(tmp_path / 'k')!r}])",
+            f"seen.append([m in sys.modules for m in {modules!r}])",
+            "main(['validate', '--suite', 'variants'])",
+            f"seen.append([m in sys.modules for m in {modules!r}])",
+            "print(json.dumps(seen))",
+        ])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        after_emergence, after_kl, after_validate = json.loads(proc.stdout.splitlines()[-1])
+        assert after_emergence == after_kl == [False, False]
+        assert after_validate == [True, True]
+
+    @pytest.mark.filterwarnings("error")
+    def test_two_layer_oracle_check_at_a_large_sigma_prints_no_warnings(self, tmp_path, capsys):
+        # RK45's first trial steps overflow at sigma = 1e4 and are rejected without a RuntimeWarning
+        args = ["emergence", "--validate-with-oracle", "--arch", "two-layer", "--set", "report.sigmas=1e4"]
+        assert main(args + ["--out", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert re.match(r"oracle check: max relative deviation \S+ \(tolerance \S+\) -> ok\n", captured.out)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["emergence", "kl"])

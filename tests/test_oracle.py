@@ -7,7 +7,7 @@ import lindiff.oracle as oracle
 from lindiff.dynamics import LossVariant
 from lindiff.experiment import ORACLE_TOLERANCE, ExperimentConfig, oracle_deviation
 from lindiff.gaussian import DataMoments, SpectrumSpec, make_covariance
-from lindiff.integrate import heun, rk4_path, rk45_path
+from lindiff.integrate import IntegrationError, heun, rk4_path, rk45_path
 from lindiff.oracle import (
     dense_dft_diag,
     gradient_flow_full,
@@ -294,6 +294,12 @@ class TestIntegrators:
         assert got[0, 0] == got[1, 0] == 1.0  # zero-length segments take no step
         assert abs(got[2, 0] - np.exp(-1.0)) < 1e-9
         assert path(lambda _t, y: -y, np.array([1.0]), [1.0])[0, 0] == got[2, 0]
+
+    @pytest.mark.filterwarnings("error")
+    def test_rk45_overflow_raises_at_the_grid_point_without_warnings(self):
+        # the state passes 1.8e308 after t = 1.8: the overflow is silent, the non-finite state is not
+        with pytest.raises(IntegrationError, match="non-finite state at t=4.0"):
+            rk45_path(lambda _t, y: np.full_like(y, 1e308), np.array([0.0]), [0.0, 1.0, 4.0])
 
     @pytest.mark.parametrize("start, end", [(0.0, 1.0), (1.0, 0.0)], ids=["forward", "backward"])
     def test_heun_steps_along_the_grid_in_either_direction(self, start, end):
