@@ -7,8 +7,8 @@ left to downstream tooling.  Each table is a NumPy structured array,
 written a fixed number of rows at a time, each chunk one join of cell
 texts encoded column by column from its dtypes (a numeric column from its
 distinct values), so a run's memory does not grow with a table's text.
-The covariance eigenbasis is built only for the stages that read it (kl,
-the oracle check, and a data file's eigendecomposition).
+Only the oracle check and a data file's eigendecomposition build the
+covariance eigenbasis; every table, kl's included, reads only the spectrum.
 """
 
 from __future__ import annotations
@@ -276,11 +276,11 @@ _KEYS = {
 _SPECTRUM_KEYS = {"log-spaced": ("lo", "hi"), "log-normal": ("mu", "sd"), "explicit": ("values",), "data": ("data",)}
 
 
-def _load_spectrum(cfg: ExperimentConfig, need_basis: bool) -> tuple[np.ndarray, CovarianceModel | None]:
+def _load_spectrum(cfg: ExperimentConfig) -> tuple[np.ndarray, CovarianceModel | None]:
     """The run's spectrum, and its CovarianceModel when a data file is read or
-    ``need_basis`` is set.  A synthetic spectrum is make_covariance's first
-    draw, so the O(d^3) QR basis is built only for stages that read it.  Data
-    file errors are ``model.data`` config errors."""
+    the oracle check runs.  A synthetic spectrum is make_covariance's first
+    draw, so the O(d^3) QR basis is built only for the oracle check, its one
+    reader.  Data file errors are ``model.data`` config errors."""
     if cfg.model_kind == "data":
         try:
             model = empirical_moments(read_samples(cfg.data_path)).eigenmodel()
@@ -290,7 +290,7 @@ def _load_spectrum(cfg: ExperimentConfig, need_basis: bool) -> tuple[np.ndarray,
     params = {key: getattr(cfg, key) for key in _SPECTRUM_KEYS[cfg.model_kind]}
     spec = SpectrumSpec(cfg.model_kind, params, cfg.normalize)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite draw is reported below
-        if need_basis:
+        if cfg.validate_with_oracle:
             model = make_covariance(spec, cfg.dim, cfg.seed)
             lam = model.spectrum
         else:
@@ -374,8 +374,7 @@ def run_experiment(cfg: ExperimentConfig, stages: frozenset = frozenset({"trajec
     if "emergence" in stages and len(taus) < 2:
         key = "dynamics.tau" if cfg.tau_override is not None else "dynamics.tau_points"
         raise ConfigError(f"{key}: emergence extraction needs >= 2 tau points")
-    # kl and the oracle check read the eigenbasis; the other stages only the spectrum
-    lam, model = _load_spectrum(cfg, need_basis="kl" in stages or cfg.validate_with_oracle)
+    lam, model = _load_spectrum(cfg)
     if "kl" in stages and lam.min() <= 0:  # each mode's KL divides by its eigenvalue; the fit drops zeros
         raise ConfigError(f"{_spectrum_keys(cfg)}: kl needs positive eigenvalues, {np.count_nonzero(lam <= 0)} of {lam.size} are zero")
     if cfg.validate_with_oracle:
@@ -441,7 +440,7 @@ def run_experiment(cfg: ExperimentConfig, stages: frozenset = frozenset({"trajec
         written.append("fit.json")
         lap("emergence")
     if "kl" in stages:
-        name, diagnostics["kl_clamped_modes"] = _emit_kl(cfg, out, model, taus, lam_gen)
+        name, diagnostics["kl_clamped_modes"] = _emit_kl(cfg, out, lam, taus, lam_gen)
         written.append(name)
         lap("kl")
 
@@ -503,17 +502,17 @@ def _emit_emergence(cfg, out: Path, spectrum, tau_stars, branches, excluded) -> 
     return _emit_table(cfg, out, "emergence", header, table)
 
 
-def _emit_kl(cfg, out: Path, model, taus, lam_gen) -> tuple[str, int]:
+def _emit_kl(cfg, out: Path, spectrum, taus, lam_gen) -> tuple[str, int]:
     """Write the per-mode KL table; returns its name and the number of
-    (mode, tau) variances clamped to the KL floor."""
+    (mode, tau) variances clamped to the KL floor.  Both Gaussians are centred
+    and share the data eigenbasis, so a mode's KL reads only lambda_gen / lambda."""
     from .metrics import kl_shared_basis
 
-    zero = np.zeros(model.dim)
-    kl = kl_shared_basis(np.maximum(lam_gen.T, 1e-300), model.spectrum, zero, zero, model.basis)
+    kl = kl_shared_basis(np.maximum(lam_gen.T, 1e-300), spectrum)
     header = ["mode_index", "lambda_target", "tau", "lambda_gen", "kl"]
-    grid = np.empty((len(taus), model.dim), dtype={"names": header, "formats": [int] + [float] * 4})  # (tau, mode) rows
-    grid["mode_index"] = np.arange(model.dim)
-    grid["lambda_target"] = model.spectrum
+    grid = np.empty((len(taus), len(spectrum)), dtype={"names": header, "formats": [int] + [float] * 4})  # (tau, mode) rows
+    grid["mode_index"] = np.arange(len(spectrum))
+    grid["lambda_target"] = spectrum
     grid["tau"] = taus[:, None]
     grid["lambda_gen"] = lam_gen.T
     grid["kl"] = kl.per_mode

@@ -21,7 +21,6 @@ __all__ = [
     "make_covariance",
     "sample_gaussian",
     "empirical_moments",
-    "project_variances",
     "read_samples",
 ]
 
@@ -188,14 +187,6 @@ def empirical_moments(samples: np.ndarray) -> DataMoments:
     cov = centered.T @ centered / (samples.shape[0] - 1)
     cov = 0.5 * (cov + cov.T)
     return DataMoments(mean, cov)
-
-
-def project_variances(sigma_hat: np.ndarray, model: CovarianceModel) -> np.ndarray:
-    """Per-mode variances u_k^T Sigma_hat u_k of a covariance estimate."""
-    sigma_hat = np.asarray(sigma_hat, dtype=float)
-    if sigma_hat.shape != (model.dim, model.dim):
-        raise ValueError("shape mismatch between matrix and model")
-    return np.einsum("ik,ij,jk->k", model.basis, sigma_hat, model.basis)
 
 
 def read_samples(path: str) -> np.ndarray:

@@ -26,12 +26,14 @@ class ModeKL:
     clamped: int  # modes whose variance hit the floor before the log
 
 
-def kl_shared_basis(lam1, lam2, mu1, mu2, basis) -> ModeKL:
+def kl_shared_basis(lam1, lam2, gap=0.0) -> ModeKL:
     """KL(N(mu1, U diag(lam1) U^T) || N(mu2, U diag(lam2) U^T)) per mode.
 
-    Variances below 1e-12 are clamped (count reported); nonpositive
-    variances are a domain error.  ``lam1`` may carry leading axes, as a
-    (tau, mode) grid of generated variances does; the KL is elementwise.
+    ``gap`` is the mean gap in the shared eigenbasis, U^T (mu2 - mu1), and 0
+    for centred data.  Variances below 1e-12 are clamped (count reported);
+    nonpositive variances are a domain error.  ``lam1`` may carry leading
+    axes, as a (tau, mode) grid of generated variances does; the KL is
+    elementwise.
     """
     lam1 = np.asarray(lam1, float)
     lam2 = np.asarray(lam2, float)
@@ -40,8 +42,7 @@ def kl_shared_basis(lam1, lam2, mu1, mu2, basis) -> ModeKL:
     clamped = int(np.sum(lam1 < _VAR_FLOOR))
     lam1 = np.maximum(lam1, _VAR_FLOOR)
     ratio = lam1 / lam2
-    gap = np.asarray(basis, float).T @ (np.asarray(mu2, float) - np.asarray(mu1, float))
-    per_mode = 0.5 * (ratio - np.log(ratio) - 1.0) + gap**2 / (2.0 * lam2)
+    per_mode = 0.5 * (ratio - np.log(ratio) - 1.0) + np.asarray(gap, float) ** 2 / (2.0 * lam2)
     return ModeKL(per_mode, float(per_mode.sum()), clamped)
 
 

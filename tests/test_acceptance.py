@@ -330,7 +330,7 @@ def test_criterion_10_metrics():
     model = make_covariance(SpectrumSpec("explicit", {"values": lam}), 8, 1)
     s0, s_t = 0.002, 80.0
     lam_conv = s_t**2 * (model.spectrum + s0**2) / (model.spectrum + s_t**2)
-    kl = kl_shared_basis(lam_conv, model.spectrum, np.zeros(8), np.zeros(8), model.basis)
+    kl = kl_shared_basis(lam_conv, model.spectrum)
     kl_max = float(kl.per_mode.max())
 
     sigma = 0.8

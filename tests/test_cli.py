@@ -506,32 +506,35 @@ class TestBasisUse:
             out_dir=str(tmp_path), **overrides,
         )
 
-    @pytest.mark.parametrize("stages", [("trajectories", "emergence"), ("trajectories",)], ids=["emergence", "simulate"])
-    def test_spectrum_stages_build_no_basis(self, tmp_path, monkeypatch, stages):
+    @pytest.mark.parametrize(
+        "stages, table, rows",
+        [(("trajectories", "emergence"), "trajectories", slice(None, None, 11)),  # 11 taus per mode
+         (("trajectories",), "trajectories", slice(None, None, 11)),
+         (("kl",), "kl", slice(5))],  # the first tau's 5 modes
+        ids=["emergence", "simulate", "kl"],
+    )
+    def test_spectrum_stages_build_no_basis(self, tmp_path, monkeypatch, stages, table, rows):
         def no_basis(*args):
             raise AssertionError("make_covariance called")
 
         want = make_covariance(self.SPEC, 5, 11).spectrum
         monkeypatch.setattr(experiment, "make_covariance", no_basis)
         run_experiment(self._cfg(tmp_path), stages=frozenset(stages))
-        lines = (tmp_path / "trajectories.csv").read_text().splitlines()[1:]
-        assert [float(line.split(",")[1]) for line in lines[::11]] == want.tolist()  # 11 taus per mode
+        lines = (tmp_path / f"{table}.csv").read_text().splitlines()[1:]
+        assert [float(line.split(",")[1]) for line in lines[rows]] == want.tolist()
 
-    @pytest.mark.parametrize(
-        "stages, oracle, reader, position",
-        [(("kl",), False, "_emit_kl", 2), (("trajectories", "emergence"), True, "oracle_deviation", 0)],
-        ids=["kl", "validate-with-oracle"],
-    )
-    def test_basis_stages_read_the_make_covariance_basis(self, tmp_path, monkeypatch, stages, oracle, reader, position):
+    # the oracle check is the one stage that reads the basis
+    @pytest.mark.parametrize("stages", [("trajectories", "emergence")], ids=["validate-with-oracle"])
+    def test_basis_stages_read_the_make_covariance_basis(self, tmp_path, monkeypatch, stages):
         models = []
-        original = getattr(experiment, reader)
+        original = experiment.oracle_deviation
 
-        def recording(*args):
-            models.append(args[position])
-            return original(*args)
+        def recording(model, *args):
+            models.append(model)
+            return original(model, *args)
 
-        monkeypatch.setattr(experiment, reader, recording)
-        run_experiment(self._cfg(tmp_path, validate_with_oracle=oracle), stages=frozenset(stages))
+        monkeypatch.setattr(experiment, "oracle_deviation", recording)
+        run_experiment(self._cfg(tmp_path, validate_with_oracle=True), stages=frozenset(stages))
         want = make_covariance(self.SPEC, 5, 11)
         (model,) = models
         assert np.array_equal(model.basis, want.basis)
@@ -747,7 +750,7 @@ class TestCliEntry:
         monkeypatch.setattr(oracle, "rk4_path", counted(oracle.rk4_path))
         monkeypatch.setattr(oracle, "rk45_path", counted(oracle.rk45_path))
         cfg = ExperimentConfig(arch=arch, dim=2, report_sigmas=(0.1, 1.0, 10.0), validate_with_oracle=True, **settings)
-        lam, model = experiment._load_spectrum(cfg, need_basis=True)
+        lam, model = experiment._load_spectrum(cfg)
         estimate, _ = _oracle_work(cfg, float(lam.max()), lam.size)
         experiment.oracle_deviation(model, arch, cfg.report_sigmas, cfg.q_init, cfg.eta, cfg.oracle_taus())
         assert low <= len(calls) / estimate <= high
@@ -762,20 +765,25 @@ class TestCliEntry:
         assert capsys.readouterr().err == "error: max step count exceeded\n"
 
     def test_sweeps_leave_numpy_random_and_numpy_ma_unimported(self, tmp_path):
-        # a log-spaced spectrum draws nothing, and the fit counts distinct eigenvalues without np.unique
+        # a log-spaced spectrum draws nothing, kl builds no basis, and the fit
+        # counts distinct eigenvalues without np.unique
         code = "\n".join([
             "import json, sys",
             "from lindiff.cli import main",
+            "seen = []",
             f"main(['emergence', '--set', 'model.dim=8', '--set', 'dynamics.tau_points=11', '--out', {str(tmp_path / 'e')!r}])",
-            "after_emergence = {m: m in sys.modules for m in ('numpy.random', 'numpy.ma')}",
+            "seen.append({m: m in sys.modules for m in ('numpy.random', 'numpy.ma')})",
+            f"main(['kl', '--set', 'model.dim=8', '--set', 'dynamics.tau_points=11', '--out', {str(tmp_path / 'k')!r}])",
+            "seen.append({m: m in sys.modules for m in ('numpy.random', 'numpy.ma')})",
             f"main(['kl', '--set', 'model.kind=log-normal', '--set', 'model.dim=8', '--set', 'dynamics.tau_points=11', "
-            f"'--out', {str(tmp_path / 'k')!r}])",
-            "print(json.dumps([after_emergence, 'numpy.ma' in sys.modules]))",
+            f"'--out', {str(tmp_path / 'n')!r}])",
+            "seen.append('numpy.ma' in sys.modules)",
+            "print(json.dumps(seen))",
         ])
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-        after_emergence, ma_after_kl = json.loads(proc.stdout.splitlines()[-1])
-        assert after_emergence == {"numpy.random": False, "numpy.ma": False}
-        assert ma_after_kl is False
+        after_emergence, after_kl, ma_after_log_normal_kl = json.loads(proc.stdout.splitlines()[-1])
+        assert after_emergence == after_kl == {"numpy.random": False, "numpy.ma": False}
+        assert ma_after_log_normal_kl is False
 
     def test_table_commands_leave_the_validation_suites_unimported(self, tmp_path):
         # only validate imports lindiff.validation, and with it lindiff.convolution

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from lindiff.gaussian import (
@@ -9,7 +8,6 @@ from lindiff.gaussian import (
     SpectrumSpec,
     empirical_moments,
     make_covariance,
-    project_variances,
     read_samples,
     sample_gaussian,
 )
@@ -73,7 +71,7 @@ class TestSampleGaussian:
         lam = np.array([4.0, 1.0, 0.25, 0.0625])
         model = make_covariance(SpectrumSpec("explicit", {"values": lam}), 4, seed=3)
         samples = sample_gaussian(model, np.zeros(4), 200_000, seed=11)
-        emp = project_variances(empirical_moments(samples).covariance, model)
+        emp = np.diagonal(model.basis.T @ empirical_moments(samples).covariance @ model.basis)
         assert np.all(np.abs(emp - lam) / lam < 0.02)
 
     def test_mean_clt_bound(self):
@@ -112,34 +110,6 @@ class TestEmpiricalMoments:
         samples = sample_gaussian(model6, np.zeros(6), 300_000, seed=21)
         mm = empirical_moments(samples)
         assert np.max(np.abs(mm.covariance - model6.covariance())) < 0.05
-
-
-class TestProjectVariances:
-    def test_self_projection(self, model6):
-        assert_allclose(
-            project_variances(model6.covariance(), model6), model6.spectrum, atol=1e-10
-        )
-
-    def test_isotropic(self, model6):
-        assert_allclose(project_variances(np.eye(6), model6), 1.0, atol=1e-12)
-
-    def test_matches_dense_oracle(self, model6):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(6, 6))
-        sym = a + a.T
-        dense = np.diagonal(model6.basis.T @ sym @ model6.basis)
-        assert_allclose(project_variances(sym, model6), dense, atol=1e-12)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.floats(-3, 3), st.floats(-3, 3), st.integers(0, 1000))
-    def test_linearity(self, a, b, seed):
-        rng = np.random.default_rng(seed)
-        model = make_covariance(SpectrumSpec("log-normal"), 5, seed=1)
-        m1 = rng.normal(size=(5, 5))
-        m2 = rng.normal(size=(5, 5))
-        lhs = project_variances(a * m1 + b * m2, model)
-        rhs = a * project_variances(m1, model) + b * project_variances(m2, model)
-        assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, abs(a), abs(b))
 
 
 class TestValidation:
