@@ -7,14 +7,18 @@ left to downstream tooling.  Each table is a NumPy structured array,
 written a fixed number of rows at a time, each chunk one join of cell
 texts encoded column by column from its dtypes (a numeric column from its
 distinct values), so a run's memory does not grow with a table's text.
+A table of many chunks is formatted by two processes, a forked worker taking
+every second chunk; the bytes are the same as one process writes.
 Only the oracle check and a data file's eigendecomposition build the
 covariance eigenbasis; every table, kl's included, reads only the spectrum.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -568,6 +572,66 @@ def _chunk_text(keys, chunk, row, lead, encode, encode_one) -> str:
 
 # Rows formatted per write: a table's text is held one chunk at a time.
 _CHUNK_ROWS = 8192
+# A table of at least this many chunks is formatted by two processes.  At 3
+# chunks the fork and the copy-on-write faults cost what the worker's one chunk
+# saves; see DECISIONS.md.
+_SPLIT_CHUNKS = 4
+# Pipe capacity asked for the worker's chunks, so that it rarely waits on the
+# parent; Linux caps it at /proc/sys/fs/pipe-max-size (1 MiB by default).
+_PIPE_BYTES = 1 << 20
+
+
+def _write_split(fh, starts, text, name: str) -> None:
+    """Write ``text(i)`` for each ``i`` of ``starts`` to ``fh`` in order,
+    with a forked worker formatting every second chunk (``starts[1::2]``).
+
+    The worker sends each chunk's UTF-8 bytes through a pipe behind an
+    8-byte length and leaves by ``os._exit``, so it never flushes ``fh`` or
+    stdout and runs no ``atexit`` hook.  The parent closes the read end
+    before it reaps the worker, so on an error in the parent a worker
+    blocked on a full pipe gets EPIPE and exits.  A failed worker or a short
+    read raises OSError naming the table.
+    """
+    import fcntl  # POSIX only, like os.fork
+
+    rfd, wfd = os.pipe()
+    pid = received = 0
+    try:
+        with open(rfd, "rb") as pipe, open(wfd, "wb") as sink:
+            with contextlib.suppress(AttributeError, OSError):  # not Linux, or above pipe-max-size
+                fcntl.fcntl(wfd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    pipe.close()
+                    for i in starts[1::2]:
+                        data = text(i).encode()
+                        sink.write(len(data).to_bytes(8, "little"))
+                        sink.write(data)
+                    sink.flush()
+                    status = 0
+                finally:
+                    os._exit(status)
+            sink.close()
+            for k, i in enumerate(starts):
+                if k % 2 == 0:
+                    fh.write(text(i))
+                    continue
+                head = pipe.read(8)
+                size = int.from_bytes(head, "little") if len(head) == 8 else 0
+                data = pipe.read(size)
+                if not size or len(data) < size:  # a short read: no chunk is empty
+                    break
+                fh.write(data.decode())
+                received += 1
+    finally:
+        status = os.waitpid(pid, 0)[1] if pid else 0
+    if status or received < len(starts) // 2:
+        raise OSError(
+            f"{name}: the worker formatting every second chunk exited with status "
+            f"{os.waitstatus_to_exitcode(status)} after sending {received} of {len(starts) // 2} chunks"
+        )
 
 
 def _emit_table(cfg, out: Path, name: str, header, table) -> str:
@@ -581,7 +645,11 @@ def _emit_table(cfg, out: Path, name: str, header, table) -> str:
     A cell is the text ``_cell`` (CSV) or ``json.dumps`` (JSON) writes for its
     value: a float, int or bool column's from its distinct values, an object
     column's one value at a time.  Both write a finite float as ``repr``
-    does, so the two formats carry the same digits.
+    does, so the two formats carry the same digits.  A table of at least
+    _SPLIT_CHUNKS chunks is formatted by two processes where ``os.fork``
+    exists (``_write_split``): the same bytes, with a forked worker formatting
+    every second chunk from the columns already built.  Elsewhere, and for a
+    smaller table, one process writes every chunk.
     """
     path = out / f"{name}.{cfg.fmt}"
     if cfg.fmt == "csv":
@@ -594,11 +662,19 @@ def _emit_table(cfg, out: Path, name: str, header, table) -> str:
         if not len(table):
             start, end = "[]\n", ""
     row = [lead] + [text for sep in seps for text in (None, sep)]
+
+    def text(i: int) -> str:
+        first = lead if i else lead.removeprefix(",\n")  # no JSON row comes before the first
+        return _chunk_text(keys, table[i : i + _CHUNK_ROWS], row, first, encode, encode_one)
+
+    starts = range(0, len(table), _CHUNK_ROWS)
     with path.open("w") as fh:
         fh.write(start)
-        for i in range(0, len(table), _CHUNK_ROWS):
-            first = lead if i else lead.removeprefix(",\n")  # no JSON row comes before the first
-            fh.write(_chunk_text(keys, table[i : i + _CHUNK_ROWS], row, first, encode, encode_one))
+        if len(starts) >= _SPLIT_CHUNKS and hasattr(os, "fork"):
+            _write_split(fh, starts, text, path.name)
+        else:
+            for i in starts:
+                fh.write(text(i))
         fh.write(end)
     return path.name
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -23,3 +25,18 @@ def model6():
 @pytest.fixture(scope="session")
 def moments6(model6):
     return DataMoments(np.zeros(6), model6.covariance())
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_running():
+    """Fail a test that leaves a child of the test process unreaped, such as
+    a table writer's worker: once every child is reaped, waitpid(-1) raises
+    ChildProcessError."""
+    yield
+    if not hasattr(os, "WNOHANG"):
+        return
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left child process {pid or '(still running)'} unreaped")

@@ -1,7 +1,10 @@
 import argparse
+import contextlib
 import json
 import math
+import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -15,6 +18,7 @@ from lindiff import cli, experiment, oracle, sampler
 from lindiff.cli import build_parser, main
 from lindiff.experiment import (
     _CHUNK_ROWS,
+    _SPLIT_CHUNKS,
     ConfigError,
     ExperimentConfig,
     _cell,
@@ -429,7 +433,8 @@ def _boundary_columns(n: int) -> dict:
     }
 
 
-_BOUNDARY_SIZES = [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 3]
+# the last two are 4 and 5 chunks, which two processes write
+_BOUNDARY_SIZES = [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 3, 3 * _CHUNK_ROWS + 1, 4 * _CHUNK_ROWS + 1]
 
 
 class TestChunkedTables:
@@ -494,6 +499,118 @@ class TestChunkedTables:
             tracemalloc.stop()
         size = (tmp_path / name).stat().st_size
         assert peak < size, f"peak {peak} B for a {size} B file"
+
+
+# Rows per chunk in the tests that force the two-process writer on small tables.
+_SMALL_CHUNK = 64
+
+
+def _split_table(n: int) -> tuple[list, np.ndarray, list]:
+    """The header, table and rows of ``_boundary_columns(n)`` plus the
+    emergence table's object columns (``tau_star`` None or float, ``branch``)
+    and a float column whose -0.0 and 0.0 sit in the second chunk, the
+    first that the worker formats."""
+    columns = _boundary_columns(n)
+    columns["tau_star"] = (object, [None if k % 5 == 0 else k / 3 for k in range(n)])
+    columns["branch"] = (object, ["increasing" if k % 3 else "decreasing" for k in range(n)])
+    zeros = [k / 11 for k in range(n)]
+    zeros[_SMALL_CHUNK : _SMALL_CHUNK + 4] = [-0.0, 0.0, 0.0, -0.0][: max(0, n - _SMALL_CHUNK)]
+    columns["zeros"] = (float, zeros)
+    return list(columns), _table(columns), _rows(columns)
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Raise TimeoutError in the test if its body has not returned after ``seconds``."""
+
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestSplitTables:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("chunks", [0, 3, 4, 5, 2 * _SPLIT_CHUNKS + 1])
+    def test_two_processes_write_the_bytes_of_one(self, tmp_path, monkeypatch, fmt, chunks):
+        # the last chunk is partial; 0 chunks is the empty table
+        n = max(0, _SMALL_CHUNK * (chunks - 1) + 5)
+        header, table, rows = _split_table(n)
+        monkeypatch.setattr(experiment, "_CHUNK_ROWS", _SMALL_CHUNK)
+        cfg = ExperimentConfig(out_dir=str(tmp_path), fmt=fmt)
+        written = {}
+        for path, split_chunks in (("one", 10**9), ("two", 0), ("no-fork", 0)):
+            monkeypatch.setattr(experiment, "_SPLIT_CHUNKS", split_chunks)
+            if path == "no-fork":
+                monkeypatch.delattr(os, "fork")
+            (tmp_path / path).mkdir()
+            written[path] = (tmp_path / path / _emit_table(cfg, tmp_path / path, "t", header, table)).read_bytes()
+        if fmt == "csv":
+            want = "\n".join([",".join(header)] + [",".join(map(_cell, row)) for row in rows]) + "\n"
+        else:
+            want = json.dumps([dict(zip(header, row)) for row in rows], indent=2, sort_keys=True) + "\n"
+        assert written["one"] == written["two"] == written["no-fork"] == want.encode()
+
+    def test_a_failing_worker_raises_oserror_naming_the_table(self, tmp_path, monkeypatch, capfd):
+        monkeypatch.setattr(experiment, "_CHUNK_ROWS", _SMALL_CHUNK)
+        real, pid = experiment._chunk_text, os.getpid()
+
+        def chunk_text(*args):
+            if os.getpid() != pid:
+                raise RuntimeError("the worker failed")
+            return real(*args)
+
+        monkeypatch.setattr(experiment, "_chunk_text", chunk_text)
+        header, table, _ = _split_table(_SPLIT_CHUNKS * _SMALL_CHUNK)
+        cfg = ExperimentConfig(out_dir=str(tmp_path))
+        with _deadline(20), pytest.raises(OSError, match=r"^t\.csv: the worker .* exited with status 1 after sending 0 of"):
+            _emit_table(cfg, tmp_path, "t", header, table)
+        # 4 modes x 64 tau x 3 sigmas: 12 chunks of trajectories
+        args = ["simulate", "--set", "model.dim=4", "--set", "dynamics.tau_points=64", "--out", str(tmp_path / "cli")]
+        with _deadline(20):
+            assert main(args) == 1
+        out, err = capfd.readouterr()
+        assert out == "" and err.startswith("error: trajectories.csv: the worker") and err.count("\n") == 1, err
+
+    def test_a_failing_parent_reaps_its_worker(self, tmp_path, monkeypatch):
+        # 10 chunks of 8192 rows: the worker's 5 chunks, about 4 MB, overfill the pipe
+        real, pid, calls = experiment._chunk_text, os.getpid(), []
+
+        def chunk_text(*args):
+            if os.getpid() == pid:
+                calls.append(args)
+                if len(calls) == 2:  # the parent's second chunk, while the worker waits on a full pipe
+                    time.sleep(0.2)
+                    raise KeyError("the parent failed")
+            return real(*args)
+
+        monkeypatch.setattr(experiment, "_chunk_text", chunk_text)
+        values = np.random.default_rng(0).lognormal(size=(10 * _CHUNK_ROWS, 5))
+        table = _table({f"x{j}": (float, values[:, j]) for j in range(5)})
+        cfg = ExperimentConfig(out_dir=str(tmp_path))
+        with _deadline(20), pytest.raises(KeyError, match="the parent failed"):
+            _emit_table(cfg, tmp_path, "t", [f"x{j}" for j in range(5)], table)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_the_worker_flushes_neither_stdout_nor_the_table(self, tmp_path, monkeypatch, capfd):
+        monkeypatch.setattr(experiment, "_CHUNK_ROWS", _SMALL_CHUNK)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(fork()) or forks[-1])
+        args = ["simulate", "--set", "model.dim=4", "--set", "dynamics.tau_points=64", "--out", str(tmp_path)]
+        with _deadline(20):
+            assert main(args) == 0
+        out, err = capfd.readouterr()
+        assert len(forks) == 1 and err == ""
+        assert out.count("wrote ") == 1, out  # a worker that returned would go on to print it too
+        text = (tmp_path / "trajectories.csv").read_text()
+        assert text.count("mode_index") == 1 and len(text.splitlines()) == 1 + 4 * 64 * 3
 
 
 class TestBasisUse:
