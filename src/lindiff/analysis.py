@@ -72,7 +72,6 @@ class PowerLawFit:
     intercept: float
     r_squared: float
     n_used: int
-    branch: str  # 'increasing' | 'decreasing' | 'pooled'
 
 
 def emergence_time(taus, values, v0, v_inf, crit: EmergenceCriterion):
@@ -139,14 +138,14 @@ def power_law_fit(lambdas, taus, gz: GrayZone, v0s, targets) -> dict[str, PowerL
             raise InsufficientDataError(
                 f"branch {branch!r} has {distinct} distinct eigenvalue(s) among {n} usable mode(s), need >= 2"
             )
-        fits[branch] = _ols_loglog(lambdas[mask], taus[mask], branch)
+        fits[branch] = _ols_loglog(lambdas[mask], taus[mask])
     return fits
 
 
-def _ols_loglog(lam, tau, branch: str) -> PowerLawFit:
+def _ols_loglog(lam, tau) -> PowerLawFit:
     x, y = np.log(lam), np.log(tau)
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return PowerLawFit(-float(slope), float(intercept), r2, len(x), branch)
+    return PowerLawFit(-float(slope), float(intercept), r2, len(x))

@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .experiment import ConfigError, ExperimentConfig, parse_config_text, run_experiment
+from .experiment import ARCHS, FORMATS, ConfigError, ExperimentConfig, parse_config_text, run_experiment
 from .integrate import IntegrationError
 
 _STAGES = {
@@ -26,7 +26,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=str, default=None, help="flat key=value config file")
     p.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
     p.add_argument("--out", type=str, default=None, help="output directory")
-    p.add_argument("--format", choices=["csv", "json"], default=None, help="table format")
+    p.add_argument("--format", choices=FORMATS, default=None, help="table format")
     p.add_argument(
         "--set",
         action="append",
@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
         p.add_argument("--data", type=str, default=None, help="CSV or binary sample matrix")
-        p.add_argument("--arch", choices=["one-layer", "two-layer"], default=None)
+        p.add_argument("--arch", choices=ARCHS, default=None)
         if name == "emergence":
             p.add_argument(
                 "--validate-with-oracle",

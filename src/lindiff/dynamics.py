@@ -282,7 +282,6 @@ def deep_linear_mode(depth, lam, sigma, c0, eta, tau_grid):
 class DiscreteGDResult:
     iterates: np.ndarray  # (d, steps+1)
     diverged: np.ndarray  # (d,) bool; |contraction factor| >= 1
-    factors: np.ndarray  # (d,) per-mode contraction factor
     bias: np.ndarray | None = None  # (steps+1,) scalar bias factor path
 
 
@@ -304,4 +303,4 @@ def discrete_gd_trajectory(
     t = np.arange(steps + 1)
     iterates = w_star[:, None] + (q - w_star)[:, None] * factor[:, None] ** t[None, :]
     bias = None if b0 is None else b0 * (1.0 - 2.0 * step) ** t
-    return DiscreteGDResult(iterates, np.abs(factor) >= 1.0, factor, bias)
+    return DiscreteGDResult(iterates, np.abs(factor) >= 1.0, bias)

@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product, repeat
 from pathlib import Path
 
@@ -44,6 +44,9 @@ from .sampler import NoiseSchedule, PhiFactor, generated_variance
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config_text", "run_experiment", "oracle_deviation"]
 
+# The values of arch.kind and run.format; the CLI's --arch and --format read them too.
+ARCHS = ("one-layer", "two-layer")
+FORMATS = ("csv", "json")
 # Relative tolerance of --validate-with-oracle and of validate's flow suites.
 ORACLE_TOLERANCE = 1e-6
 # --validate-with-oracle integrates over this part of the tau window only.
@@ -255,7 +258,7 @@ _KEYS = {
     "model.values": ("values", _floats),
     "model.normalize": ("normalize", _bool),
     "model.data": ("data_path", str),
-    "arch.kind": ("arch", _choice("one-layer", "two-layer")),
+    "arch.kind": ("arch", _choice(*ARCHS)),
     "arch.q_init": ("q_init", _float),
     "dynamics.eta": ("eta", _float),
     "dynamics.tau_min": ("tau_min", _float),
@@ -270,7 +273,7 @@ _KEYS = {
     "analysis.gray_zone.upper": ("gray_upper", _float),
     "run.seed": ("seed", int),
     "run.out": ("out_dir", str),
-    "run.format": ("fmt", _choice("csv", "json")),
+    "run.format": ("fmt", _choice(*FORMATS)),
     "run.validate_with_oracle": ("validate_with_oracle", _bool),
 }
 
@@ -428,15 +431,7 @@ def run_experiment(cfg: ExperimentConfig, stages: frozenset = frozenset({"trajec
         fit_payload = {
             "criterion": cfg.criterion,
             "gray_zone": {"lower": cfg.gray_lower, "upper": cfg.gray_upper},
-            "branches": {
-                name: {
-                    "alpha": fit.alpha,
-                    "intercept": fit.intercept,
-                    "r_squared": fit.r_squared,
-                    "n_used": fit.n_used,
-                }
-                for name, fit in fits.items()
-            },
+            "branches": {name: asdict(fit) for name, fit in fits.items()},
         }
         if fit_error:
             fit_payload["error"] = fit_error

@@ -80,14 +80,15 @@ class FmTwoLayerState:
 
     value: float
     attainable: bool
-    target: float
 
 
 def fm_two_layer_weight(tau: float, t: float, lam: float, q: float, eta: float) -> FmTwoLayerState:
     """Two-layer flow-matching mode weight |q_k|^2 at training time tau.
 
-    With a = 4 eta (t lam - (1-t)) and b = 4 eta (t^2 lam + (1-t)^2) the
-    weight solves dpsi/dtau = (a - b psi) psi.  With E = e^(-|a| tau) and
+    With a = 8 eta (t lam - (1-t)) and b = 8 eta (t^2 lam + (1-t)^2) the
+    weight solves dpsi/dtau = (a - b psi) psi, the symmetric-product
+    gradient flow W = P P^T on the flow-matching loss (the 8 eta tau clock
+    of ``dynamics.two_layer_psi``).  With E = e^(-|a| tau) and
     g = (1 - E)/|a| (tau at a = 0) it is Q / (E + Q b g) for a >= 0 and
     Q E / (1 + Q b g) for a < 0, so nothing overflows.  For t > 1/(lam+1)
     the trajectory converges to Q* = a/b; for t < 1/(lam+1) the optimum is
@@ -99,11 +100,9 @@ def fm_two_layer_weight(tau: float, t: float, lam: float, q: float, eta: float) 
         raise ValueError("Q must be positive (zero is a fixed point)")
     if not (0 < t <= 1):
         raise ValueError("t must lie in (0, 1]")
-    a = 4.0 * eta * (t * lam - (1.0 - t))
-    b = 4.0 * eta * (t * t * lam + (1.0 - t) ** 2)
-    q_star = a / b
-    attainable = a > 0
+    a = 8.0 * eta * (t * lam - (1.0 - t))
+    b = 8.0 * eta * (t * t * lam + (1.0 - t) ** 2)
     decay = math.exp(-abs(a) * tau)
     grown = -math.expm1(-abs(a) * tau) / abs(a) if a else tau
     value = q / (decay + q * b * grown) if a >= 0 else q * decay / (1.0 + q * b * grown)
-    return FmTwoLayerState(value, attainable, q_star if attainable else 0.0)
+    return FmTwoLayerState(value, a > 0)

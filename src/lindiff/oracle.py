@@ -105,11 +105,10 @@ def gradient_flow_full(
     of the loss variant.  The two-layer flow applies the chain rule
     dP/dtau = (G_W + G_W^T) P to that product's W block; the convolutional
     flows sum its W block over the cells that share a tap.
-    The linear flows (one-layer, circulant, patch) are integrated by
-    fixed-step RK4 at their spectral rate (2 eta lambda_max of E[x x^T],
-    times N with weight sharing), or by adaptive Cash-Karp RK45 at ``_RTOL`` /
-    ``_ATOL`` when ``adaptive`` is set.  The nonlinear two-layer flow has no
-    such rate and is always integrated by RK45; it ignores ``adaptive``.
+    Every flow is integrated by adaptive Cash-Karp RK45 at ``_RTOL`` /
+    ``_ATOL``, except the one-layer flow without ``adaptive``: it takes
+    fixed-step RK4 at its spectral rate, 2 eta lambda_max of E[x x^T].
+    The other flows ignore ``adaptive``.
     The dense flows (one-layer, two-layer) also take ``s`` as a 1-D sequence
     of S noise levels and integrate them as one flow whose state has a
     leading sigma axis: RK4 steps at the largest sigma's rate, and RK45's
@@ -124,7 +123,6 @@ def gradient_flow_full(
     d = moments.dim
     per_sigma = [_augmented_moments(variant_moments(variant, moments, x)) for x in np.ravel(s).tolist()]
     aug_a, aug_c = (np.stack(m).reshape(np.shape(s) + m[0].shape) for m in zip(*per_sigma))
-    rate0 = 2.0 * eta * float(np.linalg.eigvalsh(aug_a[..., :d, :d]).max())
     a, c = -2.0 * eta * aug_a, -2.0 * eta * aug_c
 
     if parametrization in ("one-layer", "two-layer-symmetric"):
@@ -136,7 +134,8 @@ def gradient_flow_full(
         def rhs(_t, y):
             return y @ a - c
 
-        path = _solve(rhs, y0, tau_grid, None if adaptive else rate0)
+        rate = None if adaptive else 2.0 * eta * float(np.linalg.eigvalsh(aug_a[..., :d, :d]).max())
+        path = _solve(rhs, y0, tau_grid, rate)
         return tau_grid, path[..., :d], path[..., d]
 
     if parametrization == "two-layer-symmetric":
@@ -151,7 +150,7 @@ def gradient_flow_full(
             gw[...] = (gw + gw.swapaxes(-1, -2)) @ p
             return g
 
-        path = _solve(rhs, y0, tau_grid, None)
+        path = _solve(rhs, y0, tau_grid)
         ps = path[..., :d]
         return tau_grid, np.einsum("...ij,...kj->...ik", ps, ps), path[..., d]
 
@@ -172,20 +171,19 @@ def gradient_flow_full(
         slot[idx, (idx + offsets) % d] = np.arange(k)
         flat = slot.ravel()
         a_w, c_w = a[:d, :d].copy(), c[:, :d].copy()  # b = 0: only the W blocks enter
-        rate = rate0 * d  # weight sharing multiplies every rate by N
 
         def rhs(_t, taps):
             w = np.append(taps, 0.0)[slot]
             return np.bincount(flat, (w @ a_w - c_w).ravel(), k + 1)[:k]
 
-        path = _solve(rhs, np.asarray(w0, float), tau_grid, None if adaptive else rate)
+        path = _solve(rhs, np.asarray(w0, float), tau_grid)
         ws = np.pad(path, ((0, 0), (0, 1)))[:, slot]
         return tau_grid, ws, np.zeros((len(tau_grid), d))
 
     raise ValueError(f"unknown parametrization {parametrization!r}")
 
 
-def _solve(rhs, y0, tau_grid, rate: float | None):
+def _solve(rhs, y0, tau_grid, rate: float | None = None):
     """Fixed-step RK4 at the stiffness bound ``rate``, or RK45 when it is None."""
     if rate is None:
         return rk45_path(rhs, y0, tau_grid, rtol=_RTOL, atol=_ATOL)

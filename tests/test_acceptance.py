@@ -191,7 +191,7 @@ def test_criterion_06_asymptotic_variances():
 
 def test_criterion_07_convolutional_results(spectrum16, moments16):
     """(a) full-width == one-layer substitution to 1e-12; (b) patch fixed
-    point by direct solve to 1e-10 and RK4 to 1e-6; (c) commutativity 1e-10."""
+    point by direct solve to 1e-10 and RK45 to 1e-6; (c) commutativity 1e-10."""
     n, r, sigma, eta = 16, 2, 0.7, 1.0
     taus = np.geomspace(1e-3, 2.0, 10)
     mode_vars = dft_mode_variance(moments16.covariance)[None, :]
@@ -224,7 +224,7 @@ def test_criterion_07_convolutional_results(spectrum16, moments16):
     report(
         "7", ok,
         f"full-width {dev_a:.2e} (<= 1e-12); patch solve {dev_b1:.2e} (<= 1e-10), "
-        f"patch RK4 {dev_b2:.2e} (<= 1e-6); commutator {dev_c:.2e} (<= 1e-10)",
+        f"patch RK45 {dev_b2:.2e} (<= 1e-6); commutator {dev_c:.2e} (<= 1e-10)",
     )
     assert dev_a <= 1e-12
     assert dev_b1 <= 1e-10

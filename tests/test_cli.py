@@ -1137,6 +1137,19 @@ class TestCliEntry:
         listed = cli.__doc__.split("Subcommands:", 1)[1].split("Exit codes:", 1)[0]
         assert re.findall(r"(\w+) \(", listed) == list(subparsers.choices)
 
+    @pytest.mark.parametrize("flag, key", [("--arch", "arch.kind"), ("--format", "run.format")])
+    def test_flag_choices_are_the_config_key_values(self, capsys, flag, key):
+        subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        action = next(a for a in subparsers.choices["simulate"]._actions if flag in a.option_strings)
+        for value in action.choices:
+            ExperimentConfig.from_flat({key: value})
+        with pytest.raises(ConfigError, match=rf"^{key}: .*\(expected one of {', '.join(action.choices)}\)$"):
+            ExperimentConfig.from_flat({key: "other"})
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", flag, "other"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'other'" in capsys.readouterr().err
+
     def test_config_file_with_overrides(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("model.dim = 4\ndynamics.tau_points = 21\nrun.seed = 5\n")

@@ -153,9 +153,9 @@ def test_fm_two_layer_weight_matches_mpmath(lam, offset, near, t_any, eta, q, ta
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = fm_two_layer_weight(tau, t, lam, q, eta).value
-    # the reference takes a = 4 eta (t lam - (1 - t)) and b as rounded in double: near a = 0
-    # that rounding moves psi by 4 eta (lam + 1) t tau eps, far more than the closed form's own error
-    a, b = 4.0 * eta * (t * lam - (1.0 - t)), 4.0 * eta * (t * t * lam + (1.0 - t) ** 2)
+    # the reference takes a = 8 eta (t lam - (1 - t)) and b as rounded in double: near a = 0
+    # that rounding moves psi by 8 eta (lam + 1) t tau eps, far more than the closed form's own error
+    a, b = 8.0 * eta * (t * lam - (1.0 - t)), 8.0 * eta * (t * t * lam + (1.0 - t) ** 2)
     with mp.workdps(DPS):
         a_m, q_m, tau_m = mp.mpf(a), mp.mpf(q), mp.mpf(tau)
         grown = mp.expm1(a_m * tau_m) / a_m if a else tau_m

@@ -151,6 +151,25 @@ class TestFlowRightHandSide:
         assert ws.shape == (4, 6, 6)
         assert np.all(np.isfinite(ws))
 
+    @pytest.mark.parametrize("adaptive", [False, True])
+    @pytest.mark.parametrize("parametrization, taps", [("circulant", 6), ("patch", 3)])
+    def test_convolutional_flows_are_integrated_adaptively(
+        self, monkeypatch, moments6, parametrization, taps, adaptive
+    ):
+        """The circulant and patch flows never take fixed RK4 steps, whatever ``adaptive`` says."""
+
+        def no_rk4(*_, **__):
+            raise AssertionError(f"fixed-step RK4 on the {parametrization} flow")
+
+        monkeypatch.setattr(oracle, "rk4_path", no_rk4)
+        taus = np.geomspace(1e-3, 1.0, 4)
+        _, ws, _ = gradient_flow_full(
+            moments6, 0.9, 1.0, np.full(taps, 0.1), np.zeros(6), taus,
+            parametrization=parametrization, half_width=1, adaptive=adaptive,
+        )
+        assert ws.shape == (4, 6, 6)
+        assert np.all(np.isfinite(ws))
+
     @pytest.mark.parametrize(
         "half_width, message",
         [(-1, "half_width must be >= 0"), (3, r"patch must fit in the signal \(2r\+1 <= N\)")],
