@@ -23,6 +23,9 @@ __all__ = [
     "power_law_fit",
 ]
 
+# The kinds of EmergenceCriterion; the config key analysis.criterion reads them too.
+CRITERIA = ("geometric", "harmonic")
+
 
 class InsufficientDataError(ValueError):
     """Fewer than two usable modes survived exclusion."""
@@ -36,8 +39,8 @@ class EmergenceCriterion:
     kind: str = "geometric"
 
     def __post_init__(self) -> None:
-        if self.kind not in ("geometric", "harmonic"):
-            raise ValueError("criterion kind must be 'geometric' or 'harmonic'")
+        if self.kind not in CRITERIA:
+            raise ValueError(f"criterion kind must be one of {', '.join(CRITERIA)}")
 
     def threshold(self, v0, v_inf):
         if np.any(v0 <= 0) or np.any(v_inf <= 0):

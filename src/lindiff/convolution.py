@@ -24,7 +24,6 @@ __all__ = [
     "dft_mode_variance",
     "patch_covariance",
     "patch_filter_trajectory",
-    "circulant_matrix",
 ]
 
 
@@ -44,15 +43,6 @@ class PatchCovariance:
             raise ValueError("patch covariance must be symmetric")
         if np.linalg.eigvalsh(mat).min() < -1e-10:
             raise ValueError("patch covariance must be PSD")
-
-
-def circulant_matrix(taps, offsets, n) -> np.ndarray:
-    """Dense W with W[i, (i + o) mod n] = tap at offset o."""
-    w = np.zeros((n, n))
-    idx = np.arange(n)
-    for o, t in zip(np.asarray(offsets, int), np.asarray(taps, float)):
-        w[idx, (idx + o) % n] = t
-    return w
 
 
 def dft_mode_variance(sigma_mat: np.ndarray) -> np.ndarray:
@@ -99,8 +89,8 @@ def patch_filter_trajectory(pc: PatchCovariance, sigma, eta, n, w0, tau_grid):
 
     The flow dw/dtau = -2 N eta ((sigma^2 I + S_p) w - S_p e0), with e0 the
     one-hot at the filter center, is ``dynamics.linear_flow`` at rate
-    2 N eta; w* = (sigma^2 I + S_p)^-1 S_p e0.  Returns (w_path, w_star)
-    with w_path[i] the filter at tau_grid[i].
+    2 N eta; its fixed point is w* = (sigma^2 I + S_p)^-1 S_p e0.  Returns
+    the path, with row i the filter at tau_grid[i].
     """
     w0 = np.asarray(w0, float)
     k = pc.size
@@ -108,5 +98,4 @@ def patch_filter_trajectory(pc: PatchCovariance, sigma, eta, n, w0, tau_grid):
         raise ValueError("w0 must match the patch size")
     a = sigma**2 * np.eye(k) + pc.matrix
     r = pc.matrix[:, k // 2 : k // 2 + 1]  # S_p e0 as a column
-    path = linear_flow(a, r, w0[:, None], 2.0 * n * eta, tau_grid)[..., 0]
-    return path, np.linalg.solve(a, r)[:, 0]
+    return linear_flow(a, r, w0[:, None], 2.0 * n * eta, tau_grid)[..., 0]

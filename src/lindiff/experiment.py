@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import EmergenceCriterion, GrayZone, emergence_time, power_law_fit
+from .analysis import CRITERIA, EmergenceCriterion, GrayZone, emergence_time, power_law_fit
 from .dynamics import one_layer_psi, two_layer_psi
 from .gaussian import (
     CovarianceModel,
@@ -245,11 +245,16 @@ class ExperimentConfig:
         return ExperimentConfig(**fields)
 
 
+# The values of model.kind, each with the ``model.*`` keys that draw its spectrum.
+# Apart from ``data``, each key is also a SpectrumSpec parameter and an ExperimentConfig field.
+_SPECTRUM_KEYS = {"log-spaced": ("lo", "hi"), "log-normal": ("mu", "sd"), "explicit": ("values",), "data": ("data",)}
+
+
 # Every config key, declared once: dotted key -> (field, parser).  A
 # ``schedule.*`` key sets a NoiseSchedule field, every other key an
 # ExperimentConfig field; defaults are the dataclass defaults.
 _KEYS = {
-    "model.kind": ("model_kind", _choice("log-spaced", "log-normal", "explicit", "data")),
+    "model.kind": ("model_kind", _choice(*_SPECTRUM_KEYS)),
     "model.dim": ("dim", int),
     "model.lo": ("lo", _float),
     "model.hi": ("hi", _float),
@@ -268,7 +273,7 @@ _KEYS = {
     "report.sigmas": ("report_sigmas", _floats),
     "schedule.sigma_min": ("sigma_min", _float),
     "schedule.sigma_max": ("sigma_max", _float),
-    "analysis.criterion": ("criterion", _choice("geometric", "harmonic")),
+    "analysis.criterion": ("criterion", _choice(*CRITERIA)),
     "analysis.gray_zone.lower": ("gray_lower", _float),
     "analysis.gray_zone.upper": ("gray_upper", _float),
     "run.seed": ("seed", int),
@@ -276,11 +281,6 @@ _KEYS = {
     "run.format": ("fmt", _choice(*FORMATS)),
     "run.validate_with_oracle": ("validate_with_oracle", _bool),
 }
-
-
-# The ``model.*`` keys that draw each model.kind's spectrum.  Apart from
-# ``data``, each is also a SpectrumSpec parameter and an ExperimentConfig field.
-_SPECTRUM_KEYS = {"log-spaced": ("lo", "hi"), "log-normal": ("mu", "sd"), "explicit": ("values",), "data": ("data",)}
 
 
 def _load_spectrum(cfg: ExperimentConfig) -> tuple[np.ndarray, CovarianceModel | None]:

@@ -25,30 +25,26 @@ def _segments(t_grid):
     return zip(np.append(0.0, t_grid[:-1]), t_grid)
 
 
-def _rk4_substeps(t0, t1, max_rate, substeps) -> int:
-    n = substeps if t1 > t0 else 0
-    if max_rate is not None and max_rate > 0:
-        n = max(n, int(math.ceil((t1 - t0) * max_rate / 0.08)))
-    return n
+def _rk4_substeps(t0, t1, max_rate) -> int:
+    return max(64, math.ceil((t1 - t0) * max_rate / 0.08)) if t1 > t0 else 0
 
 
-def rk4_steps(t_grid, max_rate, substeps=64) -> int:
+def rk4_steps(t_grid, max_rate) -> int:
     """The number of steps ``rk4_path`` takes on ``t_grid``, without taking them."""
-    return sum(_rk4_substeps(t0, t1, max_rate, substeps) for t0, t1 in _segments(t_grid))
+    return sum(_rk4_substeps(t0, t1, max_rate) for t0, t1 in _segments(t_grid))
 
 
-def rk4_path(f, y0, t_grid, max_rate=None, substeps=64):
+def rk4_path(f, y0, t_grid, max_rate):
     """Fixed-step RK4 from ``y0`` at t = 0 to every point of a nonnegative, nondecreasing ``t_grid``.
 
-    Each segment of nonzero length is subdivided into ``substeps`` pieces,
-    further refined so that ``h * max_rate <= 0.08`` when a stiffness bound
-    is given (keeps the stability polynomial well inside the accuracy
-    region for contraction rates up to ``max_rate``).
+    Each segment of nonzero length is subdivided into 64 pieces, further
+    refined so that ``h * max_rate <= 0.08`` (keeps the stability polynomial
+    well inside the accuracy region for contraction rates up to ``max_rate``).
     """
     y = np.array(y0, dtype=float)
     out = []
     for t0, t1 in _segments(t_grid):
-        n = _rk4_substeps(t0, t1, max_rate, substeps)
+        n = _rk4_substeps(t0, t1, max_rate)
         h, t = (t1 - t0) / max(n, 1), t0
         for _ in range(n):
             k1 = f(t, y)
@@ -95,7 +91,7 @@ _RK45_MAX_STEPS = 2_000_000
 
 
 def rk45_path(f, y0, t_grid, rtol=1e-10, atol=1e-12):
-    """Adaptive Cash-Karp RK45 on the segments of ``rk4_path``, hitting every ``t_grid`` point exactly.
+    """Adaptive Cash-Karp RK45 from ``y0`` at t = 0 to each point of a nonnegative, nondecreasing ``t_grid``.
 
     The six stage values sit in one (6, n) array, so each stage state, the
     fifth-order update and the error estimate are one tableau product.  The

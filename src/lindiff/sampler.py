@@ -44,9 +44,10 @@ __all__ = [
 ]
 
 # mean_transport's rule: 16-point Gauss-Legendre on _GL_PANELS and on twice
-# as many equal panels in ln sigma.
+# as many equal panels in ln sigma; the two may differ by less than _GL_TOL.
 _GL_POINTS = 16
 _GL_PANELS = 32
+_GL_TOL = 1e-9
 # The smallest normal double: below it the one-layer Ei terms take their x -> 0 limit.
 _TINY = sys.float_info.min
 
@@ -205,13 +206,13 @@ def pf_ode_numeric(psi_fn, bias_fn, schedule: NoiseSchedule, x_start: np.ndarray
     return heun(drift, x_start, schedule.grid())
 
 
-def mean_transport(bias_fn, phi: PhiFactor, schedule: NoiseSchedule, tol: float = 1e-9) -> np.ndarray:
+def mean_transport(bias_fn, phi: PhiFactor, schedule: NoiseSchedule) -> np.ndarray:
     """Transported mean B = int_{s0}^{sT} b(s)/s * Phi(s0)/Phi(s) ds.
 
     Integrated in ln sigma (the substitution absorbs the 1/s weight) by
     16-point Gauss-Legendre on equal panels, which handles the four-decade
     sigma range.  The rule runs on 32 and on 64 panels and returns the
-    64-panel value; raises if the two differ by ``tol`` or more.
+    64-panel value; raises if the two differ by 1e-9 or more.
     """
     s0, s_t = schedule.sigma_min, schedule.sigma_max
     lo, hi = math.log(s0), math.log(s_t)
@@ -230,6 +231,6 @@ def mean_transport(bias_fn, phi: PhiFactor, schedule: NoiseSchedule, tol: float 
 
     coarse, fine = rule(_GL_PANELS), rule(2 * _GL_PANELS)
     err = float(np.max(np.abs(fine - coarse)))
-    if not err < tol:
-        raise IntegrationError(f"quadrature error {err:.3e} exceeds tol {tol:.1e}")
+    if not err < _GL_TOL:
+        raise IntegrationError(f"quadrature error {err:.3e} exceeds tol {_GL_TOL:.1e}")
     return fine

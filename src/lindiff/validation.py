@@ -66,7 +66,7 @@ def suite_conv() -> SuiteResult:
     sigma_mat = model.covariance()
     taus = np.geomspace(1e-3, 2.0, 8)
     sigma, eta = 0.7, 1.0
-    path, _ = patch_filter_trajectory(patch_covariance(sigma_mat, r), sigma, eta, n, np.zeros(2 * r + 1), taus)
+    path = patch_filter_trajectory(patch_covariance(sigma_mat, r), sigma, eta, n, np.zeros(2 * r + 1), taus)
     _, ws, _ = gradient_flow_full(
         DataMoments(np.zeros(n), sigma_mat), sigma, eta, np.zeros(2 * r + 1), np.zeros(n), taus,
         parametrization="patch", half_width=r,

@@ -27,6 +27,20 @@ def moments6(model6):
     return DataMoments(np.zeros(6), model6.covariance())
 
 
+@pytest.fixture(scope="session")
+def circulant_matrix():
+    """A reference-matrix builder: dense W with W[i, (i + o) mod n] = tap at offset o."""
+
+    def build(taps, offsets, n):
+        w = np.zeros((n, n))
+        idx = np.arange(n)
+        for o, t in zip(np.asarray(offsets, int), np.asarray(taps, float)):
+            w[idx, (idx + o) % n] = t
+        return w
+
+    return build
+
+
 @pytest.fixture(autouse=True)
 def no_child_left_running():
     """Fail a test that leaves a child of the test process unreaped, such as

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from lindiff.analysis import EmergenceCriterion, GrayZone, emergence_time
-from lindiff.convolution import circulant_matrix, dft_mode_variance, patch_covariance, patch_filter_trajectory
+from lindiff.convolution import dft_mode_variance, patch_covariance, patch_filter_trajectory
 from lindiff.dynamics import (
     LossVariant,
     convergence_rate,
@@ -27,7 +27,7 @@ from lindiff.dynamics import (
 )
 from lindiff.experiment import ExperimentConfig, oracle_deviation, run_experiment
 from lindiff.gaussian import DataMoments, SpectrumSpec, make_covariance
-from lindiff.integrate import rk4_path
+from lindiff.integrate import rk45_path
 from lindiff.metrics import denoiser_error, kl_shared_basis, score_error
 from lindiff.oracle import gradient_flow_full, loss_gradients, mc_dsm_loss, variant_moments
 from lindiff.sampler import NoiseSchedule, PhiFactor, generated_variance, pf_mode_scaling
@@ -189,9 +189,10 @@ def test_criterion_06_asymptotic_variances():
     assert worst <= 1e-6
 
 
-def test_criterion_07_convolutional_results(spectrum16, moments16):
-    """(a) full-width == one-layer substitution to 1e-12; (b) patch fixed
-    point by direct solve to 1e-10 and RK45 to 1e-6; (c) commutativity 1e-10."""
+def test_criterion_07_convolutional_results(spectrum16, moments16, circulant_matrix):
+    """(a) full-width == one-layer substitution to 1e-12; (b) patch flow at
+    tau = 1e3 against the fixed point by direct solve to 1e-10, and against
+    RK45 to 1e-6; (c) commutativity 1e-10."""
     n, r, sigma, eta = 16, 2, 0.7, 1.0
     taus = np.geomspace(1e-3, 2.0, 10)
     mode_vars = dft_mode_variance(moments16.covariance)[None, :]
@@ -202,11 +203,12 @@ def test_criterion_07_convolutional_results(spectrum16, moments16):
     dev_a = float(np.max(np.abs(gam - psi)))
 
     pc = patch_covariance(moments16.covariance, r)
-    path, w_star = patch_filter_trajectory(pc, sigma, eta, n, np.zeros(2 * r + 1), taus)
+    path = patch_filter_trajectory(pc, sigma, eta, n, np.zeros(2 * r + 1), taus)
+    late = patch_filter_trajectory(pc, sigma, eta, n, np.zeros(2 * r + 1), [1e3])[0]
     a_mat = sigma**2 * np.eye(2 * r + 1) + pc.matrix
     e0 = np.zeros(2 * r + 1)
     e0[r] = 1.0
-    dev_b1 = float(np.max(np.abs(w_star - np.linalg.solve(a_mat, pc.matrix @ e0))))
+    dev_b1 = float(np.max(np.abs(late - np.linalg.solve(a_mat, pc.matrix @ e0))))
     _, ws, _ = gradient_flow_full(
         moments16, sigma, eta, np.zeros(2 * r + 1), np.zeros(n), taus,
         parametrization="patch", half_width=r,
@@ -272,7 +274,8 @@ def test_criterion_08_loss_variant_table():
 
 
 def test_criterion_09_flow_matching():
-    """Converged scaling sqrt(lam) to 1e-8; attainability split; power law."""
+    """Converged scaling sqrt(lam) to 1e-8; two-layer weight against its flow to
+    1e-9 and the attainability split; power law."""
     from lindiff.analysis import power_law_fit
     from lindiff.flow_matching import fm_generated_variance_ratio, fm_sampling_converged, fm_two_layer_weight
 
@@ -282,19 +285,22 @@ def test_criterion_09_flow_matching():
         def rhs(t, c):
             return (t * lam - (1 - t)) / (t * t * lam + (1 - t) ** 2) * c
 
-        numeric = rk4_path(rhs, np.array([1.0]), np.linspace(0, 1, 201), substeps=8)[-1, 0]
+        numeric = rk45_path(rhs, np.array([1.0]), [1.0], rtol=1e-12, atol=1e-14)[-1, 0]
         worst_scale = max(worst_scale, abs(numeric - fm_sampling_converged(lam, 1.0)))
 
     lam, q, eta = 2.0, 0.05, 1.0
     t_c = 1.0 / (lam + 1.0)
-    split_ok = True
+    clock_taus = [0.05, 0.5, 5.0, 400.0]
+    worst_clock, split_ok = 0.0, True
     for t, expect_attain in ((t_c + 0.2, True), (t_c - 0.1, False)):
 
         def rhs2(_tau, h):
-            return 4.0 * eta * ((t * lam - (1 - t)) - (t * t * lam + (1 - t) ** 2) * h) * h
+            return 8.0 * eta * ((t * lam - (1 - t)) - (t * t * lam + (1 - t) ** 2) * h) * h
 
-        final = rk4_path(rhs2, np.array([q]), np.array([0.0, 400.0]), max_rate=8.0)[-1, 0]
-        state = fm_two_layer_weight(400.0, t, lam, q, eta)
+        flow = rk45_path(rhs2, np.array([q]), clock_taus, rtol=1e-12, atol=1e-14)[:, 0]
+        states = [fm_two_layer_weight(tau, t, lam, q, eta) for tau in clock_taus]
+        worst_clock = max(worst_clock, max(abs(st.value - f) for st, f in zip(states, flow)))
+        final, state = flow[-1], states[-1]
         if expect_attain:
             target = (t * lam - (1 - t)) / (t * t * lam + (1 - t) ** 2)
             split_ok &= abs(final - target) < 1e-8 and state.attainable
@@ -303,7 +309,6 @@ def test_criterion_09_flow_matching():
 
     lams = np.geomspace(1e-3, 10, 24)
     taus = np.geomspace(1e-4, 1e5, 400)
-    v0 = math.exp(2 * q * 2)  # Q=0.1 pipeline below
     q_pipe = 0.1
     v0 = math.exp(2 * q_pipe)
     vals = np.array([[fm_generated_variance_ratio(t, lam_i, q_pipe, 1.0) * lam_i for t in taus] for lam_i in lams])
@@ -311,13 +316,15 @@ def test_criterion_09_flow_matching():
     fits = power_law_fit(lams, stars, GrayZone(), np.full(24, v0), lams)
     alphas = {b: f.alpha for b, f in fits.items()}
     law_ok = all(0.8 <= a <= 1.2 for a in alphas.values())
-    ok = worst_scale <= 1e-8 and split_ok and law_ok
+    ok = worst_scale <= 1e-8 and worst_clock <= 1e-9 and split_ok and law_ok
     report(
         "9", ok,
-        f"scaling gap {worst_scale:.2e} (<= 1e-8); attainability split {'ok' if split_ok else 'BAD'}; "
+        f"scaling gap {worst_scale:.2e} (<= 1e-8); two-layer flow gap {worst_clock:.2e} (<= 1e-9); "
+        f"attainability split {'ok' if split_ok else 'BAD'}; "
         f"alpha {', '.join(f'{b}={a:.3f}' for b, a in alphas.items())} (in [0.8, 1.2])",
     )
     assert worst_scale <= 1e-8
+    assert worst_clock <= 1e-9
     assert split_ok
     assert law_ok
 

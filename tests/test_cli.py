@@ -15,6 +15,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lindiff import cli, experiment, oracle, sampler
+from lindiff.analysis import CRITERIA
 from lindiff.cli import build_parser, main
 from lindiff.experiment import (
     _CHUNK_ROWS,
@@ -46,6 +47,19 @@ class TestConfigParsing:
         assert flat["model.dim"] == "8"
         cfg = ExperimentConfig.from_flat(flat)
         assert cfg.dim == 8 and cfg.eta == 2.0
+
+    @pytest.mark.parametrize(
+        "key, values",
+        [("analysis.criterion", CRITERIA), ("model.kind", tuple(experiment._SPECTRUM_KEYS))],
+    )
+    def test_key_values_are_the_declared_vocabulary(self, key, values):
+        # explicit and data spectra also need their own model.* keys
+        companions = {"model.dim": "2", "model.values": "1,2", "model.data": "samples.npy"}
+        field = experiment._KEYS[key][0]
+        for value in values:
+            assert getattr(ExperimentConfig.from_flat({key: value, **companions}), field) == value
+        with pytest.raises(ConfigError, match=rf"^{key}: .*\(expected one of {', '.join(values)}\)$"):
+            ExperimentConfig.from_flat({key: "other"})
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ConfigError, match="line 1"):

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lindiff.convolution import (
-    circulant_matrix,
-    dft_mode_variance,
-    patch_covariance,
-    patch_filter_trajectory,
-)
+from lindiff.convolution import dft_mode_variance, patch_covariance, patch_filter_trajectory
 from lindiff.dynamics import one_layer_psi
 from lindiff.gaussian import DataMoments, empirical_moments, sample_gaussian
 from lindiff.oracle import dense_dft_diag, gradient_flow_full
@@ -28,7 +23,7 @@ class TestDftModeVariance:
     def test_identity(self):
         assert_allclose(dft_mode_variance(np.eye(9)), 1.0, atol=1e-12)
 
-    def test_circulant_kernel_cosine_form(self):
+    def test_circulant_kernel_cosine_form(self, circulant_matrix):
         n = 12
         sig = circulant_matrix([1.0, 2.0, 1.0], [-1, 0, 1], n)
         expected = 2.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)
@@ -86,7 +81,7 @@ class TestPatchCovariance:
         pc = patch_covariance(np.eye(12), 2)
         assert_allclose(pc.matrix, np.eye(5), atol=1e-14)
 
-    def test_circulant_input_gives_kernel_values(self):
+    def test_circulant_input_gives_kernel_values(self, circulant_matrix):
         n = 12
         kernel = np.zeros(n)
         kernel[0], kernel[1], kernel[-1], kernel[2], kernel[-2] = 2.0, 0.7, 0.7, 0.2, 0.2
@@ -122,16 +117,17 @@ class TestPatchFilterTrajectory:
         n, sigma, eta = 16, 1.0, 1.0
         pc = PatchCovariance(3, np.eye(3))
         taus = np.geomspace(1e-3, 1, 7)
-        path, w_star = patch_filter_trajectory(pc, sigma, eta, n, np.zeros(3), taus)
+        path = patch_filter_trajectory(pc, sigma, eta, n, np.zeros(3), taus)
+        late = patch_filter_trajectory(pc, sigma, eta, n, np.zeros(3), [1e3])[0]
         e0 = np.array([0.0, 1.0, 0.0])
-        assert_allclose(w_star, e0 / 2.0, atol=1e-14)
+        assert_allclose(late, np.linalg.solve(sigma**2 * np.eye(3) + pc.matrix, e0), atol=1e-14)
         expected = (e0 / 2.0)[None, :] * (1.0 - np.exp(-4.0 * n * eta * taus))[:, None]
         assert_allclose(path, expected, atol=1e-12)
 
     def test_initial_value(self):
         pc = patch_covariance(stationary_cov(12), 1)
         w0 = np.array([0.3, -0.1, 0.2])
-        path, _ = patch_filter_trajectory(pc, 0.5, 1.0, 12, w0, [0.0, 1.0])
+        path = patch_filter_trajectory(pc, 0.5, 1.0, 12, w0, [0.0, 1.0])
         assert_allclose(path[0], w0, atol=1e-15)
 
     def test_against_toeplitz_gradient_rk4(self):
@@ -141,7 +137,7 @@ class TestPatchFilterTrajectory:
         taus = np.geomspace(1e-3, 2, 8)
         w0 = np.zeros(2 * r + 1)
         pc = patch_covariance(sig, r)
-        path, _ = patch_filter_trajectory(pc, sigma, eta, n, w0, taus)
+        path = patch_filter_trajectory(pc, sigma, eta, n, w0, taus)
         _, ws, _ = gradient_flow_full(
             moments, sigma, eta, w0, np.zeros(n), taus,
             parametrization="patch", half_width=r, adaptive=True,
@@ -154,14 +150,14 @@ class TestPatchFilterTrajectory:
         n, r, sigma = 16, 2, 0.8
         sig = stationary_cov(n, seed=9)
         pc = patch_covariance(sig, r)
-        _, w_star = patch_filter_trajectory(pc, sigma, 1.0, n, np.zeros(2 * r + 1), [1.0])
+        late = patch_filter_trajectory(pc, sigma, 1.0, n, np.zeros(2 * r + 1), [1e3])[0]
         a = sigma**2 * np.eye(2 * r + 1) + pc.matrix
         center = np.linalg.solve(a, pc.matrix)[:, r]
-        assert np.max(np.abs(w_star - center)) < 1e-10
+        assert np.max(np.abs(late - center)) < 1e-10
 
 
 class TestCommutativity:
-    def test_circulant_matrices_commute(self):
+    def test_circulant_matrices_commute(self, circulant_matrix):
         rng = np.random.default_rng(2)
         n = 32
         w1 = circulant_matrix(rng.normal(size=7), np.arange(-3, 4), n)

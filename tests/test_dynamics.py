@@ -17,7 +17,7 @@ from lindiff.dynamics import (
     two_layer_psi,
 )
 from lindiff.gaussian import CovarianceModel, DataMoments
-from lindiff.integrate import rk4_path
+from lindiff.integrate import rk45_path
 from lindiff.oracle import gradient_flow_full, loss_gradients, variant_moments
 
 
@@ -74,7 +74,7 @@ class TestOneLayer:
         def rhs(_t, w):  # dW/dtau = -eta grad, Eq. gradient for d=1
             return -(-2.0 * 1.0 + 2.0 * w * (1.0 + 1.0))
 
-        num = rk4_path(rhs, np.array([0.0]), np.array([0.0, 0.25]), substeps=2000)[-1, 0]
+        num = rk45_path(rhs, np.array([0.0]), [0.25], rtol=1e-13, atol=1e-15)[-1, 0]
         assert_allclose(val, num, atol=1e-12)
 
     def test_broadcasts_scalars_and_arrays_like_the_broadcast_arrays_formula(self):
@@ -123,7 +123,7 @@ class TestOneLayer:
         def rhs(_t, b):
             return -2.0 * 1.7 * b
 
-        num = rk4_path(rhs, b0, np.array([0.0, 0.8]), substeps=2000)[-1]
+        num = rk45_path(rhs, b0, [0.8], rtol=1e-13, atol=1e-15)[-1]
         assert_allclose(one_layer_bias(b0, 1.7, 0.8), num, atol=1e-12)
 
 
@@ -213,7 +213,7 @@ class TestTwoLayer:
         def rhs(_t, f):
             return 8.0 * eta * (lam - (sigma**2 + lam) * f) * f
 
-        num = rk4_path(rhs, np.array([q]), taus, substeps=400)[:, 0]
+        num = rk45_path(rhs, np.array([q]), taus, rtol=1e-12, atol=1e-14)[:, 0]
         closed = two_layer_psi(lam, sigma, q, eta, taus)
         assert np.max(np.abs(num - closed)) < 1e-8
 
@@ -435,7 +435,7 @@ class TestResidual:
             return -eta * c_out * gw
 
         w_prime0 = (model6.basis * q0) @ model6.basis.T
-        path = rk4_path(rhs, w_prime0, taus, max_rate=2 * eta * c_out**2 * 5.0)
+        path = rk45_path(rhs, w_prime0, taus, rtol=1e-11, atol=1e-13)
         q_eff, eta_eff = Residual(c_skip, c_out).one_layer(q0, eta)
         closed = one_layer_psi(model6.spectrum[None, :], sigma, q_eff, eta_eff, taus[:, None])
         for i, tau in enumerate(taus):

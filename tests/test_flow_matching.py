@@ -11,7 +11,7 @@ from lindiff.flow_matching import (
     fm_two_layer_weight,
 )
 from lindiff.gaussian import DataMoments, SpectrumSpec, make_covariance
-from lindiff.integrate import rk4_path
+from lindiff.integrate import rk45_path
 from lindiff.oracle import gradient_flow_full
 
 
@@ -34,7 +34,7 @@ class TestFmOneLayerWeight:
         def rhs(_tau, w):
             return -2.0 * eta * (w * rate - (t * lam - (1 - t)))
 
-        num = rk4_path(rhs, np.array([q]), taus, substeps=400)[:, 0]
+        num = rk45_path(rhs, np.array([q]), taus, rtol=1e-12, atol=1e-14)[:, 0]
         closed = fm_one_layer_weight(taus, t, lam, q, eta)
         assert np.max(np.abs(num - closed)) < 1e-6
 
@@ -54,9 +54,9 @@ class TestFmSamplingConverged:
             def rhs(t, c):
                 return (t * lam - (1 - t)) / (t * t * lam + (1 - t) ** 2) * c
 
-            path = rk4_path(rhs, np.array([1.0]), np.linspace(0, 1, 201), substeps=8)
+            path = rk45_path(rhs, np.array([1.0]), np.linspace(0, 1, 201), rtol=1e-12, atol=1e-14)
             assert abs(path[-1, 0] - np.sqrt(lam)) < 1e-8
-            mid = rk4_path(rhs, np.array([1.0]), np.array([0.0, 0.5]), substeps=2000)[-1, 0]
+            mid = rk45_path(rhs, np.array([1.0]), [0.5], rtol=1e-12, atol=1e-14)[-1, 0]
             assert abs(mid - fm_sampling_converged(lam, 0.5)) < 1e-8
 
     def test_negative_lambda_rejected(self):
@@ -102,8 +102,7 @@ class TestFmGeneratedVarianceRatio:
                 psi = fm_one_layer_weight(tau, t, lam, q, eta)
             return psi * c
 
-        path = rk4_path(rhs, np.array([1.0]), np.linspace(0, 1, 2001), substeps=1)
-        numeric = path[-1, 0] ** 2 / lam
+        numeric = rk45_path(rhs, np.array([1.0]), [1.0], rtol=1e-12, atol=1e-14)[-1, 0] ** 2 / lam
         analytic = fm_generated_variance_ratio(tau, lam, q, eta)
         assert abs(analytic - numeric) / numeric < 1e-9
 
@@ -142,7 +141,7 @@ class TestFmTwoLayer:
         def rhs(_tau, h):
             return 8.0 * eta * ((t * lam - (1 - t)) - (t * t * lam + (1 - t) ** 2) * h) * h
 
-        num = rk4_path(rhs, np.array([q]), taus, substeps=200)[:, 0]
+        num = rk45_path(rhs, np.array([q]), taus, rtol=1e-12, atol=1e-14)[:, 0]
         closed = np.array([fm_two_layer_weight(tt, t, lam, q, eta).value for tt in taus])
         assert np.max(np.abs(num - closed)) < 1e-6
 

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -286,9 +288,7 @@ class TestDenseDftDiag:
     def test_identity(self):
         assert_allclose(dense_dft_diag(np.eye(8)).real, 1.0, atol=1e-12)
 
-    def test_circulant_diag_is_dft_of_first_row(self):
-        from lindiff.convolution import circulant_matrix
-
+    def test_circulant_diag_is_dft_of_first_row(self, circulant_matrix):
         kernel = np.array([0.3, 1.0, 0.3])
         sig = circulant_matrix(kernel, [-1, 0, 1], 8)
         expected = np.fft.fft(sig[0]).real
@@ -300,13 +300,16 @@ class TestDenseDftDiag:
 
 
 class TestIntegrators:
-    @pytest.mark.parametrize("path", [rk4_path, rk45_path])
+    # Both steppers as path(f, y0, t_grid); at a unit stiffness bound RK4 takes 64 steps a unit segment.
+    PATHS = [pytest.param(functools.partial(rk4_path, max_rate=1.0), id="rk4_path"), rk45_path]
+
+    @pytest.mark.parametrize("path", PATHS)
     @pytest.mark.parametrize("grid", [[0.0, 2.0, 1.0], [-1.0, 1.0]])
     def test_decreasing_or_negative_grid_rejected(self, path, grid):
         with pytest.raises(ValueError, match="nonnegative, nondecreasing"):
             path(lambda _t, y: -y, np.array([1.0]), grid)
 
-    @pytest.mark.parametrize("path", [rk4_path, rk45_path])
+    @pytest.mark.parametrize("path", PATHS)
     def test_starts_from_y0_at_t_zero(self, path):
         got = path(lambda _t, y: -y, np.array([1.0]), [0.0, 0.0, 1.0])
         assert got.shape == (3, 1)
@@ -344,7 +347,7 @@ class TestIntegrators:
             return np.array([y[1], -np.sin(y[0])])
 
         grid = np.linspace(0, 10, 11)
-        a = rk4_path(rhs, np.array([1.0, 0.0]), grid, substeps=200)
+        a = rk4_path(rhs, np.array([1.0, 0.0]), grid, max_rate=1.0)
         b = rk45_path(rhs, np.array([1.0, 0.0]), grid, rtol=1e-11, atol=1e-13)
         assert np.max(np.abs(a - b)) < 1e-8
 

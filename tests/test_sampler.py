@@ -304,13 +304,16 @@ class TestMeanTransport:
         assert abs(out[0] - heun[0]) < 1e-4
 
     def test_constant_bias_refinement(self):
-        # psi = 0 case: B = b sigma_0 (1/sigma_0 - 1/sigma_T), checked by
-        # comparing against a 1000x tighter quadrature tolerance
+        # psi = 0 case: B = b sigma_0 (1/sigma_0 - 1/sigma_T)
         sched = NoiseSchedule(0.01, 10.0, 7.0, 16)
         phi = PhiFactor("converged", lam=0.0)
-        b_fn = lambda s: np.array([0.5])
-        coarse = mean_transport(b_fn, phi, sched, tol=1e-9)
-        fine = mean_transport(b_fn, phi, sched, tol=1e-12)
+        out = mean_transport(lambda s: np.array([0.5]), phi, sched)
         exact = 0.5 * 0.01 * (1.0 / 0.01 - 1.0 / 10.0)
-        assert abs(coarse[0] - fine[0]) < 1e-8
-        assert abs(coarse[0] - exact) < 1e-8
+        assert abs(out[0] - exact) < 1e-8
+
+    def test_unresolved_bias_raises(self):
+        # sin(200 ln sigma) swings faster than the 32-panel rule resolves, so the
+        # 32- and 64-panel values differ by far more than the quadrature tolerance
+        phi = PhiFactor("converged", lam=1.0)
+        with pytest.raises(IntegrationError, match=r"^quadrature error \S+ exceeds tol 1.0e-09$"):
+            mean_transport(lambda s: np.array([math.sin(200.0 * math.log(s))]), phi, NoiseSchedule())
