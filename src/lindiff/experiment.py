@@ -285,9 +285,10 @@ _KEYS = {
 
 def _load_spectrum(cfg: ExperimentConfig) -> tuple[np.ndarray, CovarianceModel | None]:
     """The run's spectrum, and its CovarianceModel when a data file is read or
-    the oracle check runs.  A synthetic spectrum is make_covariance's first
-    draw, so the O(d^3) QR basis is built only for the oracle check, its one
-    reader.  Data file errors are ``model.data`` config errors."""
+    the oracle check runs.  A synthetic spectrum is ``spec.generate(dim, seed)``,
+    the one make_covariance returns, so the O(d^3) QR basis is built only for
+    the oracle check, its one reader.  Data file errors are ``model.data``
+    config errors."""
     if cfg.model_kind == "data":
         try:
             model = empirical_moments(read_samples(cfg.data_path)).eigenmodel()
@@ -297,13 +298,8 @@ def _load_spectrum(cfg: ExperimentConfig) -> tuple[np.ndarray, CovarianceModel |
     params = {key: getattr(cfg, key) for key in _SPECTRUM_KEYS[cfg.model_kind]}
     spec = SpectrumSpec(cfg.model_kind, params, cfg.normalize)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite draw is reported below
-        if cfg.validate_with_oracle:
-            model = make_covariance(spec, cfg.dim, cfg.seed)
-            lam = model.spectrum
-        else:
-            # only a log-normal spectrum draws, so other kinds never import numpy.random
-            rng = np.random.default_rng(cfg.seed) if cfg.model_kind == "log-normal" else None
-            lam, model = spec.generate(cfg.dim, rng), None
+        model = make_covariance(spec, cfg.dim, cfg.seed) if cfg.validate_with_oracle else None
+        lam = spec.generate(cfg.dim, cfg.seed) if model is None else model.spectrum
     bad = lam.size - np.count_nonzero(np.isfinite(lam))
     if bad:
         raise ConfigError(f"{_spectrum_keys(cfg)}: {bad} of {lam.size} eigenvalues are not finite")
@@ -448,7 +444,8 @@ def run_experiment(cfg: ExperimentConfig, stages: frozenset = frozenset({"trajec
             key: getattr(cfg.schedule if key.startswith("schedule.") else cfg, name)
             for key, (name, _) in _KEYS.items()
             if key != "run.out"  # so that reruns into other directories echo the same config
-        },
+        }
+        | {"model.dim": lam.size},  # a data file's column count, not the unused default
         "seed": cfg.seed,
         "versions": {
             "lindiff": __version__,

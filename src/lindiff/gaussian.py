@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import json
+import operator
 import os
+import random
 import warnings
 
 import numpy as np
@@ -117,9 +119,10 @@ class SpectrumSpec:
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown spectrum kind {self.kind!r}")
 
-    def generate(self, dim: int, rng: np.random.Generator | None) -> np.ndarray:
-        """``dim`` eigenvalues, descending; only a log-normal spectrum draws
-        from ``rng``, so the other kinds accept None."""
+    def generate(self, dim: int, seed: int) -> np.ndarray:
+        """``dim`` eigenvalues, descending.  Only a log-normal spectrum draws:
+        ``dim`` standard normals of ``np.random.default_rng(seed)``, so it is
+        the one kind that loads numpy.random; the others ignore ``seed``."""
         if dim < 1:
             raise ValueError("dim must be >= 1")
         if self.kind == "log-normal":
@@ -127,7 +130,7 @@ class SpectrumSpec:
             sd = float(self.params.get("sd", 1.0))
             if sd <= 0:
                 raise ValueError("log-normal sd must be positive")
-            lam = np.exp(mu + sd * rng.standard_normal(dim))
+            lam = np.exp(mu + sd * np.random.default_rng(seed).standard_normal(dim))
         elif self.kind == "log-spaced":
             lo = float(self.params["lo"])
             hi = float(self.params["hi"])
@@ -155,10 +158,18 @@ def _fix_signs(basis: np.ndarray) -> np.ndarray:
 
 
 def make_covariance(spec: SpectrumSpec, dim: int, seed: int) -> CovarianceModel:
-    """Random orthonormal basis (QR of an i.i.d. normal matrix) + spectrum."""
-    rng = np.random.default_rng(seed)
-    lam = spec.generate(dim, rng)
-    a = rng.standard_normal((dim, dim))
+    """Random orthonormal basis (QR of an i.i.d. normal matrix) + spectrum.
+
+    ``seed`` is any nonnegative integer.  The spectrum is ``spec.generate(dim,
+    seed)``; the basis's dim^2 normals come from the standard library's
+    ``random.Random(seed)``, so only a log-normal spectrum loads numpy.random.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
+    lam = spec.generate(dim, seed)
+    gauss = random.Random(seed).gauss
+    a = np.array([gauss(0.0, 1.0) for _ in range(dim * dim)]).reshape(dim, dim)
     return CovarianceModel(dim, _fix_signs(np.linalg.qr(a)[0]), lam)
 
 

@@ -275,6 +275,17 @@ class TestRunExperiment:
         manifest = run_experiment(cfg)
         assert manifest["config"]["model.data"] == str(path)
 
+    @pytest.mark.parametrize("command", ["emergence", "simulate", "kl"])
+    def test_data_run_echoes_its_mode_count_as_model_dim(self, tmp_path, command):
+        # a data run's mode count is its file's column count, not model.dim's unused default
+        data, out = tmp_path / "x.csv", tmp_path / "o"
+        data.write_text("1,2,3\n2,4,6\n1,1,1\n3,0,1\n")
+        assert main([command, "--arch", "two-layer", "--data", str(data), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        table = next(name for name in manifest["outputs"] if name.startswith(("trajectories", "kl")))
+        rows = np.genfromtxt(out / table, delimiter=",", names=True)
+        assert manifest["config"]["model.dim"] == len(set(rows["mode_index"])) == 3
+
     def test_manifest_echoes_every_key_but_the_output_directory(self, tmp_path):
         flat = {
             "model.kind": "explicit", "model.dim": "3", "model.lo": "0.01", "model.hi": "5",
@@ -908,13 +919,33 @@ class TestCliEntry:
             "seen.append({m: m in sys.modules for m in ('numpy.random', 'numpy.ma')})",
             f"main(['kl', '--set', 'model.kind=log-normal', '--set', 'model.dim=8', '--set', 'dynamics.tau_points=11', "
             f"'--out', {str(tmp_path / 'n')!r}])",
-            "seen.append('numpy.ma' in sys.modules)",
+            "seen.append({m: m in sys.modules for m in ('numpy.random', 'numpy.ma')})",
             "print(json.dumps(seen))",
         ])
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-        after_emergence, after_kl, ma_after_log_normal_kl = json.loads(proc.stdout.splitlines()[-1])
+        after_emergence, after_kl, after_log_normal_kl = json.loads(proc.stdout.splitlines()[-1])
         assert after_emergence == after_kl == {"numpy.random": False, "numpy.ma": False}
-        assert ma_after_log_normal_kl is False
+        # only a log-normal spectrum draws from numpy.random
+        assert after_log_normal_kl == {"numpy.random": True, "numpy.ma": False}
+
+    def test_oracle_checks_leave_numpy_random_unimported(self, tmp_path):
+        # make_covariance draws its basis from the standard library's random
+        common = "'--set', 'model.dim=6', '--set', 'dynamics.tau_points=11', '--set', 'dynamics.tau_max=1'"
+        code = "\n".join([
+            "import json, sys",
+            "from lindiff.cli import main",
+            "seen = []",
+            "assert main(['validate', '--suite', 'all']) == 0",
+            "seen.append('numpy.random' in sys.modules)",
+            *(
+                f"assert main(['emergence', '--validate-with-oracle', '--arch', {arch!r}, {common}, "
+                f"'--out', {str(tmp_path / arch)!r}]) == 0\nseen.append('numpy.random' in sys.modules)"
+                for arch in ("one-layer", "two-layer")
+            ),
+            "print(json.dumps(seen))",
+        ])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False]
 
     def test_table_commands_leave_the_validation_suites_unimported(self, tmp_path):
         # only validate imports lindiff.validation, and with it lindiff.convolution

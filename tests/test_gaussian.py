@@ -54,6 +54,22 @@ class TestMakeCovariance:
         assert np.array_equal(a.basis, b.basis)
         assert np.array_equal(a.spectrum, b.spectrum)
 
+    def test_seed_is_any_nonnegative_integer(self):
+        spec = SpectrumSpec("log-spaced", {"lo": 0.1, "hi": 1.0})
+        with pytest.raises(ValueError, match="nonnegative"):
+            make_covariance(spec, 3, -1)
+        with pytest.raises(TypeError):
+            make_covariance(spec, 3, 1.5)
+        a, b = make_covariance(spec, 3, np.int64(2**40)), make_covariance(spec, 3, 2**40)
+        assert np.array_equal(a.basis, b.basis)
+
+    def test_log_normal_spectrum_is_numpys_draw(self):
+        # the basis comes from the standard library; the spectrum keeps NumPy's
+        # PCG64 draws, so seeded log-normal tables do not move
+        lam = make_covariance(SpectrumSpec("log-normal", {"mu": 0.5, "sd": 2.0}), 9, 5).spectrum
+        want = np.sort(np.exp(0.5 + 2.0 * np.random.default_rng(5).standard_normal(9)))[::-1]
+        assert np.array_equal(lam, want)
+
     def test_eigendecomposition_roundtrip(self):
         model = make_covariance(SpectrumSpec("log-normal"), 16, seed=4)
         evals = np.sort(np.linalg.eigvalsh(model.covariance()))[::-1]
