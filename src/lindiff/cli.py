@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 validation/tolerance failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -88,19 +89,32 @@ def _flat_config(args) -> dict[str, str]:
     return flat
 
 
+def _say(line: str) -> None:
+    """Print ``line``.  Once the reader has closed stdout, point stdout at
+    os.devnull, so that later lines and the flush at exit write nowhere and
+    the run keeps its own exit status (the "Note on SIGPIPE" in Python's
+    signal docs)."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _run_pipeline(args) -> int:
     cfg = ExperimentConfig.from_flat(_flat_config(args))
     manifest = run_experiment(cfg, stages=args.stages)
     oracle = manifest.get("oracle")
     if oracle is not None:
         status = "ok" if oracle["passed"] else "tolerance exceeded"
-        print(
+        _say(
             f"oracle check: max relative deviation {oracle['max_rel_deviation']:.3e} "
             f"(tolerance {oracle['tolerance']:.1e}) -> {status}"
         )
         if not oracle["passed"]:
             return 1
-    print(f"wrote {', '.join(manifest['outputs'])} to {cfg.out_dir}")
+    _say(f"wrote {', '.join(manifest['outputs'])} to {cfg.out_dir}")
     return 0
 
 
@@ -115,9 +129,10 @@ def _run_validate(args) -> int:
     failed = False
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        print(f"{r.name:<12} max deviation {r.deviation:.3e}  (tolerance {r.tolerance:.1e})  {status}")
+        _say(f"{r.name:<12} max deviation {r.deviation:.3e}  (tolerance {r.tolerance:.1e})  {status}")
         failed |= not r.passed
-    print("seconds: " + ", ".join(f"{r.name} {r.seconds:.3f}" for r in results))
+    _say("seconds: " + ", ".join(f"{r.name} {r.seconds:.3f}" for r in results))
+    _say("rhs evaluations: " + ", ".join(f"{r.name} {r.rhs_evaluations}" for r in results))
     return 1 if failed else 0
 
 

@@ -7,6 +7,7 @@ left to downstream tooling.  Each table is a NumPy structured array,
 written a fixed number of rows at a time, each chunk one join of cell
 texts encoded column by column from its dtypes (a numeric column from its
 distinct values), so a run's memory does not grow with a table's text.
+A JSON table holds one compact object per row, one row a line.
 A table of many chunks is formatted by two processes, a forked worker taking
 every second chunk; the bytes are the same as one process writes.
 Only the oracle check and a data file's eigendecomposition build the
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, oracle
 from .analysis import CRITERIA, EmergenceCriterion, GrayZone, emergence_time, power_law_fit
 from .dynamics import one_layer_psi, two_layer_psi
 from .gaussian import (
@@ -457,6 +458,7 @@ def run_experiment(cfg: ExperimentConfig, stages: frozenset = frozenset({"trajec
     if diagnostics:
         manifest["diagnostics"] = diagnostics
     if cfg.validate_with_oracle:
+        calls = oracle.rhs_evaluations
         dev = oracle_deviation(model, cfg.arch, cfg.report_sigmas, cfg.q_init, cfg.eta, cfg.oracle_taus())
         lap("oracle")
         manifest["oracle"] = {
@@ -464,6 +466,7 @@ def run_experiment(cfg: ExperimentConfig, stages: frozenset = frozenset({"trajec
             "tolerance": ORACLE_TOLERANCE,
             "passed": bool(dev < ORACLE_TOLERANCE),
             "seconds": stage_seconds["oracle"],
+            "rhs_evaluations": oracle.rhs_evaluations - calls,
         }
     manifest["stage_seconds"] = stage_seconds
     manifest["wall_clock_s"] = time.perf_counter() - t_start
@@ -628,7 +631,10 @@ def _write_split(fh, starts, text, name: str) -> None:
 
 def _emit_table(cfg, out: Path, name: str, header, table) -> str:
     """Write ``table`` as CSV (None -> empty cell) or JSON (None -> null);
-    returns the file name.
+    returns the file name.  A JSON table is ``[``, then each row on its own
+    line as ``json.dumps(row, sort_keys=True, separators=(",", ":"))`` writes
+    it, the rows joined by ``,`` and a newline, then ``]``; an empty one is
+    ``[]``.
 
     ``table`` is a NumPy structured array with a field per ``header`` name;
     ``len(table)`` is its row count, which perfbench's tracer reads.  The
@@ -647,10 +653,10 @@ def _emit_table(cfg, out: Path, name: str, header, table) -> str:
     if cfg.fmt == "csv":
         keys, encode, encode_one, start, end = header, _reprs, _cell, ",".join(header) + "\n", ""
         lead, seps = "", [","] * (len(header) - 1) + ["\n"]
-    else:  # the rows of json.dumps(list_of_dicts, indent=2, sort_keys=True)
+    else:  # one row a line, each json.dumps(row, sort_keys=True, separators=(",", ":"))
         keys, encode, encode_one, start, end = sorted(header), _json_list, json.dumps, "[\n", "\n]\n"
         names = [json.dumps(key) for key in keys]
-        lead, seps = f",\n  {{\n    {names[0]}: ", [f",\n    {key}: " for key in names[1:]] + ["\n  }"]
+        lead, seps = f",\n{{{names[0]}:", [f",{key}:" for key in names[1:]] + ["}"]
         if not len(table):
             start, end = "[]\n", ""
     row = [lead] + [text for sep in seps for text in (None, sep)]

@@ -32,6 +32,9 @@ __all__ = [
 # Tolerances of the adaptive Cash-Karp route.
 _RTOL = 1e-11
 _ATOL = 1e-14
+# Right-hand-side evaluations of every flow since import; a caller counts a
+# piece of work as the difference across it.
+rhs_evaluations = 0
 
 
 def variant_moments(variant: LossVariant, moments: DataMoments, s: float):
@@ -184,10 +187,17 @@ def gradient_flow_full(
 
 
 def _solve(rhs, y0, tau_grid, rate: float | None = None):
-    """Fixed-step RK4 at the stiffness bound ``rate``, or RK45 when it is None."""
+    """Fixed-step RK4 at the stiffness bound ``rate``, or RK45 when it is None;
+    each call of ``rhs`` adds one to ``rhs_evaluations``."""
+
+    def counted(t, y):
+        global rhs_evaluations
+        rhs_evaluations += 1
+        return rhs(t, y)
+
     if rate is None:
-        return rk45_path(rhs, y0, tau_grid, rtol=_RTOL, atol=_ATOL)
-    return rk4_path(rhs, y0, tau_grid, max_rate=rate)
+        return rk45_path(counted, y0, tau_grid, rtol=_RTOL, atol=_ATOL)
+    return rk4_path(counted, y0, tau_grid, max_rate=rate)
 
 
 def discrete_gd_full(

@@ -13,6 +13,7 @@ from functools import partial
 
 import numpy as np
 
+from . import oracle
 from .convolution import patch_covariance, patch_filter_trajectory
 from .dynamics import LossVariant, convergence_rate, mean_coupled_trajectory, optimal_mode_weight
 from .experiment import ORACLE_TOLERANCE, oracle_deviation
@@ -28,6 +29,7 @@ class SuiteResult:
     deviation: float
     tolerance: float
     seconds: float = 0.0  # the suite's wall time, set by run_suite
+    rhs_evaluations: int = 0  # its flows' right-hand-side calls, set by run_suite
 
     @property
     def passed(self) -> bool:
@@ -108,12 +110,14 @@ SUITES = {
 
 
 def run_suite(name: str) -> list[SuiteResult]:
-    """Run one suite, or every suite for 'all', each timed around its ``SUITES`` call."""
+    """Run one suite, or every suite for 'all', each timed and its flows'
+    right-hand-side calls counted around its ``SUITES`` call."""
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r} (choose from {sorted(SUITES)} or 'all')")
     results = []
     for key in SUITES if name == "all" else [name]:
-        t0 = time.perf_counter()
+        t0, calls = time.perf_counter(), oracle.rhs_evaluations
         result = SUITES[key]()
-        results.append(replace(result, seconds=time.perf_counter() - t0))
+        seconds = time.perf_counter() - t0
+        results.append(replace(result, seconds=seconds, rhs_evaluations=oracle.rhs_evaluations - calls))
     return results

@@ -20,6 +20,8 @@ from lindiff.cli import build_parser, main
 from lindiff.experiment import (
     _CHUNK_ROWS,
     _SPLIT_CHUNKS,
+    ARCHS,
+    FORMATS,
     ConfigError,
     ExperimentConfig,
     _cell,
@@ -32,6 +34,19 @@ from lindiff.gaussian import SpectrumSpec, make_covariance
 from lindiff.integrate import IntegrationError
 from lindiff.sampler import NoiseSchedule
 from lindiff.special import ein, expint_ei
+
+
+def _count_flow_calls(monkeypatch) -> list:
+    """A list that gains one entry for each right-hand-side call of every
+    oracle flow, counted by wrapping ``f`` on its way into the integrator."""
+    calls = []
+
+    def counted(path):
+        return lambda f, *args, **kwargs: path(lambda t, y: calls.append(t) or f(t, y), *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "rk4_path", counted(oracle.rk4_path))
+    monkeypatch.setattr(oracle, "rk45_path", counted(oracle.rk45_path))
+    return calls
 
 
 class TestConfigParsing:
@@ -240,6 +255,14 @@ class TestRunExperiment:
         assert manifest["oracle"]["max_rel_deviation"] < 1e-6
         assert manifest["oracle"]["seconds"] > 0
 
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_oracle_check_counts_its_flow_calls(self, tmp_path, monkeypatch, arch):
+        calls = _count_flow_calls(monkeypatch)
+        cfg = ExperimentConfig(arch=arch, dim=3, out_dir=str(tmp_path), tau_points=5, validate_with_oracle=True)
+        manifest = run_experiment(cfg)
+        assert manifest["oracle"]["rhs_evaluations"] == len(calls) > 0
+        assert json.loads((tmp_path / "manifest.json").read_text())["oracle"]["rhs_evaluations"] == len(calls)
+
     def test_two_layer_oracle_check_is_adaptive(self, tmp_path):
         # 1e-9 separates the adaptive two-layer flow (about 8e-12) from fixed-step RK4 (1.8e-9)
         proc = subprocess.run(
@@ -327,6 +350,14 @@ def _table(columns: dict) -> np.ndarray:
 def _rows(columns: dict) -> list[tuple]:
     """The rows of the ``name: (dtype, values)`` columns, as the Python values given."""
     return list(zip(*(values for _, values in columns.values())))
+
+
+def _json_text(payload: list) -> str:
+    """A JSON table's text for ``payload``, a list of dicts: ``[``, each row's
+    compact ``json.dumps`` with sorted keys on a line of its own, ``]``."""
+    if not payload:
+        return "[]\n"
+    return "[\n" + ",\n".join(json.dumps(row, sort_keys=True, separators=(",", ":")) for row in payload) + "\n]\n"
 
 
 class TestCsvWriter:
@@ -426,19 +457,44 @@ class TestJsonWriter:
         table, rows = _table(columns), _rows(columns)
         cfg = ExperimentConfig(out_dir=str(tmp_path), fmt="json")
         assert _emit_table(cfg, tmp_path, "t", header, table) == "t.json"
-        payload = [dict(zip(header, row)) for row in rows]
-        want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        want = _json_text([dict(zip(header, row)) for row in rows])
         assert (tmp_path / "t.json").read_bytes() == want.encode()
         first = json.loads((tmp_path / "t.json").read_text())[0]
         assert first["int"] == -3 and first["none"] is None and first["str"] == 'say "hi"'
         assert _emit_table(cfg, tmp_path, "empty", header, table[:0]) == "empty.json"
         assert (tmp_path / "empty.json").read_text() == "[]\n"
 
+    @pytest.mark.parametrize("command, table", [("simulate", "trajectories"), ("emergence", "emergence"), ("kl", "kl")])
+    def test_cli_tables_hold_one_compact_row_per_line(self, tmp_path, command, table):
+        # tau up to 0.1 only: some modes never cross, so the emergence table holds nulls
+        settings = ["--set", "model.dim=6", "--set", "dynamics.tau_min=1e-4", "--set", "dynamics.tau_max=1e-1",
+                    "--set", "dynamics.tau_points=11"]
+        texts = {}
+        for fmt in FORMATS:
+            assert main([command, "--format", fmt, "--out", str(tmp_path / fmt), *settings]) == 0
+            texts[fmt] = (tmp_path / fmt / f"{table}.{fmt}").read_text()
+        rows = json.loads(texts["json"])
+        lines = texts["json"].splitlines()
+        assert texts["json"] == _json_text(rows) and len(lines) == len(rows) + 2
+        assert [json.loads(line.removesuffix(",")) for line in lines[1:-1]] == rows
+        header, *csv_lines = texts["csv"].splitlines()
+        assert len(csv_lines) == len(rows)
+        for line, row in zip(csv_lines, rows):
+            for cell, value in zip(line.split(","), (row[key] for key in header.split(","))):
+                if isinstance(value, float):  # the same bits
+                    assert np.float64(cell).tobytes() == np.float64(value).tobytes(), (cell, value)
+                else:
+                    assert cell == ("" if value is None else str(value)), (cell, value)
+        assert ('"tau_star":null' in texts["json"]) is (command == "emergence")
+        empty = _table({key: (float, []) for key in header.split(",")})
+        cfg = ExperimentConfig(out_dir=str(tmp_path), fmt="json")
+        assert (tmp_path / _emit_table(cfg, tmp_path, "empty", header.split(","), empty)).read_text() == "[]\n"
+
     def test_repeated_floats_keep_their_own_text(self, tmp_path):
         values = _repeated_floats(_CHUNK_ROWS + 5)
         cfg = ExperimentConfig(out_dir=str(tmp_path), fmt="json")
         _emit_table(cfg, tmp_path, "t", ["x"], _table({"x": (float, values)}))
-        want = json.dumps([{"x": v} for v in values], indent=2, sort_keys=True) + "\n"
+        want = _json_text([{"x": v} for v in values])
         assert (tmp_path / "t.json").read_bytes() == want.encode()
 
 
@@ -482,8 +538,7 @@ class TestChunkedTables:
         header = list(columns)
         cfg = ExperimentConfig(out_dir=str(tmp_path), fmt="json")
         assert _emit_table(cfg, tmp_path, "t", header, _table(columns)) == "t.json"
-        payload = [dict(zip(header, row)) for row in _rows(columns)]
-        want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        want = _json_text([dict(zip(header, row)) for row in _rows(columns)])
         assert (tmp_path / "t.json").read_bytes() == want.encode()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -503,7 +558,7 @@ class TestChunkedTables:
         if fmt == "csv":
             want = "\n".join([",".join(header)] + [",".join(map(_cell, row)) for row in rows]) + "\n"
         else:
-            want = json.dumps([dict(zip(header, row)) for row in rows], indent=2, sort_keys=True) + "\n"
+            want = _json_text([dict(zip(header, row)) for row in rows])
         assert (tmp_path / name).read_bytes() == want.encode()
         assert rows[_CHUNK_ROWS - 1][:2] == rows[_CHUNK_ROWS][:2] != rows[_CHUNK_ROWS + 1][:2]
 
@@ -579,7 +634,7 @@ class TestSplitTables:
         if fmt == "csv":
             want = "\n".join([",".join(header)] + [",".join(map(_cell, row)) for row in rows]) + "\n"
         else:
-            want = json.dumps([dict(zip(header, row)) for row in rows], indent=2, sort_keys=True) + "\n"
+            want = _json_text([dict(zip(header, row)) for row in rows])
         assert written["one"] == written["two"] == written["no-fork"] == want.encode()
 
     def test_a_failing_worker_raises_oserror_naming_the_table(self, tmp_path, monkeypatch, capfd):
@@ -884,13 +939,7 @@ class TestCliEntry:
         ids=["one-layer-tau-max-1", "one-layer-default", "two-layer-stiff", "two-layer-stiff-short"],
     )
     def test_oracle_work_estimate_counts_the_flow_calls(self, monkeypatch, arch, settings, low, high):
-        calls = []
-
-        def counted(path):
-            return lambda f, *args, **kwargs: path(lambda t, y: calls.append(t) or f(t, y), *args, **kwargs)
-
-        monkeypatch.setattr(oracle, "rk4_path", counted(oracle.rk4_path))
-        monkeypatch.setattr(oracle, "rk45_path", counted(oracle.rk45_path))
+        calls = _count_flow_calls(monkeypatch)
         cfg = ExperimentConfig(arch=arch, dim=2, report_sigmas=(0.1, 1.0, 10.0), validate_with_oracle=True, **settings)
         lam, model = experiment._load_spectrum(cfg)
         estimate, _ = _oracle_work(cfg, float(lam.max()), lam.size)
@@ -1207,6 +1256,25 @@ class TestCliEntry:
         assert manifest["config"]["model.dim"] == 3  # override wins
         assert manifest["seed"] == 5
 
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["emergence", "validate"])
+    def test_a_closed_stdout_keeps_the_runs_exit_status(self, tmp_path, command, buffered):
+        if command == "emergence":
+            args = ["emergence", "--validate-with-oracle", "--set", "model.dim=4", "--set", "dynamics.tau_max=1",
+                    "--out", str(tmp_path)]
+        else:
+            args = ["validate", "--suite", "variants"]
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen([sys.executable, "-m", "lindiff.cli", *args], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()  # before the command prints its first line
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0 and err == b""
+        if command == "emergence":
+            assert {path.name for path in tmp_path.iterdir()} >= {"trajectories.csv", "emergence.csv", "fit.json"}
+
     def test_installed_console_script(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "lindiff.cli", "simulate", "--out", str(tmp_path),
@@ -1230,11 +1298,30 @@ class TestValidateSubcommand:
         [result] = validation.run_suite("variants")
         assert result.name == "variants" and result.passed and result.seconds >= 0.05
         assert main(["validate", "--suite", "variants"]) == 0
-        *suites, last = capsys.readouterr().out.splitlines()
+        *suites, last, evaluations = capsys.readouterr().out.splitlines()
         assert len(suites) == 1
         assert re.fullmatch(r"variants\s+max deviation \S+\s+\(tolerance \S+\)\s+PASS", suites[0])
         seconds = re.fullmatch(r"seconds: variants (\d+\.\d{3})", last)
         assert seconds and float(seconds.group(1)) >= 0.05
+        assert evaluations == "rhs evaluations: variants 0"  # the variants suite integrates no flow
+
+    def test_rhs_evaluations_are_the_flows_calls(self, capsys, monkeypatch):
+        from lindiff import validation
+
+        calls = _count_flow_calls(monkeypatch)
+        wrapped = {}
+        for name, suite in validation.SUITES.items():
+            def run(name=name, suite=suite):
+                before = len(calls)
+                result = suite()
+                wrapped[name] = len(calls) - before
+                return result
+
+            monkeypatch.setitem(validation.SUITES, name, run)
+        assert main(["validate", "--suite", "all"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == "rhs evaluations: " + ", ".join(f"{name} {n}" for name, n in wrapped.items())
+        assert wrapped["variants"] == 0 and min(n for name, n in wrapped.items() if name != "variants") > 0
 
     def test_unknown_suite_exit_2(self, capsys):
         rc = main(["validate", "--suite", "bogus"])
