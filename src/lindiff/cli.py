@@ -66,12 +66,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _flat_config(args) -> dict[str, str]:
     flat: dict[str, str] = {}
-    if args.config:
-        flat.update(parse_config_text(Path(args.config).read_text()))
+    if args.config is not None:
+        try:
+            text = Path(args.config).read_text()
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"--config: {exc}") from exc
+        flat.update(parse_config_text(text))
     for item in args.set:
-        if "=" not in item:
+        key, sep, value = item.partition("=")
+        if not (sep and key.strip()):
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        key, value = item.split("=", 1)
         flat[key.strip()] = value.strip()
     if args.seed is not None:
         flat["run.seed"] = str(args.seed)
@@ -79,7 +83,7 @@ def _flat_config(args) -> dict[str, str]:
         flat["run.out"] = args.out
     if args.format is not None:
         flat["run.format"] = args.format
-    if getattr(args, "data", None):
+    if getattr(args, "data", None) is not None:
         flat["model.kind"] = "data"
         flat["model.data"] = args.data
     if getattr(args, "arch", None):

@@ -31,18 +31,21 @@ __all__ = [
 class PatchCovariance:
     """Shift-averaged K x K covariance of circular length-K windows."""
 
-    size: int
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
         mat = np.asarray(self.matrix, dtype=float)
         object.__setattr__(self, "matrix", mat)
-        if mat.shape != (self.size, self.size):
-            raise ValueError("matrix must be size x size")
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError("matrix must be square")
         if np.max(np.abs(mat - mat.T)) > 1e-10 * max(1.0, np.max(np.abs(mat))):
             raise ValueError("patch covariance must be symmetric")
         if np.linalg.eigvalsh(mat).min() < -1e-10:
             raise ValueError("patch covariance must be PSD")
+
+    @property
+    def size(self) -> int:
+        return self.matrix.shape[0]
 
 
 def dft_mode_variance(sigma_mat: np.ndarray) -> np.ndarray:
@@ -81,7 +84,7 @@ def patch_covariance(sigma_mat: np.ndarray, r: int) -> PatchCovariance:
         chi[o] = sigma_mat[idx, (idx + o) % n].mean()
     offs = np.arange(-r, r + 1)
     mat = np.array([[chi[int(b - a)] for b in offs] for a in offs])
-    return PatchCovariance(k, 0.5 * (mat + mat.T))
+    return PatchCovariance(0.5 * (mat + mat.T))
 
 
 def patch_filter_trajectory(pc: PatchCovariance, sigma, eta, n, w0, tau_grid):

@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .gaussian import CovarianceModel, DataMoments
+from .gaussian import DataMoments
 from .integrate import rk45_path
 
 __all__ = [
@@ -55,7 +55,7 @@ __all__ = [
 # Loss variants
 # ---------------------------------------------------------------------------
 
-VARIANT_TAGS = ("EDM", "XPred", "EpsPred", "VPred", "FlowMatch")
+VARIANT_TAGS = ("XPred", "EpsPred", "VPred", "FlowMatch")
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class LossVariant:
     ``alpha`` and ``sigma_t`` map the scalar time argument to the signal
     and noise amplitudes, for every tag; the tag fixes only the regression
     target.  By default the time argument *is* the noise scale (alpha = 1,
-    sigma_t = s, as for EDM); for flow matching it is t in (0, 1).
+    sigma_t = s: ``edm()``'s clean-target x-prediction); for flow matching it is t in (0, 1).
     """
 
     tag: str
@@ -78,7 +78,7 @@ class LossVariant:
 
     @staticmethod
     def edm() -> "LossVariant":
-        return LossVariant("EDM")
+        return LossVariant("XPred")
 
     @staticmethod
     def flow_match() -> "LossVariant":
@@ -177,7 +177,7 @@ def linear_flow(a, r, x0, rate: float, tau_grid) -> np.ndarray:
 def mean_coupled_trajectory(moments: DataMoments, s, eta: float, w0, b0, tau_grid):
     """One-layer (W, b) gradient flow on data with any mean, in closed form.
 
-    The EDM loss E|W x~ + b - x|^2 with x~ = x + s z couples W and b through
+    The denoising loss E|W x~ + b - x|^2 with x~ = x + s z couples W and b through
     the mean mu.  Its flow is linear in X = [W | b]^T:
     dX/dtau = -2 eta (A X - R) with A = E[[x~; 1][x~; 1]^T] and
     R = [Sigma + mu mu^T; mu^T], so ``linear_flow`` solves it.  The fixed
@@ -285,10 +285,8 @@ class DiscreteGDResult:
     bias: np.ndarray | None = None  # (steps+1,) scalar bias factor path
 
 
-def discrete_gd_trajectory(
-    model: CovarianceModel, sigma: float, q, step: float, steps: int, b0: float | None = None
-) -> DiscreteGDResult:
-    """Geometric iteration psi_t = w* + (Q - w*) (1 - 2 step (sigma^2+lambda))^t.
+def discrete_gd_trajectory(lam, sigma: float, q, step: float, steps: int, b0: float | None = None) -> DiscreteGDResult:
+    """Geometric iteration psi_t = w* + (Q - w*) (1 - 2 step (sigma^2+lambda))^t for each lambda in ``lam``.
 
     ``q`` is the aligned initialization u_k^T W(0) u_k, a scalar or one
     per mode.  Divergence (|factor| >= 1) is reported in the result, never
@@ -296,7 +294,7 @@ def discrete_gd_trajectory(
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    lam = model.spectrum
+    lam = np.asarray(lam, float)
     q = np.broadcast_to(np.asarray(q, float), lam.shape)
     w_star = lam / (lam + sigma**2)
     factor = 1.0 - 2.0 * step * (sigma**2 + lam)

@@ -81,9 +81,9 @@ def parse_config_text(text: str) -> dict[str, str]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, sep, value = line.partition("=")
+        if not (sep and key.strip()):
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
     return out
 
@@ -152,18 +152,8 @@ class ExperimentConfig:
         if self.model_kind == "data" and not self.data_path:
             raise ConfigError("model.data: required when model.kind = data")
         # spectrum parameters are checked for the chosen model.kind only
-        if self.model_kind != "data" and self.dim < 1:
-            raise ConfigError("model.dim: must be >= 1")
-        if self.model_kind == "log-spaced":
-            for key, bound in (("model.lo", self.lo), ("model.hi", self.hi)):
-                if bound <= 0:
-                    raise ConfigError(f"{key}: log-spaced bounds must be positive")
-        if self.model_kind == "log-normal" and self.sd <= 0:
-            raise ConfigError("model.sd: log-normal sd must be positive")
-        if self.model_kind == "explicit" and len(self.values) != self.dim:
-            raise ConfigError(f"model.values: need model.dim = {self.dim} values, got {len(self.values)}")
-        if self.model_kind == "explicit" and min(self.values) <= 0:
-            raise ConfigError("model.values: explicit spectrum must be strictly positive")
+        if self.model_kind != "data" and (bad := self.spectrum_spec().check(self.dim)):
+            raise ConfigError(f"model.{bad[0]}: {bad[1]}")
         if not 0 < self.gray_lower < 1:
             raise ConfigError("analysis.gray_zone.lower: must lie in (0, 1)")
         if self.gray_upper <= 1:
@@ -186,7 +176,7 @@ class ExperimentConfig:
         if self.eta <= 0:
             raise ConfigError("dynamics.eta: must be positive")
         if not 0 < self.tau_min < self.tau_max:
-            raise ConfigError("dynamics.tau_min: need 0 < tau_min < tau_max")
+            raise ConfigError("dynamics.tau_min/dynamics.tau_max: need 0 < tau_min < tau_max")
         if self.tau_override is not None and (not self.tau_override or min(self.tau_override) < 0):
             raise ConfigError("dynamics.tau: need one or more nonnegative values")
         if self.tau_override is not None and any(b <= a for a, b in zip(self.tau_override, self.tau_override[1:])):
@@ -213,6 +203,11 @@ class ExperimentConfig:
                 f"dynamics.tau_min/dynamics.tau_max: the oracle check needs [tau_min, tau_max] "
                 f"to overlap [{lo:g}, {hi:g}]"
             )
+
+    def spectrum_spec(self) -> SpectrumSpec:
+        """The synthetic spectrum of model.kind, from its ``model.*`` keys."""
+        params = {key: getattr(self, key) for key in _SPECTRUM_KEYS[self.model_kind]}
+        return SpectrumSpec(self.model_kind, params, self.normalize)
 
     def taus(self) -> np.ndarray:
         if self.tau_override is not None:
@@ -296,8 +291,7 @@ def _load_spectrum(cfg: ExperimentConfig) -> tuple[np.ndarray, CovarianceModel |
         except (OSError, ValueError) as exc:
             raise ConfigError(f"model.data: {exc}") from exc
         return model.spectrum, model
-    params = {key: getattr(cfg, key) for key in _SPECTRUM_KEYS[cfg.model_kind]}
-    spec = SpectrumSpec(cfg.model_kind, params, cfg.normalize)
+    spec = cfg.spectrum_spec()
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite draw is reported below
         model = make_covariance(spec, cfg.dim, cfg.seed) if cfg.validate_with_oracle else None
         lam = spec.generate(cfg.dim, cfg.seed) if model is None else model.spectrum
@@ -349,7 +343,7 @@ def oracle_deviation(
         w0, parametrization, psi = (model.basis * q) @ model.basis.T, "one-layer", one_layer_psi
     else:
         w0, parametrization, psi = model.basis * np.sqrt(q), "two-layer-symmetric", two_layer_psi
-    _, ws, _ = gradient_flow_full(
+    ws, _ = gradient_flow_full(
         moments, sigmas, eta, w0, np.zeros(model.dim), taus, parametrization=parametrization, adaptive=adaptive
     )
     numeric = np.einsum("ik,tsij,jk->tsk", model.basis, ws, model.basis)

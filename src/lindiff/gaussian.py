@@ -33,7 +33,6 @@ _ORTHO_TOL = 1e-12
 class CovarianceModel:
     """Ground-truth covariance as orthonormal basis + descending spectrum."""
 
-    dim: int
     basis: np.ndarray  # (d, d), columns are eigenvectors u_k
     spectrum: np.ndarray  # (d,), lambda_k >= 0, descending
 
@@ -42,7 +41,7 @@ class CovarianceModel:
         spectrum = np.asarray(self.spectrum, dtype=float)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "spectrum", spectrum)
-        if self.dim < 1 or basis.shape != (self.dim, self.dim):
+        if basis.ndim != 2 or basis.shape[0] != basis.shape[1] or basis.shape[0] < 1:
             raise ValueError("basis must be a dim x dim matrix")
         if spectrum.shape != (self.dim,):
             raise ValueError("spectrum must have length dim")
@@ -53,6 +52,10 @@ class CovarianceModel:
             raise ValueError("eigenvalues must be nonnegative")
         if np.any(np.diff(spectrum) > 1e-15):
             raise ValueError("spectrum must be sorted descending")
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[0]
 
     def covariance(self) -> np.ndarray:
         """Dense Sigma = U diag(lambda) U^T."""
@@ -97,7 +100,7 @@ class DataMoments:
         evals = evals[order]
         evals[evals < evals[0] * self.dim * np.finfo(float).eps] = 0.0
         evecs = _fix_signs(evecs[:, order])
-        return CovarianceModel(self.dim, evecs, evals)
+        return CovarianceModel(evecs, evals)
 
 
 @dataclass(frozen=True)
@@ -113,36 +116,38 @@ class SpectrumSpec:
     params: dict = field(default_factory=dict)
     normalize_mean_to_one: bool = False
 
-    _KINDS = ("log-normal", "log-spaced", "explicit")
+    # The parameters of each kind that must be positive; its keys are the kinds.
+    _POSITIVE = {"log-normal": ("sd",), "log-spaced": ("lo", "hi"), "explicit": ("values",)}
 
     def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
+        if self.kind not in self._POSITIVE:
             raise ValueError(f"unknown spectrum kind {self.kind!r}")
+
+    def check(self, dim: int) -> tuple[str, str] | None:
+        """The first bad parameter of a draw of ``dim`` eigenvalues, ``dim`` included, as (name, problem), or None."""
+        if dim < 1:
+            return "dim", "must be >= 1"
+        if self.kind == "explicit" and np.shape(self.params["values"]) != (dim,):
+            return "values", f"length must equal dim = {dim}, got {np.size(self.params['values'])}"
+        bad = [name for name in self._POSITIVE[self.kind] if np.any(np.asarray(self.params.get(name, 1.0), float) <= 0)]
+        return (bad[0], "must be positive") if bad else None
 
     def generate(self, dim: int, seed: int) -> np.ndarray:
         """``dim`` eigenvalues, descending.  Only a log-normal spectrum draws:
         ``dim`` standard normals of ``np.random.default_rng(seed)``, so it is
         the one kind that loads numpy.random; the others ignore ``seed``."""
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
+        if bad := self.check(dim):
+            raise ValueError(" ".join(bad))
         if self.kind == "log-normal":
             mu = float(self.params.get("mu", 0.0))
             sd = float(self.params.get("sd", 1.0))
-            if sd <= 0:
-                raise ValueError("log-normal sd must be positive")
             lam = np.exp(mu + sd * np.random.default_rng(seed).standard_normal(dim))
         elif self.kind == "log-spaced":
             lo = float(self.params["lo"])
             hi = float(self.params["hi"])
-            if lo <= 0 or hi <= 0:
-                raise ValueError("log-spaced bounds must be positive")
             lam = np.geomspace(max(lo, hi), min(lo, hi), dim)
         else:
             lam = np.asarray(self.params["values"], dtype=float)
-            if lam.shape != (dim,):
-                raise ValueError("explicit spectrum length must equal dim")
-            if np.any(lam <= 0):
-                raise ValueError("explicit spectrum must be strictly positive")
         lam = np.sort(lam)[::-1]
         if self.normalize_mean_to_one:
             lam = lam / lam.mean()
@@ -170,7 +175,7 @@ def make_covariance(spec: SpectrumSpec, dim: int, seed: int) -> CovarianceModel:
     lam = spec.generate(dim, seed)
     gauss = random.Random(seed).gauss
     a = np.array([gauss(0.0, 1.0) for _ in range(dim * dim)]).reshape(dim, dim)
-    return CovarianceModel(dim, _fix_signs(np.linalg.qr(a)[0]), lam)
+    return CovarianceModel(_fix_signs(np.linalg.qr(a)[0]), lam)
 
 
 def sample_gaussian(

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import CovarianceModel
-
 __all__ = ["ModeKL", "kl_shared_basis", "score_error", "denoiser_error", "training_loss"]
 
 _VAR_FLOOR = 1e-12
@@ -22,7 +20,6 @@ _VAR_FLOOR = 1e-12
 @dataclass(frozen=True)
 class ModeKL:
     per_mode: np.ndarray
-    total: float
     clamped: int  # modes whose variance hit the floor before the log
 
 
@@ -43,7 +40,7 @@ def kl_shared_basis(lam1, lam2, gap=0.0) -> ModeKL:
     lam1 = np.maximum(lam1, _VAR_FLOOR)
     ratio = lam1 / lam2
     per_mode = 0.5 * (ratio - np.log(ratio) - 1.0) + np.asarray(gap, float) ** 2 / (2.0 * lam2)
-    return ModeKL(per_mode, float(per_mode.sum()), clamped)
+    return ModeKL(per_mode, clamped)
 
 
 def _as_psi_matrix(psi) -> np.ndarray:
@@ -51,14 +48,14 @@ def _as_psi_matrix(psi) -> np.ndarray:
     return psi[:, None] if psi.ndim == 1 else psi
 
 
-def denoiser_error(psi, bias, sigma: float, model: CovarianceModel) -> np.ndarray:
-    """E|D - D*|^2 for aligned diagonal weights, zero-mean data.
+def denoiser_error(psi, bias, sigma: float, lam) -> np.ndarray:
+    """E|D - D*|^2 for aligned diagonal weights, zero-mean data of spectrum lam.
 
     psi: per-mode weights, shape (d,) or (d, T); bias: per-mode bias
     values, same convention, or None.  Returns one value per column.
     """
     psi = _as_psi_matrix(psi)
-    lam = model.spectrum[:, None]
+    lam = np.asarray(lam, float)[:, None]
     dev = psi - lam / (lam + sigma**2)
     err = np.sum((sigma**2 + lam) * dev**2, axis=0)
     if bias is not None:
@@ -67,17 +64,17 @@ def denoiser_error(psi, bias, sigma: float, model: CovarianceModel) -> np.ndarra
     return err
 
 
-def score_error(psi, bias, sigma: float, model: CovarianceModel) -> np.ndarray:
+def score_error(psi, bias, sigma: float, lam) -> np.ndarray:
     """E|s - s*|^2 = E|D - D*|^2 / sigma^4 for the same inputs."""
-    return denoiser_error(psi, bias, sigma, model) / sigma**4
+    return denoiser_error(psi, bias, sigma, lam) / sigma**4
 
 
-def training_loss(psi, bias, sigma: float, model: CovarianceModel) -> np.ndarray:
+def training_loss(psi, bias, sigma: float, lam) -> np.ndarray:
     """Full-batch denoising loss = estimation error + irreducible floor.
 
     The floor sigma^2 sum_k lam_k/(sigma^2 + lam_k) is attained exactly at
     the optimum.
     """
-    lam = model.spectrum
+    lam = np.asarray(lam, float)
     floor = sigma**2 * np.sum(lam / (sigma**2 + lam))
-    return denoiser_error(psi, bias, sigma, model) + floor
+    return denoiser_error(psi, bias, sigma, lam) + floor

@@ -44,7 +44,7 @@ def variant_moments(variant: LossVariant, moments: DataMoments, s: float):
     eye = np.eye(d)
     a, st = variant.alpha(s), variant.sigma_t(s)
     sxx = a * a * cov + st * st * eye
-    if variant.tag in ("EDM", "XPred"):
+    if variant.tag == "XPred":
         return a * mu, mu, sxx, a * cov, cov
     if variant.tag == "EpsPred":
         return a * mu, np.zeros(d), sxx, st * eye, eye
@@ -117,8 +117,8 @@ def gradient_flow_full(
     leading sigma axis: RK4 steps at the largest sigma's rate, and RK45's
     error norm spans the batch, so each sigma is stepped at least as finely
     as alone.  ``w0`` is then shared by every sigma or given per sigma.
-    Returns (tau_grid, Ws, bs) with Ws[i] the dense weight matrix, or Ws[i, j]
-    the one of sigma s[j] for a sequence ``s``.
+    Returns (Ws, bs) with Ws[i] the dense weight matrix at tau_grid[i], or
+    Ws[i, j] the one of sigma s[j] for a sequence ``s``.
     """
     tau_grid = np.asarray(tau_grid, float)
     if np.ndim(s) > 1 or (np.ndim(s) and parametrization in ("circulant", "patch")):
@@ -139,7 +139,7 @@ def gradient_flow_full(
 
         rate = None if adaptive else 2.0 * eta * float(np.linalg.eigvalsh(aug_a[..., :d, :d]).max())
         path = _solve(rhs, y0, tau_grid, rate)
-        return tau_grid, path[..., :d], path[..., d]
+        return path[..., :d], path[..., d]
 
     if parametrization == "two-layer-symmetric":
         work = np.empty(c.shape)  # [P P^T | b], overwritten on every call
@@ -155,7 +155,7 @@ def gradient_flow_full(
 
         path = _solve(rhs, y0, tau_grid)
         ps = path[..., :d]
-        return tau_grid, np.einsum("...ij,...kj->...ik", ps, ps), path[..., d]
+        return np.einsum("...ij,...kj->...ik", ps, ps), path[..., d]
 
     if parametrization in ("circulant", "patch"):
         if parametrization == "circulant":
@@ -181,7 +181,7 @@ def gradient_flow_full(
 
         path = _solve(rhs, np.asarray(w0, float), tau_grid)
         ws = np.pad(path, ((0, 0), (0, 1)))[:, slot]
-        return tau_grid, ws, np.zeros((len(tau_grid), d))
+        return ws, np.zeros((len(tau_grid), d))
 
     raise ValueError(f"unknown parametrization {parametrization!r}")
 

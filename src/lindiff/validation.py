@@ -56,7 +56,7 @@ def suite_mean_cov() -> SuiteResult:
     sigmas = (0.5, 1.5)
     w0 = 0.2 * np.eye(6)
     closed_w, closed_b = mean_coupled_trajectory(moments, sigmas, 1.0, w0, np.zeros(6), taus)
-    _, ws, bs = gradient_flow_full(moments, sigmas, 1.0, w0, np.zeros(6), taus, adaptive=True)
+    ws, bs = gradient_flow_full(moments, sigmas, 1.0, w0, np.zeros(6), taus, adaptive=True)
     scale = np.maximum(1.0, np.max(np.abs(ws), axis=(-2, -1)))
     gap = np.maximum(np.max(np.abs(ws - closed_w), axis=(-2, -1)), np.max(np.abs(bs - closed_b), axis=-1))
     return SuiteResult("mean-cov", float(np.max(gap / scale)), ORACLE_TOLERANCE)
@@ -70,7 +70,7 @@ def suite_conv() -> SuiteResult:
     taus = np.geomspace(1e-3, 2.0, 8)
     sigma, eta = 0.7, 1.0
     path = patch_filter_trajectory(patch_covariance(sigma_mat, r), sigma, eta, n, np.zeros(2 * r + 1), taus)
-    _, ws, _ = gradient_flow_full(
+    ws, _ = gradient_flow_full(
         DataMoments(np.zeros(n), sigma_mat), sigma, eta, np.zeros(2 * r + 1), np.zeros(n), taus,
         parametrization="patch", half_width=r,
     )
@@ -83,11 +83,10 @@ def suite_variants() -> SuiteResult:
     """Each variant's optimal weights zero the gradient of its raw loss, at positive rates."""
     model = _test_model(dim=5, lo=0.05, hi=3.0, seed=9)
     moments = DataMoments(np.zeros(model.dim), model.covariance())
+    schedule = {"alpha": lambda t: 1.0 / (1.0 + t), "sigma_t": lambda t: t}
     variants = [
         (LossVariant.edm(), 0.8),
-        (LossVariant("XPred", alpha=lambda t: 1.0 / (1.0 + t), sigma_t=lambda t: t), 0.6),
-        (LossVariant("EpsPred", alpha=lambda t: 1.0 / (1.0 + t), sigma_t=lambda t: t), 0.6),
-        (LossVariant("VPred", alpha=lambda t: 1.0 / (1.0 + t), sigma_t=lambda t: t), 0.6),
+        *((LossVariant(tag, **schedule), 0.6) for tag in ("XPred", "EpsPred", "VPred")),
         (LossVariant.flow_match(), 0.6),
     ]
     weights = np.array([optimal_mode_weight(variant, model.spectrum, s) for variant, s in variants])

@@ -71,7 +71,7 @@ def test_criterion_02_mean_cov_coupling():
     worst = 0.0
     for sigma in (0.5, 1.5):
         closed_w, closed_b = mean_coupled_trajectory(moments, sigma, 1.0, w0, np.zeros(8), taus)
-        _, ws, bs = gradient_flow_full(moments, sigma, 1.0, w0, np.zeros(8), taus)
+        ws, bs = gradient_flow_full(moments, sigma, 1.0, w0, np.zeros(8), taus)
         for i in range(len(taus)):
             scale = max(1.0, float(np.max(np.abs(ws[i]))))
             worst = max(worst, float(np.max(np.abs(ws[i] - closed_w[i]))) / scale)
@@ -80,7 +80,7 @@ def test_criterion_02_mean_cov_coupling():
     m1 = DataMoments(np.array([1.0]), np.array([[1.0]]))
     for sigma in (0.1, 1.5, 4.0):
         closed_w, closed_b = mean_coupled_trajectory(m1, sigma, 1.0, np.array([[0.3]]), np.array([0.1]), taus)
-        _, ws, bs = gradient_flow_full(m1, sigma, 1.0, np.array([[0.3]]), np.array([0.1]), taus)
+        ws, bs = gradient_flow_full(m1, sigma, 1.0, np.array([[0.3]]), np.array([0.1]), taus)
         worst = max(worst, float(np.max(np.abs(ws[:, 0, 0] - closed_w[:, 0, 0]))))
         worst = max(worst, float(np.max(np.abs(bs[:, 0] - closed_b[:, 0]))))
     report("2", worst <= 1e-6, f"max deviation {worst:.3e} (<= 1e-6)")
@@ -209,7 +209,7 @@ def test_criterion_07_convolutional_results(spectrum16, moments16, circulant_mat
     e0 = np.zeros(2 * r + 1)
     e0[r] = 1.0
     dev_b1 = float(np.max(np.abs(late - np.linalg.solve(a_mat, pc.matrix @ e0))))
-    _, ws, _ = gradient_flow_full(
+    ws, _ = gradient_flow_full(
         moments16, sigma, eta, np.zeros(2 * r + 1), np.zeros(n), taus,
         parametrization="patch", half_width=r,
     )
@@ -258,7 +258,7 @@ def test_criterion_08_loss_variant_table():
 
         tau1, tau2 = 0.5, 1.5
         w0 = (model.basis * 0.25) @ model.basis.T
-        _, ws, _ = gradient_flow_full(
+        ws, _ = gradient_flow_full(
             moments, s, 1.0, w0, np.zeros(5), np.array([tau1, tau2]), variant=variant, adaptive=True
         )
         for k, lam in enumerate(model.spectrum):
@@ -350,8 +350,8 @@ def test_criterion_10_metrics():
     rng = np.random.default_rng(2)
     psi = rng.uniform(0, 1, size=(8, 5))
     bias = rng.normal(size=(8, 5)) * 0.2
-    ed = denoiser_error(psi, bias, sigma, model)
-    es = score_error(psi, bias, sigma, model)
+    ed = denoiser_error(psi, bias, sigma, model.spectrum)
+    es = score_error(psi, bias, sigma, model.spectrum)
     identity_gap = float(np.max(np.abs(ed - sigma**4 * es)) / np.max(ed))
 
     ok = kl_max < 1e-8 and z < 3.0 and identity_gap < 1e-12

@@ -80,6 +80,27 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="line 1"):
             parse_config_text("not a key value pair")
 
+    @pytest.mark.parametrize(
+        "kind, params, dim, name, problem",
+        [
+            ("log-spaced", {"lo": 1.0, "hi": 2.0}, 0, "dim", "must be >= 1"),
+            ("log-spaced", {"lo": -1.0, "hi": 2.0}, 2, "lo", "must be positive"),
+            ("log-spaced", {"lo": 1.0, "hi": 0.0}, 2, "hi", "must be positive"),
+            ("log-normal", {"mu": 0.0, "sd": 0.0}, 2, "sd", "must be positive"),
+            ("explicit", {"values": (1.0, 2.0)}, 3, "values", "length must equal dim = 3, got 2"),
+            ("explicit", {"values": (1.0, -2.0)}, 2, "values", "must be positive"),
+        ],
+        ids=["dim", "lo", "hi", "sd", "values-length", "values-sign"],
+    )
+    def test_spectrum_errors_name_the_bad_parameter(self, kind, params, dim, name, problem):
+        spec = SpectrumSpec(kind, params)
+        assert spec.check(dim) == (name, problem)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} {problem}')}$"):
+            spec.generate(dim, 0)
+        flat = {f"model.{key}": ",".join(map(str, np.atleast_1d(value))) for key, value in params.items()}
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'model.{name}: {problem}')}$"):
+            ExperimentConfig.from_flat({"model.kind": kind, "model.dim": str(dim), **flat})
+
     def test_field_path_in_errors(self):
         with pytest.raises(ConfigError, match="analysis.gray_zone.lower"):
             ExperimentConfig.from_flat({"analysis.gray_zone.lower": "1.5"})
@@ -1136,6 +1157,41 @@ class TestCliEntry:
         assert rc == 1
         assert capsys.readouterr().err.startswith("config error: run.seed: ")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "args, key",
+        [
+            (["--set", "model.dim"], "--set expects KEY=VALUE"),
+            (["--set", "=3"], "--set expects KEY=VALUE"),
+            (["--set", " = 3"], "--set expects KEY=VALUE"),
+            (["--config", "{cfg}"], "line 2: expected 'key = value'"),
+            (["--config", "{missing}"], "--config: "),
+            (["--config", "{tmp}"], "--config: "),
+            (["--config", ""], "--config: "),
+            (["--data", ""], "model.data: "),
+            (["--set", "model.normalize=maybe"], "model.normalize: "),
+            (["--set", "model.kind=data"], "model.data: "),
+            (["--set", "analysis.gray_zone.upper=1"], "analysis.gray_zone.upper: "),
+            (["--set", "dynamics.tau_min=10", "--set", "dynamics.tau_max=10"], "dynamics.tau_min/dynamics.tau_max: "),
+            (["--set", "dynamics.tau="], "dynamics.tau: "),
+            (["--set", "dynamics.tau=-1,2"], "dynamics.tau: "),
+        ],
+        ids=[
+            "set-without-equals", "set-empty-key", "set-blank-key", "config-empty-key", "config-missing",
+            "config-directory", "config-empty-path", "data-empty-path", "unparsable-bool", "data-without-file", "gray-zone-upper", "tau-order",
+            "empty-tau", "negative-tau",
+        ],
+    )
+    def test_config_error_exits_1_with_one_line_naming_the_key(self, tmp_path, capsys, args, key):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "o"
+        cfg.write_text("model.dim = 4\n= 3\n")
+        args = [a.format(cfg=cfg, missing=tmp_path / "missing.cfg", tmp=tmp_path) for a in args]
+        rc = main(["emergence", "--out", str(out), *args])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_equal_eigenvalues_fail_the_fit_without_lapack_noise(self, tmp_path):
         proc = subprocess.run(

@@ -65,7 +65,7 @@ class TestFullWidth:
         taus = np.geomspace(1e-3, 2, 8)
         taps0 = np.zeros(n)
         taps0[0] = 0.1  # W(0) = 0.1 I
-        _, ws, _ = gradient_flow_full(
+        ws, _ = gradient_flow_full(
             moments16, sigma, eta, taps0, np.zeros(n), taus,
             parametrization="circulant", adaptive=True,
         )
@@ -115,7 +115,7 @@ class TestPatchFilterTrajectory:
         from lindiff.convolution import PatchCovariance
 
         n, sigma, eta = 16, 1.0, 1.0
-        pc = PatchCovariance(3, np.eye(3))
+        pc = PatchCovariance(np.eye(3))
         taus = np.geomspace(1e-3, 1, 7)
         path = patch_filter_trajectory(pc, sigma, eta, n, np.zeros(3), taus)
         late = patch_filter_trajectory(pc, sigma, eta, n, np.zeros(3), [1e3])[0]
@@ -138,7 +138,7 @@ class TestPatchFilterTrajectory:
         w0 = np.zeros(2 * r + 1)
         pc = patch_covariance(sig, r)
         path = patch_filter_trajectory(pc, sigma, eta, n, w0, taus)
-        _, ws, _ = gradient_flow_full(
+        ws, _ = gradient_flow_full(
             moments, sigma, eta, w0, np.zeros(n), taus,
             parametrization="patch", half_width=r, adaptive=True,
         )

@@ -177,7 +177,7 @@ class TestMeanCovCoupling:
         moments = DataMoments(np.array([1.0]), np.array([[1.0]]))
         taus = np.geomspace(1e-2, 8, 12)
         closed_w, closed_b = mean_coupled_trajectory(moments, sigma, 1.0, np.array([[0.3]]), np.array([0.1]), taus)
-        _, ws, bs = gradient_flow_full(
+        ws, bs = gradient_flow_full(
             moments, sigma, 1.0, np.array([[0.3]]), np.array([0.1]), taus, adaptive=True
         )
         assert np.max(np.abs(ws[:, 0, 0] - closed_w[:, 0, 0])) < 1e-8
@@ -257,7 +257,7 @@ class TestTwoLayer:
         spectrum = np.array([2.0, 0.7, 0.0])
         moments = DataMoments(np.zeros(3), (basis * spectrum) @ basis.T)
         sigmas, taus = np.array([0.5, 2.0]), np.geomspace(1e-2, 10.0, 6)
-        _, ws, _ = gradient_flow_full(
+        ws, _ = gradient_flow_full(
             moments, sigmas, 1.0, basis * np.sqrt(q), np.zeros(3), taus, parametrization="two-layer-symmetric"
         )
         numeric = np.einsum("ik,tsij,jk->tsk", basis, ws, basis)
@@ -446,18 +446,17 @@ class TestResidual:
 
 class TestDiscreteGD:
     def test_initial_value_and_one_step_exact(self, model6):
-        res = discrete_gd_trajectory(model6, 1.0, np.full(6, 0.1), 0.05, 3)
+        res = discrete_gd_trajectory(model6.spectrum, 1.0, np.full(6, 0.1), 0.05, 3)
         assert_allclose(res.iterates[:, 0], 0.1)
         # eta (sigma^2 + lambda) = 0.5 converges in one step
-        model1 = CovarianceModel(1, np.eye(1), np.array([1.0]))
         step = 0.5 / (1.0 + 1.0)
-        res1 = discrete_gd_trajectory(model1, 1.0, np.array([0.3]), step, 2)
+        res1 = discrete_gd_trajectory(np.array([1.0]), 1.0, np.array([0.3]), step, 2)
         assert_allclose(res1.iterates[0, 1:], 0.5)
 
     def test_matches_matrix_oracle(self, model6, moments6):
         from lindiff.oracle import discrete_gd_full
 
-        res = discrete_gd_trajectory(model6, 1.0, np.full(6, 0.1), 0.05, 40, b0=0.3)
+        res = discrete_gd_trajectory(model6.spectrum, 1.0, np.full(6, 0.1), 0.05, 40, b0=0.3)
         w0 = (model6.basis * 0.1) @ model6.basis.T
         ws, bs = discrete_gd_full(moments6, 1.0, 0.05, w0, np.full(6, 0.3), 40)
         num = np.einsum("ik,tij,jk->tk", model6.basis, ws, model6.basis)
@@ -468,13 +467,13 @@ class TestDiscreteGD:
         # gap scales like eta (sigma^2+lambda)^2, so O(1) rates at eta = 1e-3
         eta = 1e-3
         steps = 2000
-        model = CovarianceModel(2, np.eye(2), np.array([1.0, 0.3]))
-        res = discrete_gd_trajectory(model, 1.0, np.full(2, 0.1), eta, steps)
-        flow = one_layer_psi(model.spectrum[:, None], 1.0, 0.1, eta, np.arange(steps + 1)[None, :])
+        lam = np.array([1.0, 0.3])
+        res = discrete_gd_trajectory(lam, 1.0, np.full(2, 0.1), eta, steps)
+        flow = one_layer_psi(lam[:, None], 1.0, 0.1, eta, np.arange(steps + 1)[None, :])
         assert np.max(np.abs(res.iterates - flow)) < 1e-3
 
     def test_divergence_flagged_not_raised(self, model6):
-        res = discrete_gd_trajectory(model6, 1.0, np.full(6, 0.1), 0.6, 10)
+        res = discrete_gd_trajectory(model6.spectrum, 1.0, np.full(6, 0.1), 0.6, 10)
         expected = np.abs(1.0 - 2.0 * 0.6 * (1.0 + model6.spectrum)) >= 1.0
         assert np.array_equal(res.diverged, expected)
         assert res.diverged.any()
@@ -484,7 +483,7 @@ def _overlaps(model, sigma, eta, q_init, taus):
     """q_k . q_m along the two-layer flow from rows q_k = P0^T u_k: the
     overlaps U^T W U of gradient_flow_full's W = P P^T, from P0 = U q_init."""
     moments = DataMoments(np.zeros(model.dim), model.covariance())
-    _, ws, _ = gradient_flow_full(
+    ws, _ = gradient_flow_full(
         moments, sigma, eta, model.basis @ q_init, np.zeros(model.dim), taus, parametrization="two-layer-symmetric"
     )
     return np.einsum("ik,tij,jm->tkm", model.basis, ws, model.basis)
@@ -492,13 +491,13 @@ def _overlaps(model, sigma, eta, q_init, taus):
 
 class TestOverlapSimulation:
     def test_orthogonal_initialization_stays_aligned(self):
-        model = CovarianceModel(2, np.eye(2), np.array([1.0, 0.1]))
+        model = CovarianceModel(np.eye(2), np.array([1.0, 0.1]))
         taus = np.linspace(0, 6, 200)
         overlaps = _overlaps(model, 0.5, 1.0, np.diag([0.1, 0.1]), taus)
         assert np.max(np.abs(overlaps[:, 0, 1])) < 1e-9
 
     def test_rise_then_fall_single_interior_maximum(self):
-        model = CovarianceModel(2, np.eye(2), np.array([1.0, 0.1]))
+        model = CovarianceModel(np.eye(2), np.array([1.0, 0.1]))
         taus = np.linspace(0, 40, 2000)
         q0 = np.array([[0.1, 0.004], [0.0, 0.1]])
         off = np.abs(_overlaps(model, 0.5, 1.0, q0, taus)[:, 0, 1])
@@ -529,7 +528,7 @@ class TestClosedFormVsOracleInvariant:
     def test_one_layer(self, sigma, model6, moments6):
         taus = np.geomspace(1e-3, 10, 20)
         w0 = (model6.basis * 0.1) @ model6.basis.T
-        _, ws, _ = gradient_flow_full(moments6, sigma, 1.0, w0, np.zeros(6), taus, adaptive=True)
+        ws, _ = gradient_flow_full(moments6, sigma, 1.0, w0, np.zeros(6), taus, adaptive=True)
         numeric = np.einsum("ik,tij,jk->tk", model6.basis, ws, model6.basis)
         closed = one_layer_psi(model6.spectrum[None, :], sigma, 0.1, 1.0, taus[:, None])
         assert np.max(np.abs(numeric - closed) / np.maximum(np.abs(closed), 1e-12)) < 1e-6
@@ -538,7 +537,7 @@ class TestClosedFormVsOracleInvariant:
     def test_two_layer(self, sigma, model6, moments6):
         taus = np.geomspace(1e-3, 10, 20)
         p0 = model6.basis * np.sqrt(0.1)
-        _, ws, _ = gradient_flow_full(
+        ws, _ = gradient_flow_full(
             moments6, sigma, 1.0, p0, np.zeros(6), taus,
             parametrization="two-layer-symmetric", adaptive=True,
         )

@@ -156,7 +156,7 @@ class TestFmTwoLayer:
         model = make_covariance(SpectrumSpec("log-spaced", {"lo": 0.05, "hi": 3.0}), 4, 9)
         moments = DataMoments(np.zeros(4), model.covariance())
         ts, eta, taus = np.linspace(0.1, 1.0, 10), 1.0, np.geomspace(1e-3, 5.0, 10)
-        _, ws, _ = gradient_flow_full(
+        ws, _ = gradient_flow_full(
             moments, ts, eta, model.basis * np.sqrt(q), np.zeros(4), taus,
             variant=LossVariant.flow_match(), parametrization="two-layer-symmetric",
         )

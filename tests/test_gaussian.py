@@ -78,7 +78,7 @@ class TestMakeCovariance:
 
 class TestSampleGaussian:
     def test_degenerate_spectrum_returns_mean(self):
-        model = CovarianceModel(3, np.eye(3), np.zeros(3))
+        model = CovarianceModel(np.eye(3), np.zeros(3))
         mu = np.array([1.0, -2.0, 0.5])
         samples = sample_gaussian(model, mu, 10, seed=0)
         assert_allclose(samples, np.tile(mu, (10, 1)))
@@ -131,11 +131,11 @@ class TestEmpiricalMoments:
 class TestValidation:
     def test_non_orthonormal_basis_rejected(self):
         with pytest.raises(ValueError):
-            CovarianceModel(2, np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([1.0, 0.5]))
+            CovarianceModel(np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([1.0, 0.5]))
 
     def test_unsorted_spectrum_rejected(self):
         with pytest.raises(ValueError):
-            CovarianceModel(2, np.eye(2), np.array([0.5, 1.0]))
+            CovarianceModel(np.eye(2), np.array([0.5, 1.0]))
 
     def test_non_finite_moments_rejected(self):
         with pytest.raises(ValueError, match="finite"):

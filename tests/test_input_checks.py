@@ -15,7 +15,7 @@ from lindiff.oracle import gradient_flow_full, mc_dsm_loss
 from lindiff.sampler import NoiseSchedule, pf_mode_scaling
 
 EYE2 = np.eye(2)
-MODEL2 = CovarianceModel(2, EYE2, np.ones(2))
+MODEL2 = CovarianceModel(EYE2, np.ones(2))
 MOMENTS2 = DataMoments(np.zeros(2), EYE2)
 MOMENTS4 = DataMoments(np.zeros(4), np.eye(4))
 # symmetric to dft_mode_variance's 1e-8, but not to its 1e-10 bound on the imaginary residue
@@ -30,9 +30,9 @@ CASES = {
         "non-finite state",
     ),
     # gaussian
-    "covariance-basis-shape": (lambda: CovarianceModel(2, np.eye(3), np.ones(2)), ValueError, "basis must be a dim x dim"),
-    "covariance-spectrum-length": (lambda: CovarianceModel(2, EYE2, np.ones(1)), ValueError, "spectrum must have length dim"),
-    "covariance-negative": (lambda: CovarianceModel(2, EYE2, [1.0, -1.0]), ValueError, "eigenvalues must be nonnegative"),
+    "covariance-basis-shape": (lambda: CovarianceModel(np.eye(3)[:, :2], np.ones(2)), ValueError, "basis must be a dim x dim"),
+    "covariance-spectrum-length": (lambda: CovarianceModel(EYE2, np.ones(1)), ValueError, "spectrum must have length dim"),
+    "covariance-negative": (lambda: CovarianceModel(EYE2, [1.0, -1.0]), ValueError, "eigenvalues must be nonnegative"),
     "moments-shape": (lambda: DataMoments(np.zeros(2), np.eye(3)), ValueError, "covariance shape does not match mean"),
     "moments-symmetry": (lambda: DataMoments(np.zeros(2), [[1.0, 0.5], [0.0, 1.0]]), ValueError, "must be symmetric"),
     "moments-psd": (lambda: DataMoments(np.zeros(2), [[1.0, 2.0], [2.0, 1.0]]), ValueError, "must be PSD"),
@@ -45,13 +45,13 @@ CASES = {
     ),
     "sample-count": (lambda: sample_gaussian(MODEL2, np.zeros(2), 0, seed=0), ValueError, "n must be >= 1"),
     # convolution
-    "patch-shape": (lambda: PatchCovariance(3, EYE2), ValueError, "matrix must be size x size"),
-    "patch-symmetry": (lambda: PatchCovariance(2, [[1.0, 1.0], [0.0, 1.0]]), ValueError, "must be symmetric"),
-    "patch-psd": (lambda: PatchCovariance(2, [[1.0, 2.0], [2.0, 1.0]]), ValueError, "must be PSD"),
+    "patch-shape": (lambda: PatchCovariance(np.ones((3, 2))), ValueError, "matrix must be square"),
+    "patch-symmetry": (lambda: PatchCovariance([[1.0, 1.0], [0.0, 1.0]]), ValueError, "must be symmetric"),
+    "patch-psd": (lambda: PatchCovariance([[1.0, 2.0], [2.0, 1.0]]), ValueError, "must be PSD"),
     "dft-non-square": (lambda: dft_mode_variance(np.ones((2, 3))), ValueError, "covariance must be square"),
     "dft-imaginary-residue": (lambda: dft_mode_variance(NEARLY_SYMMETRIC), ValueError, "imaginary residue"),
     "patch-filter-w0": (
-        lambda: patch_filter_trajectory(PatchCovariance(3, np.eye(3)), 0.5, 1.0, 8, np.zeros(2), [1.0]),
+        lambda: patch_filter_trajectory(PatchCovariance(np.eye(3)), 0.5, 1.0, 8, np.zeros(2), [1.0]),
         ValueError,
         "w0 must match the patch size",
     ),
@@ -63,7 +63,7 @@ CASES = {
         "sigma must be positive",
     ),
     "deep-linear-depth": (lambda: deep_linear_mode(0, 1.0, 1.0, 0.5, 1.0, [1.0]), ValueError, "depth must be >= 1"),
-    "discrete-gd-step": (lambda: discrete_gd_trajectory(MODEL2, 1.0, 0.1, 0.0, 5), ValueError, "step must be positive"),
+    "discrete-gd-step": (lambda: discrete_gd_trajectory(np.ones(2), 1.0, 0.1, 0.0, 5), ValueError, "step must be positive"),
     # oracle
     "patch-half-width": (
         lambda: gradient_flow_full(MOMENTS4, 1.0, 1.0, np.zeros(3), np.zeros(4), [1.0], parametrization="patch"),
